@@ -52,8 +52,8 @@ def main():
     print(f"  delta magnitudes peak near the burst edges: "
           f"frame {int(np.argmax(np.abs(full[:, 12])))} of {len(full)}")
 
-    # chunk boundaries must not matter: two random choppings agree bit for
-    # bit, and both agree with the batch computation to rounding noise
+    # chunk boundaries must not matter: two random choppings and the batch
+    # computation all agree bit for bit
     def run_chunked(seed):
         extractor = FeatureExtractor(cfg, rate)
         frames = []
@@ -68,8 +68,7 @@ def main():
 
     a, b = run_chunked(2), run_chunked(3)
     print(f"\ntwo random chunkings bit-identical: {np.array_equal(a, b)}")
-    print(f"streaming matches batch within 1e-10: "
-          f"{a.shape == full.shape and bool(np.allclose(a, full, atol=1e-10))}")
+    print(f"streaming bit-identical to batch: {np.array_equal(a, full)}")
 
 
 if __name__ == "__main__":

@@ -6,6 +6,10 @@ and the second stage repeats the trick on the first stage's outputs. LDA
 classes are acoustic clusters split by speech/non-speech, so the projection
 keeps directions that tell those apart.
 
+Stacking, with or without the projection, is a features.CausalWindow
+stage, so training (push a whole file, then flush) and detection (push as
+audio arrives) share one implementation and give the same bits.
+
 Both trainers accumulate scatter/moment statistics incrementally, so a
 corpus never has to be stacked in memory at once.
 """
@@ -15,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
+from .features import CausalWindow
 from .gmm import Gmm, posterior_matrix
 
 # within-class scatter gets this fraction of trace/dim added to its diagonal;
@@ -55,27 +59,6 @@ LDA_CONTEXT = ContextSpec(tuple(range(-10, 11, 2)))
 PCA_CONTEXT = ContextSpec(tuple(range(-9, 10, 3)))
 
 
-def stack_context(frames: np.ndarray, spec: ContextSpec, t: int) -> np.ndarray:
-    """Concatenate frames[t + offset] for every offset, edges replicated."""
-    frames = np.asarray(frames)
-    if len(frames) == 0:
-        raise ValueError("empty frame sequence")
-    if not (0 <= t < len(frames)):
-        raise IndexError(f"frame index {t} outside sequence of {len(frames)}")
-    idx = np.clip(t + np.asarray(spec.offsets), 0, len(frames) - 1)
-    return frames[idx].ravel()
-
-
-def stack_context_all(frames: np.ndarray, spec: ContextSpec) -> np.ndarray:
-    """stack_context for every t at once: (T, D) -> (T, |offsets|*D)."""
-    frames = np.asarray(frames)
-    if len(frames) == 0:
-        raise ValueError("empty frame sequence")
-    t = np.arange(len(frames))[:, None] + np.asarray(spec.offsets)[None, :]
-    idx = np.clip(t, 0, len(frames) - 1)
-    return frames[idx].reshape(len(frames), spec.size * frames.shape[1])
-
-
 @dataclass(frozen=True)
 class LinearTransform:
     """Affine projection y = matrix @ (x - mean_offset); rows are components."""
@@ -108,11 +91,36 @@ class LinearTransform:
 
 
 def apply_transform(x: np.ndarray, transform: LinearTransform) -> np.ndarray:
-    """Project a single vector or a (T, in_dim) batch."""
+    """Project a single vector or a (T, in_dim) batch.
+
+    einsum rather than a BLAS matmul: each row's bits must not depend on how
+    many rows share the call (see the features module docstring).
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != transform.input_dim:
         raise ValueError(f"input dim {x.shape[-1]} != transform dim {transform.input_dim}")
-    return (x - transform.mean_offset) @ transform.matrix.T
+    return np.einsum("...j,kj->...k", x - transform.mean_offset, transform.matrix)
+
+
+def context_window(spec: ContextSpec, transform: LinearTransform | None = None) -> CausalWindow:
+    """Stage stacking the frames at spec's offsets around each frame, edges
+    replicated: (T, D) -> (T, |offsets|*D), projected by transform if given."""
+    positions = np.asarray(spec.offsets) + spec.lookback
+
+    def kernel(context: np.ndarray, start: int) -> np.ndarray:
+        n = len(context) - spec.lookback - spec.lookahead
+        stacked = context[np.arange(n)[:, None] + positions].reshape(n, spec.size * context.shape[1])
+        return stacked if transform is None else apply_transform(stacked, transform)
+
+    return CausalWindow(spec.lookback, spec.lookahead, kernel)
+
+
+def stack_context_all(frames: np.ndarray, spec: ContextSpec) -> np.ndarray:
+    """Row t concatenates frames[t + offset] for every offset, edges replicated."""
+    frames = np.asarray(frames, dtype=np.float64)
+    if len(frames) == 0:
+        raise ValueError("empty frame sequence")
+    return context_window(spec).flush(frames)
 
 
 def acoustic_labels(frames: np.ndarray, ubm: Gmm, speech_mask: np.ndarray) -> np.ndarray:
@@ -193,6 +201,8 @@ class LdaScatter:
         within = (within + within.T) / 2.0
         between = (between + between.T) / 2.0
         within[np.diag_indices_from(within)] += LDA_RIDGE * np.trace(within) / self.dim
+
+        import scipy.linalg  # training only; keeps scipy off the detection import path
 
         values, vectors = scipy.linalg.eigh(between, within)
         order = np.argsort(-values, kind="stable")[:out_dim]

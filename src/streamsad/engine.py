@@ -31,13 +31,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .audio_io import NONSPEECH, SPEECH, AudioStream, SegmentLabel
-from .context_transform import (
-    LDA_CONTEXT,
-    PCA_CONTEXT,
-    ContextSpec,
-    LinearTransform,
-    apply_transform,
-)
+from .context_transform import LDA_CONTEXT, PCA_CONTEXT, LinearTransform, context_window
 from .embeddings import MlpModel, extract_embedding, make_supervector
 from .features import FeatureConfig, FeatureExtractor
 from .gmm import Gmm, accumulate_stats
@@ -102,7 +96,7 @@ class SadModel:
     nonspeech_counts: np.ndarray
     speech_embedding: np.ndarray
     nonspeech_embedding: np.ndarray
-    base_threshold: float = 0.25
+    base_threshold: float = 0.0
 
     def __post_init__(self):
         feat_dim = self.feature_cfg.output_dim
@@ -257,48 +251,6 @@ def process_segment(
     return decision
 
 
-class _ContextStage:
-    """Streaming context stack + projection with bounded lookahead buffering.
-
-    Emits output t only once frame t+lookahead exists, so mid-stream values
-    match a whole-sequence computation; flush() finishes the tail with the
-    same edge replication the batch path uses.
-    """
-
-    def __init__(self, transform: LinearTransform, spec: ContextSpec):
-        self.transform = transform
-        self.spec = spec
-        self.offsets = np.asarray(spec.offsets)
-        self.frames: deque = deque()
-        self.base = 0
-        self.count = 0
-        self.next_out = 0
-
-    def _emit(self, t: int, last: int) -> np.ndarray:
-        idx = np.clip(t + self.offsets, 0, last)
-        stacked = np.concatenate([self.frames[i - self.base] for i in idx])
-        return apply_transform(stacked, self.transform)
-
-    def _drain(self, final: bool) -> list:
-        out = []
-        last = self.count - 1
-        while self.next_out <= last and (final or self.next_out + self.spec.lookahead <= last):
-            out.append(self._emit(self.next_out, last))
-            self.next_out += 1
-            while self.base < self.next_out - self.spec.lookback:
-                self.frames.popleft()
-                self.base += 1
-        return out
-
-    def push(self, frame: np.ndarray) -> list:
-        self.frames.append(frame)
-        self.count += 1
-        return self._drain(False)
-
-    def flush(self) -> list:
-        return self._drain(True)
-
-
 class StreamingDetector:
     """Push samples in arbitrary chunks, collect Decisions as they complete.
 
@@ -317,65 +269,57 @@ class StreamingDetector:
         self.adaptation = adaptation or AdaptationConfig()
         self.smoothing = smoothing or SmoothingConfig()
         self.extractor = FeatureExtractor(model.feature_cfg, model.sample_rate)
-        self.lda_stage = _ContextStage(model.lda, LDA_CONTEXT)
-        self.pca_stage = _ContextStage(model.pca, PCA_CONTEXT)
+        self.cascade = (context_window(LDA_CONTEXT, model.lda), context_window(PCA_CONTEXT, model.pca))
         self.state = AdaptState(model, self.adaptation)
         self.decisions: list[Decision] = []
-        self.pending: list[np.ndarray] = []
+        self.pending = np.empty((0, model.pca.output_dim))  # transformed frames not yet in a segment
+        self.n_segments = 0
         self.tail_extra = 0.0
         self.finished = False
 
-    def _consume(self, transformed: list) -> list[Decision]:
+    def _consume(self, transformed: np.ndarray) -> list[Decision]:
+        self.pending = np.concatenate([self.pending, transformed])
         new = []
-        for vec in transformed:
-            self.pending.append(vec)
-            if len(self.pending) == SEGMENT_FRAMES:
-                new.append(self._decide(self.pending))
-                self.pending = []
+        while len(self.pending) >= SEGMENT_FRAMES:
+            new.append(self._decide(SEGMENT_FRAMES))
         return new
 
-    def _decide(self, frames: list) -> Decision:
-        decision = process_segment(
-            np.stack(frames),
-            self.model,
-            self.state,
-            self.adaptation,
-            index=len(self.decisions),
-        )
+    def _decide(self, n_frames: int) -> Decision:
+        # the segment leaves pending and takes its index before it is scored,
+        # so one that raises cannot stall later segments or shift their times
+        segment, self.pending = self.pending[:n_frames], self.pending[n_frames:]
+        index = self.n_segments
+        self.n_segments += 1
+        decision = process_segment(segment, self.model, self.state, self.adaptation, index=index)
         self.decisions.append(decision)
         return decision
 
-    def _through_stages(self, feature_frames: list) -> list:
-        transformed = []
-        for frame in feature_frames:
-            for reduced in self.lda_stage.push(frame):
-                transformed.extend(self.pca_stage.push(reduced))
-        return transformed
-
     def push(self, samples) -> list[Decision]:
+        """Feed samples (ValueError on NaN/Inf, state untouched); returns new decisions."""
         if self.finished:
             raise RuntimeError("push after flush")
-        return self._consume(self._through_stages(self.extractor.push(samples)))
+        frames = self.extractor.push(samples)
+        for stage in self.cascade:
+            frames = stage.push(frames)
+        return self._consume(frames)
 
     def flush(self) -> list[Decision]:
         """Finish the stream and decide the trailing partial segment."""
         if self.finished:
             return []
         self.finished = True
-        transformed = self._through_stages(self.extractor.flush())
-        for reduced in self.lda_stage.flush():
-            transformed.extend(self.pca_stage.push(reduced))
-        transformed.extend(self.pca_stage.flush())
-        new = self._consume(transformed)
+        frames = self.extractor.flush()
+        for stage in self.cascade:
+            frames = stage.flush(frames)
+        new = self._consume(frames)
 
-        if self.extractor.n_statics == 0:
+        if self.extractor.n_frames == 0:
             raise ValueError("audio shorter than one analysis window")
         if len(self.pending) >= MIN_TAIL_FRAMES:
-            new.append(self._decide(self.pending))
-            self.pending = []
-        elif self.pending:
+            new.append(self._decide(len(self.pending)))
+        elif len(self.pending):
             self.tail_extra = len(self.pending) * self.model.feature_cfg.hop
-            self.pending = []
+            self.pending = self.pending[:0]
         return new
 
     def segments(self) -> list[SegmentLabel]:

@@ -7,19 +7,32 @@ dropped). Statics get a causal sliding-window mean subtracted (1 s window),
 then regression deltas and delta-deltas are appended.
 
 Frame sequences are plain (T, D) float64 arrays; row t is the frame starting
-at t * hop seconds. The batch functions (extract_mfcc, apply_cmn,
-append_deltas) and the incremental FeatureExtractor share the same per-frame
-arithmetic, so a stream produces the same values as a whole-file pass.
+at t * hop seconds. Every step after the statics is a CausalWindow: output t
+reads input frames t - lookback .. t + lookahead, edges replicated. The
+batch functions (apply_cmn, append_deltas, extract_features) push the whole
+sequence through the same stages as the incremental FeatureExtractor and
+then flush, so a stream produces the same bits as a whole-file pass.
+
+A stage runs every frame that is ready after a push as one block, and where
+the blocks split depends on how the samples were chunked. Every kernel
+therefore gives each row the same bits whatever block it is in ("batch
+invariance"): projections use np.einsum without optimize on contiguous
+inputs (a BLAS matmul changes some rows' bits with the batch shape), the FFT
+runs row by row along axis 1, and sums run elementwise in a fixed order.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 LOG_FLOOR = 1e-10
+
+# Most frames a kernel sees at once: 5 s at the default 10 ms hop. Bounds
+# the memory a long push or a long file needs; the bits do not depend on it.
+BLOCK_FRAMES = 500
 
 
 @dataclass(frozen=True)
@@ -113,7 +126,7 @@ def dct_matrix(n_mfcc: int, n_filters: int) -> np.ndarray:
 
 
 class StaticMfcc:
-    """Per-frame static MFCC computation with precomputed window/mel/DCT tables."""
+    """Static MFCC computation with precomputed window/mel/DCT tables."""
 
     def __init__(self, cfg: FeatureConfig, sample_rate: int):
         self.cfg = cfg
@@ -130,41 +143,109 @@ class StaticMfcc:
 
     def compute_block(self, frames: np.ndarray) -> np.ndarray:
         """Static MFCCs for a (T, window_samples) block of raw frames."""
-        emphasized = np.empty_like(frames)
+        emphasized = np.empty(frames.shape)
         # pre-emphasis stays inside the window so a frame never depends on
         # samples outside its own analysis window
         emphasized[:, 0] = frames[:, 0] * (1.0 - self.cfg.pre_emphasis)
         emphasized[:, 1:] = frames[:, 1:] - self.cfg.pre_emphasis * frames[:, :-1]
         spectrum = np.abs(np.fft.rfft(emphasized * self.window, n=self.n_fft, axis=1))
-        energies = spectrum @ self.filterbank.T
+        energies = np.einsum("tj,kj->tk", spectrum, self.filterbank)
         log_energies = np.log(np.maximum(energies, LOG_FLOOR))
-        return log_energies @ self.dct.T
-
-    def compute(self, frame: np.ndarray) -> np.ndarray:
-        return self.compute_block(frame[np.newaxis, :])[0]
+        return np.einsum("tj,kj->tk", log_energies, self.dct)
 
 
-class CmnState:
-    """Causal sliding-window mean removal (window includes the current frame)."""
+class CausalWindow:
+    """Streaming stage whose output frame t reads input frames t-lookback .. t+lookahead.
 
-    def __init__(self, cfg: FeatureConfig):
-        self.buffer = deque(maxlen=cfg.cmn_frames())
+    kernel(context, start) maps lookback + n + lookahead consecutive input
+    rows to the n outputs for frames start .. start + n - 1. Input frames
+    outside the stream are edge replicas: the first frame stands in before
+    the start and, at flush, the last frame after the end. Each push runs
+    the kernel over every newly ready frame, at most BLOCK_FRAMES at a time,
+    and holds back the last lookahead frames until more input or flush.
+    """
 
-    def apply(self, frame: np.ndarray) -> np.ndarray:
-        self.buffer.append(frame)
-        return frame - np.mean(self.buffer, axis=0)
+    def __init__(self, lookback: int, lookahead: int, kernel):
+        self.lookback = lookback
+        self.lookahead = lookahead
+        self.kernel = kernel
+        self.context: np.ndarray | None = None  # input rows from frame start - lookback on
+        self.start = 0  # index of the next output frame
+
+    def push(self, frames: np.ndarray) -> np.ndarray:
+        """Add (n, D) input frames; returns the outputs they completed."""
+        frames = np.asarray(frames, dtype=np.float64)
+        if self.context is None:
+            if len(frames) == 0:
+                return self._nothing(frames.shape[1])
+            self.context = np.repeat(frames[:1], self.lookback, axis=0)
+        self.context = np.concatenate([self.context, frames])
+        return self._run()
+
+    def flush(self, frames: np.ndarray) -> np.ndarray:
+        """Push the last input frames, then finish: returns every remaining output."""
+        head = self.push(frames)
+        if self.context is None or self.lookahead == 0:
+            return head
+        edge = np.repeat(self.context[-1:], self.lookahead, axis=0)
+        self.context = np.concatenate([self.context, edge])
+        return np.concatenate([head, self._run()])
+
+    def _run(self) -> np.ndarray:
+        span = self.lookback + self.lookahead
+        n = len(self.context) - span
+        if n <= 0:
+            return self._nothing(self.context.shape[1])
+        blocks = [
+            self.kernel(self.context[i : i + span + min(BLOCK_FRAMES, n - i)], self.start + i)
+            for i in range(0, n, BLOCK_FRAMES)
+        ]
+        self.context = self.context[n:]
+        self.start += n
+        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+    def _nothing(self, dim: int) -> np.ndarray:
+        # the kernel run on no frames gives the empty block of the right width
+        return self.kernel(np.zeros((self.lookback + self.lookahead, dim)), self.start)
 
 
-def _regression_deltas(frames: np.ndarray, window: int) -> np.ndarray:
-    """Regression slope estimate per frame; out-of-range neighbors replicate the edges."""
-    n = len(frames)
-    out = np.zeros_like(frames)
-    for k in range(1, window + 1):
-        ahead = frames[np.minimum(np.arange(n) + k, n - 1)]
-        behind = frames[np.maximum(np.arange(n) - k, 0)]
-        out += k * (ahead - behind)
-    out /= 2.0 * sum(k * k for k in range(1, window + 1))
-    return out
+def cmn_window(cfg: FeatureConfig) -> CausalWindow:
+    """Causal sliding-window mean removal (the window includes the current frame).
+
+    Each window is summed exactly, oldest frame first, so a long stream
+    never drifts the way a running sum would. Near the stream start the
+    window holds only the frames seen so far.
+    """
+    width = cfg.cmn_frames()
+
+    def kernel(context: np.ndarray, start: int) -> np.ndarray:
+        n = len(context) - (width - 1)
+        if start < width - 1:
+            context = context.copy()
+            context[: width - 1 - start] = 0.0  # edge replicas from before the start
+        total = context[:n].copy()
+        for j in range(1, width):
+            total += context[j : j + n]
+        count = np.minimum(np.arange(start + 1, start + n + 1), width)
+        return context[width - 1 :] - total / count[:, None]
+
+    return CausalWindow(width - 1, 0, kernel)
+
+
+def delta_window(dim: int, window: int) -> CausalWindow:
+    """Appends regression deltas of the last dim columns: (T, D) -> (T, D + dim)."""
+    denom = 2.0 * sum(k * k for k in range(1, window + 1))
+
+    def kernel(context: np.ndarray, start: int) -> np.ndarray:
+        n = len(context) - 2 * window
+        x = context[:, -dim:]
+        delta = np.zeros((n, dim))
+        for k in range(1, window + 1):
+            delta += k * (x[window + k : window + k + n] - x[window - k : window - k + n])
+        delta /= denom
+        return np.hstack([context[window : window + n], delta])
+
+    return CausalWindow(window, window, kernel)
 
 
 def extract_mfcc(audio, cfg: FeatureConfig | None = None) -> np.ndarray:
@@ -176,19 +257,12 @@ def extract_mfcc(audio, cfg: FeatureConfig | None = None) -> np.ndarray:
         raise ValueError(
             f"audio shorter than one analysis window ({cfg.window_length * 1000:.0f} ms)"
         )
-    offsets = np.arange(n) * static.hop
-    frames = audio.samples[offsets[:, None] + np.arange(static.win)]
-    return static.compute_block(frames)
+    return static.compute_block(sliding_window_view(audio.samples, static.win)[:: static.hop])
 
 
 def apply_cmn(frames: np.ndarray, cfg: FeatureConfig | None = None) -> np.ndarray:
     """Causal sliding-window CMN over a frame sequence."""
-    cfg = cfg or FeatureConfig()
-    frames = np.asarray(frames, dtype=np.float64)
-    if len(frames) == 0:
-        return frames.reshape(0, frames.shape[1] if frames.ndim == 2 else 0)
-    state = CmnState(cfg)
-    return np.stack([state.apply(f) for f in frames])
+    return cmn_window(cfg or FeatureConfig()).flush(frames)
 
 
 def append_deltas(frames: np.ndarray, cfg: FeatureConfig | None = None) -> np.ndarray:
@@ -197,128 +271,77 @@ def append_deltas(frames: np.ndarray, cfg: FeatureConfig | None = None) -> np.nd
     frames = np.asarray(frames, dtype=np.float64)
     if len(frames) == 0:
         raise ValueError("empty frame sequence")
-    d = _regression_deltas(frames, cfg.delta_window)
-    dd = _regression_deltas(d, cfg.delta_window)
-    return np.hstack([frames, d, dd])
+    dim = frames.shape[1]
+    with_deltas = delta_window(dim, cfg.delta_window).flush(frames)
+    return delta_window(dim, cfg.delta_window).flush(with_deltas)
 
 
 def extract_features(audio, cfg: FeatureConfig | None = None) -> np.ndarray:
     """Full front end for a whole file: statics -> CMN -> +deltas, (T, 36)."""
-    cfg = cfg or FeatureConfig()
-    return append_deltas(apply_cmn(extract_mfcc(audio, cfg), cfg), cfg)
+    return FeatureExtractor(cfg or FeatureConfig(), audio.sample_rate).process(audio.samples)
 
 
 class FeatureExtractor:
     """Incremental front end: push samples in any chunking, get 36-d frames out.
 
-    Emits frame t only once every static it depends on exists (deltas need
-    statics through t + 2*delta_window), so mid-stream output never depends
-    on how the samples were chunked. flush() finishes the tail using the
-    same edge replication as the batch path.
+    Statics pass through three stages: CMN (lookback only), deltas and
+    delta-deltas (delta_window frames each way), so push() holds back the
+    last 2 * delta_window frames until more audio arrives; flush() finishes
+    them with the last frame replicated, as the batch functions do.
     """
 
     def __init__(self, cfg: FeatureConfig, sample_rate: int):
         self.cfg = cfg
         self.static = StaticMfcc(cfg, sample_rate)
-        self.cmn = CmnState(cfg)
-        self.pending = np.empty(0, dtype=np.float64)
-        self.statics: deque[np.ndarray] = deque()
-        self.deltas: deque[np.ndarray] = deque()
-        self.statics_base = 0  # absolute index of statics[0]
-        self.deltas_base = 0
-        self.n_statics = 0
-        self.n_deltas = 0
-        self.n_emitted = 0
+        self.stages = (
+            cmn_window(cfg),
+            delta_window(cfg.n_mfcc, cfg.delta_window),
+            delta_window(cfg.n_mfcc, cfg.delta_window),
+        )
+        self.pending = np.empty(0, dtype=np.float64)  # samples not yet in a frame
+        self.n_frames = 0  # static frames computed so far
         self.finished = False
-        w = cfg.delta_window
-        self._denom = 2.0 * sum(k * k for k in range(1, w + 1))
 
-    def _static_at(self, t: int) -> np.ndarray:
-        return self.statics[t - self.statics_base]
+    def push(self, samples) -> np.ndarray:
+        """Feed samples; returns the newly completed (n, 36) frames.
 
-    def _delta_at_abs(self, t: int, last: int) -> np.ndarray:
-        w = self.cfg.delta_window
-        out = np.zeros_like(self.deltas[0])
-        for k in range(1, w + 1):
-            out += k * (
-                self.deltas[min(t + k, last) - self.deltas_base]
-                - self.deltas[max(t - k, 0) - self.deltas_base]
-            )
-        out /= self._denom
-        return out
-
-    def _compute_delta(self, t: int, last: int) -> np.ndarray:
-        w = self.cfg.delta_window
-        out = np.zeros_like(self.statics[0])
-        for k in range(1, w + 1):
-            out += k * (self._static_at(min(t + k, last)) - self._static_at(max(t - k, 0)))
-        out /= self._denom
-        return out
-
-    def _advance(self, last_static: int | None, last_delta: int | None) -> list[np.ndarray]:
-        """Produce every delta/output frame whose inputs are now determined.
-
-        last_static/last_delta are the final sequence indices once known
-        (at flush); None while the stream may still grow.
+        NaN or Inf samples raise ValueError before any state changes.
         """
-        w = self.cfg.delta_window
-        # deltas: frame t needs statics t-w .. t+w
-        limit = self.n_statics - 1 if last_static is not None else self.n_statics - 1 - w
-        while self.n_deltas <= limit:
-            t = self.n_deltas
-            hi = last_static if last_static is not None else t + w
-            self.deltas.append(self._compute_delta(t, hi))
-            self.n_deltas += 1
-
-        out = []
-        limit = self.n_deltas - 1 if last_delta is not None else self.n_deltas - 1 - w
-        while self.n_emitted <= limit:
-            t = self.n_emitted
-            hi = last_delta if last_delta is not None else t + w
-            dd = self._delta_at_abs(t, hi)
-            out.append(np.concatenate([self._static_at(t), self.deltas[t - self.deltas_base], dd]))
-            self.n_emitted += 1
-
-        # drop history nothing can reference any more: future deltas reach
-        # back to n_deltas - w, future emissions need static[n_emitted]
-        while self.statics_base < min(self.n_emitted, self.n_deltas - w):
-            self.statics.popleft()
-            self.statics_base += 1
-        while self.deltas_base < self.n_emitted - w:
-            self.deltas.popleft()
-            self.deltas_base += 1
-        return out
-
-    def push(self, samples) -> list[np.ndarray]:
-        """Feed samples; returns the newly completed 36-d frames."""
         if self.finished:
             raise RuntimeError("push after flush")
         samples = np.asarray(samples, dtype=np.float64)
-        self.pending = np.concatenate([self.pending, samples]) if len(self.pending) else samples
+        if not np.isfinite(samples).all():
+            raise ValueError("samples contain NaN or Inf")
+        if len(self.pending):
+            samples = np.concatenate([self.pending, samples])
         win, hop = self.static.win, self.static.hop
-        while len(self.pending) >= win:
-            raw = self.cmn.apply(self.static.compute(self.pending[:win]))
-            self.statics.append(raw)
-            self.n_statics += 1
-            self.pending = self.pending[hop:]
-        return self._advance(None, None)
+        n = max(0, (len(samples) - win) // hop + 1)
+        windows = sliding_window_view(samples, win)[::hop] if n else np.empty((0, win))
+        blocks = []
+        for i in range(0, max(n, 1), BLOCK_FRAMES):
+            frames = self.static.compute_block(windows[i : i + BLOCK_FRAMES])
+            for stage in self.stages:
+                frames = stage.push(frames)
+            blocks.append(frames)
+        self.pending = samples[n * hop :].copy()
+        self.n_frames += n
+        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
-    def flush(self) -> list[np.ndarray]:
+    def flush(self) -> np.ndarray:
         """Finish the stream; returns the remaining frames."""
         if self.finished:
-            return []
+            return np.empty((0, self.cfg.output_dim))
         self.finished = True
-        if self.n_statics == 0:
-            return []
-        out = self._advance(self.n_statics - 1, None)
-        out += self._advance(self.n_statics - 1, self.n_deltas - 1)
-        return out
+        frames = np.empty((0, self.cfg.n_mfcc))
+        for stage in self.stages:
+            frames = stage.flush(frames)
+        return frames
 
     def process(self, samples) -> np.ndarray:
         """push + flush convenience; returns all frames as one (T, 36) array."""
-        frames = self.push(samples) + self.flush()
-        if not frames:
+        frames = np.concatenate([self.push(samples), self.flush()])
+        if len(frames) == 0:
             raise ValueError(
                 f"audio shorter than one analysis window ({self.cfg.window_length * 1000:.0f} ms)"
             )
-        return np.stack(frames)
+        return frames

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 VARIANCE_FLOOR_FRACTION = 1e-3
 _LOG_2PI = np.log(2.0 * np.pi)
@@ -75,6 +74,15 @@ def log_likelihoods(frames: np.ndarray, gmm: Gmm) -> np.ndarray:
     )
     # quadratic term expanded so the whole thing is three matrix products
     return constant + x @ (gmm.means * precision).T - 0.5 * (x**2) @ precision.T
+
+
+def logsumexp(a: np.ndarray, axis: int = -1, keepdims: bool = False) -> np.ndarray:
+    """log(sum(exp(a))) along axis, shifted by the maximum so exp never overflows."""
+    peak = np.max(a, axis=axis, keepdims=True)
+    peak[~np.isfinite(peak)] = 0.0  # all -inf stays -inf; +inf or nan propagate
+    with np.errstate(divide="ignore"):
+        out = np.log(np.sum(np.exp(a - peak), axis=axis, keepdims=True)) + peak
+    return out if keepdims else np.squeeze(out, axis=axis)
 
 
 def loglik(frames: np.ndarray, gmm: Gmm) -> float:

@@ -29,7 +29,7 @@ from .context_transform import (
     LdaScatter,
     PcaMoments,
     acoustic_labels,
-    apply_transform,
+    context_window,
     stack_context_all,
 )
 from .embeddings import class_embeddings, make_supervector, train_mlp
@@ -69,7 +69,7 @@ class TrainConfig:
     select_epoch: int | None = None
     learning_rate: float = 0.01
     batch_size: int = 256
-    base_threshold: float = 0.25
+    base_threshold: float = 0.0
     seed: int = 0
     monitor_entries: list | None = None
 
@@ -207,14 +207,14 @@ def train(cfg: TrainConfig, out_path=None) -> SadModel:
         lda = scatter.finalize(cfg.lda_dim)
 
     with _stage("pca"):
-        reduced = [apply_transform(stack_context_all(f, LDA_CONTEXT), lda) for f in features]
+        reduced = [context_window(LDA_CONTEXT, lda).flush(f) for f in features]
         moments = PcaMoments(PCA_CONTEXT.size * cfg.lda_dim)
         for frames in reduced:
             moments.add(stack_context_all(frames, PCA_CONTEXT))
         pca = moments.finalize(cfg.pca_dim)
 
     with _stage("transform"):
-        transformed = [apply_transform(stack_context_all(f, PCA_CONTEXT), pca) for f in reduced]
+        transformed = [context_window(PCA_CONTEXT, pca).flush(f) for f in reduced]
         del reduced
 
     with _stage("counts-ubm"):
@@ -274,8 +274,8 @@ def train(cfg: TrainConfig, out_path=None) -> SadModel:
                     raise ValueError(f"{audio_path}: sample rate differs from corpus")
                 frames = extract_features(audio, feat_cfg)
                 mask = frame_labels(read_labels(label_path), len(frames), hop, window)
-                stacked = apply_transform(stack_context_all(frames, LDA_CONTEXT), lda)
-                frames24 = apply_transform(stack_context_all(stacked, PCA_CONTEXT), pca)
+                reduced = context_window(LDA_CONTEXT, lda).flush(frames)
+                frames24 = context_window(PCA_CONTEXT, pca).flush(reduced)
                 svs, labs, _, _ = _cut_segments(frames24, mask, supervector_ubm)
                 mon_svs.extend(svs)
                 mon_labels.extend(labs)

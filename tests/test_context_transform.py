@@ -12,7 +12,7 @@ from streamsad.context_transform import (
     PcaMoments,
     acoustic_labels,
     apply_transform,
-    stack_context,
+    context_window,
     stack_context_all,
     train_lda,
     train_pca,
@@ -30,39 +30,41 @@ class TestContextStacking:
 
     def test_stacked_dims(self):
         frames36 = np.zeros((60, 36))
-        assert stack_context(frames36, LDA_CONTEXT, 30).shape == (396,)
+        assert stack_context_all(frames36, LDA_CONTEXT).shape == (60, 396)
         frames12 = np.zeros((60, 12))
-        assert stack_context(frames12, PCA_CONTEXT, 30).shape == (84,)
+        assert stack_context_all(frames12, PCA_CONTEXT).shape == (60, 84)
 
     def test_interior_frame_uses_exact_offsets(self):
         frames = np.arange(50.0).reshape(-1, 1)
-        got = stack_context(frames, LDA_CONTEXT, 25)
+        got = stack_context_all(frames, LDA_CONTEXT)[25]
         np.testing.assert_array_equal(got, 25.0 + np.arange(-10, 11, 2))
 
     def test_edges_replicate(self):
         frames = np.arange(50.0).reshape(-1, 1)
-        first = stack_context(frames, LDA_CONTEXT, 0)
+        stacked = stack_context_all(frames, LDA_CONTEXT)
         # offsets -10..0 all clip to frame 0
-        np.testing.assert_array_equal(first[:6], 0.0)
-        last = stack_context(frames, LDA_CONTEXT, 49)
+        np.testing.assert_array_equal(stacked[0, :6], 0.0)
+        last = stacked[49]
         np.testing.assert_array_equal(last[5:], 49.0)
 
     def test_single_frame_sequence(self):
         frames = np.array([[7.0, 8.0]])
-        got = stack_context(frames, PCA_CONTEXT, 0)
-        np.testing.assert_array_equal(got, np.tile([7.0, 8.0], 7))
+        got = stack_context_all(frames, PCA_CONTEXT)
+        np.testing.assert_array_equal(got, np.tile([7.0, 8.0], (1, 7)))
 
     def test_batch_matches_per_frame(self):
+        # each row straight from the definition: frames[clip(t + offset)]
         rng = np.random.default_rng(0)
         frames = rng.standard_normal((40, 5))
         batch = stack_context_all(frames, LDA_CONTEXT)
         for t in range(40):
-            np.testing.assert_array_equal(batch[t], stack_context(frames, LDA_CONTEXT, t))
+            idx = np.clip(t + np.asarray(LDA_CONTEXT.offsets), 0, 39)
+            np.testing.assert_array_equal(batch[t], frames[idx].ravel())
 
     def test_bad_index_and_empty(self):
         frames = np.zeros((5, 2))
         with pytest.raises(IndexError):
-            stack_context(frames, PCA_CONTEXT, 5)
+            stack_context_all(frames, PCA_CONTEXT)[5]
         with pytest.raises(ValueError):
             stack_context_all(np.zeros((0, 2)), PCA_CONTEXT)
 
@@ -271,6 +273,41 @@ class TestPca:
     def test_needs_two_samples(self):
         with pytest.raises(ValueError, match="2 samples"):
             train_pca(np.ones((1, 3)), 1)
+
+
+class TestStreamingCascade:
+    """The detector's LDA -> PCA stages, pushed in any chunking, equal the
+    training path (stack_context_all plus apply_transform) bit for bit."""
+
+    def test_chunked_stages_equal_batch_bits(self):
+        rng = np.random.default_rng(40)
+        frames = rng.standard_normal((1300, 36))
+        lda = LinearTransform(
+            matrix=rng.standard_normal((12, 396)), mean_offset=rng.standard_normal(396), kind="lda"
+        )
+        pca = train_pca(rng.standard_normal((200, 84)), 24)
+        reduced = apply_transform(stack_context_all(frames, LDA_CONTEXT), lda)
+        want = apply_transform(stack_context_all(reduced, PCA_CONTEXT), pca)
+        for sizes in ([1300], [1] * 30 + [1270], list(rng.integers(1, 120, 40))):
+            stages = (context_window(LDA_CONTEXT, lda), context_window(PCA_CONTEXT, pca))
+            cuts = np.cumsum(sizes)[:-1]
+            out = []
+            for piece in np.split(frames, cuts[cuts < len(frames)]):
+                for stage in stages:
+                    piece = stage.push(piece)
+                out.append(piece)
+            tail = frames[:0]
+            for stage in stages:
+                tail = stage.flush(tail)
+            out.append(tail)
+            np.testing.assert_array_equal(np.concatenate(out), want)
+
+    def test_fewer_frames_than_lookahead(self):
+        rng = np.random.default_rng(41)
+        frames = rng.standard_normal((3, 4))
+        stage = context_window(LDA_CONTEXT)
+        assert stage.push(frames).shape == (0, 44)
+        np.testing.assert_array_equal(stage.flush(frames[:0]), stack_context_all(frames, LDA_CONTEXT))
 
 
 class TestApplyTransform:

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -500,6 +504,65 @@ class TestStreamingDetector:
             det.push(np.zeros(100))
         with pytest.raises(RuntimeError, match="before flush"):
             StreamingDetector(tiny_model).segments()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_chunk_is_rejected_and_stream_continues(self, tiny_corpus, tiny_model, bad):
+        samples = read_wav(tiny_corpus["entries"][4][0]).samples
+        first, rest = samples[:8000], samples[8800:12800]  # 1 s, then 0.5 s after the bad chunk
+        chunk = samples[8000:8800].copy()
+        chunk[400] = bad
+        det = StreamingDetector(tiny_model)
+        det.push(first)
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            det.push(chunk)
+        det.push(rest)
+        det.flush()
+        ref = StreamingDetector(tiny_model)
+        ref.push(first)
+        ref.push(rest)
+        ref.flush()
+        assert len(det.decisions) == 15
+        assert format_trace(det.decisions) == format_trace(ref.decisions)
+
+    def test_raising_segment_does_not_stall_later_ones(self, tiny_corpus, tiny_model, monkeypatch):
+        import streamsad.engine as engine
+
+        original = engine.process_segment
+
+        def fail_once(frames, model, state, cfg, index=0):
+            if index == 3:
+                raise RuntimeError("scoring failed")
+            return original(frames, model, state, cfg, index=index)
+
+        monkeypatch.setattr(engine, "process_segment", fail_once)
+        samples = read_wav(tiny_corpus["entries"][4][0]).samples
+        det = StreamingDetector(tiny_model)
+        raised = 0
+        for i in range(0, 16000, 800):
+            try:
+                det.push(samples[i : i + 800])
+            except RuntimeError:
+                raised += 1
+            assert len(det.pending) < SEGMENT_FRAMES
+        assert raised == 1
+        assert [d.index for d in det.decisions] == [i for i in range(len(det.decisions) + 1) if i != 3]
+
+    def test_import_does_not_load_scipy(self):
+        import streamsad
+
+        code = (
+            "import sys, streamsad.engine; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        src = str(Path(streamsad.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.strip() == "[]"
 
     def test_raising_threshold_reduces_speech(self, tiny_corpus, tiny_model):
         from dataclasses import replace

@@ -5,13 +5,14 @@ from hypothesis import strategies as st
 
 from streamsad.audio_io import AudioStream
 from streamsad.features import (
-    CmnState,
     FeatureConfig,
     FeatureExtractor,
     StaticMfcc,
     append_deltas,
     apply_cmn,
+    cmn_window,
     dct_matrix,
+    delta_window,
     extract_features,
     extract_mfcc,
     frame_count,
@@ -135,9 +136,10 @@ class TestCmn:
     def test_streaming_state_equals_batch(self):
         rng = np.random.default_rng(11)
         frames = rng.standard_normal((130, 12))
-        state = CmnState(CFG)
-        streamed = np.array([state.apply(f) for f in frames])
-        np.testing.assert_array_equal(streamed, apply_cmn(frames))
+        stage = cmn_window(CFG)
+        streamed = [stage.push(frame[np.newaxis]) for frame in frames]
+        streamed.append(stage.flush(np.empty((0, 12))))
+        np.testing.assert_array_equal(np.concatenate(streamed), apply_cmn(frames))
 
     def test_empty_input(self):
         assert apply_cmn(np.zeros((0, 12))).shape == (0, 12)
@@ -200,8 +202,7 @@ class TestStreamingExtractor:
         samples = rng.uniform(-0.5, 0.5, 12345)
         streamed = self.collect(FeatureExtractor(CFG, 8000), [samples])
         batch = extract_features(stream(samples))
-        assert streamed.shape == batch.shape
-        np.testing.assert_allclose(streamed, batch, atol=1e-10)
+        np.testing.assert_array_equal(streamed, batch)
 
     def test_frame_total_matches_formula(self):
         ext = FeatureExtractor(CFG, 8000)
@@ -220,16 +221,16 @@ class TestStreamingExtractor:
         ext = FeatureExtractor(CFG, 8000)
         chunks = [samples[i : i + 17] for i in range(0, 4000, 17)]
         got = self.collect(ext, chunks)
-        np.testing.assert_allclose(got, extract_features(stream(samples)), atol=1e-10)
+        np.testing.assert_array_equal(got, extract_features(stream(samples)))
 
     def test_buffers_stay_bounded(self):
         ext = FeatureExtractor(CFG, 8000)
         rng = np.random.default_rng(24)
         for _ in range(40):
             ext.push(rng.uniform(-0.5, 0.5, 800))
-            # only the lookahead region plus delta window may be buffered
-            assert len(ext.statics) <= 2 * CFG.delta_window + 1
-            assert len(ext.deltas) <= 2 * CFG.delta_window + 1
+            # each stage keeps only the frames its window still reaches
+            for stage in ext.stages:
+                assert len(stage.context) <= stage.lookback + stage.lookahead
             assert len(ext.pending) < ext.static.win
 
     def test_push_after_flush_raises(self):
@@ -241,12 +242,88 @@ class TestStreamingExtractor:
 
     def test_short_stream_flush_is_empty(self):
         ext = FeatureExtractor(CFG, 8000)
-        assert ext.push(np.zeros(100)) == []
-        assert ext.flush() == []
+        assert ext.push(np.zeros(100)).shape == (0, 36)
+        assert ext.flush().shape == (0, 36)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_rejected_before_any_change(self, bad):
+        rng = np.random.default_rng(25)
+        samples = rng.uniform(-0.5, 0.5, 6000)
+        chunk = rng.uniform(-0.5, 0.5, 800)
+        chunk[123] = bad
+        ext = FeatureExtractor(CFG, 8000)
+        got = [ext.push(samples[:3000])]
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            ext.push(chunk)
+        got += [ext.push(samples[3000:]), ext.flush()]
+        np.testing.assert_array_equal(np.concatenate(got), extract_features(stream(samples)))
 
     def test_process_too_short_raises(self):
         with pytest.raises(ValueError, match="shorter than one analysis window"):
             FeatureExtractor(CFG, 8000).process(np.zeros(50))
+
+
+BLOCK_SIZES = [1, 2, 7, 10, 64, 1000]
+
+
+def in_blocks(fn, x, size):
+    return np.concatenate([fn(x[i : i + size]) for i in range(0, len(x), size)])
+
+
+def streamed(stage, x, size):
+    """Push x through a stage in blocks of size rows, then flush."""
+    out = [stage.push(x[i : i + size]) for i in range(0, len(x), size)]
+    out.append(stage.flush(x[:0]))
+    return np.concatenate(out)
+
+
+class TestBatchInvariance:
+    """Every kernel the stages use gives a row the same bits in any block.
+
+    Streaming splits the frames into blocks wherever the pushes happen to
+    end, so this is what makes streaming equal batch bit for bit.
+    """
+
+    @pytest.mark.parametrize("size", BLOCK_SIZES)
+    @pytest.mark.parametrize("in_dim,out_dim", [(257, 23), (129, 23), (23, 12), (396, 12), (84, 24)])
+    def test_einsum_projection(self, size, in_dim, out_dim):
+        # filterbank (16 and 8 kHz), DCT, LDA and PCA shapes
+        rng = np.random.default_rng(in_dim)
+        x = rng.standard_normal((1500, in_dim))
+        matrix = rng.standard_normal((out_dim, in_dim))
+
+        def project(block):
+            return np.einsum("tj,kj->tk", block, matrix)
+
+        np.testing.assert_array_equal(in_blocks(project, x, size), project(x))
+
+    @pytest.mark.parametrize("size", BLOCK_SIZES)
+    @pytest.mark.parametrize("win,n_fft", [(200, 256), (400, 512)])
+    def test_rfft_along_rows(self, size, win, n_fft):
+        x = np.random.default_rng(win).standard_normal((1500, win))
+
+        def spectrum(block):
+            return np.abs(np.fft.rfft(block, n=n_fft, axis=1))
+
+        np.testing.assert_array_equal(in_blocks(spectrum, x, size), spectrum(x))
+
+    @pytest.mark.parametrize("size", BLOCK_SIZES)
+    @pytest.mark.parametrize("sample_rate", [8000, 16000])
+    def test_static_mfcc_block(self, size, sample_rate):
+        static = StaticMfcc(CFG, sample_rate)
+        x = np.random.default_rng(size).uniform(-0.5, 0.5, (1500, static.win))
+        np.testing.assert_array_equal(in_blocks(static.compute_block, x, size), static.compute_block(x))
+
+    @pytest.mark.parametrize("size", BLOCK_SIZES)
+    def test_cmn_window_sum(self, size):
+        x = np.random.default_rng(30).standard_normal((1500, 12))
+        np.testing.assert_array_equal(streamed(cmn_window(CFG), x, size), apply_cmn(x))
+
+    @pytest.mark.parametrize("size", BLOCK_SIZES)
+    def test_delta_formula(self, size):
+        x = np.random.default_rng(31).standard_normal((1500, 24))
+        whole = delta_window(12, CFG.delta_window).flush(x)
+        np.testing.assert_array_equal(streamed(delta_window(12, CFG.delta_window), x, size), whole)
 
 
 class TestConfig:

@@ -9,6 +9,7 @@ from streamsad.gmm import (
     accumulate_stats,
     log_likelihoods,
     loglik,
+    logsumexp,
     merge_gmms,
     posterior_matrix,
     posteriors,
@@ -228,6 +229,30 @@ def loglik_rows(frames, gmm):
     from scipy.special import logsumexp
 
     return logsumexp(log_likelihoods(frames, gmm), axis=1)
+
+
+class TestLogsumexp:
+    def test_matches_scipy_oracle(self):
+        from scipy.special import logsumexp as oracle
+
+        rng = np.random.default_rng(30)
+        a = rng.standard_normal((40, 9)) * 400.0  # exp alone would overflow
+        a[3] = -np.inf
+        a[5, 2] = -np.inf
+        for axis in (0, 1, -1):
+            for keepdims in (False, True):
+                want = oracle(a, axis=axis, keepdims=keepdims)
+                got = logsumexp(a, axis=axis, keepdims=keepdims)
+                assert got.shape == want.shape
+                np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    def test_loglik_rows_match_scipy(self):
+        rng = np.random.default_rng(31)
+        gmm = random_gmm(rng, 5, 3)
+        x = rng.standard_normal((30, 3)) * 4.0
+        np.testing.assert_allclose(
+            logsumexp(log_likelihoods(x, gmm), axis=1), loglik_rows(x, gmm), rtol=1e-13
+        )
 
 
 class TestBaumWelchStats:

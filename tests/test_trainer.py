@@ -114,6 +114,17 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="positive"):
             TrainConfig(entries=[("a", "b")], gmm_iters=0)
 
+    def test_default_threshold_is_zero(self):
+        # 0.25 missed most speech (held-out DCF 0.30-0.49); 0.0 is the
+        # operating point the acceptance gate is met at
+        from dataclasses import fields
+
+        from streamsad.engine import SadModel
+
+        assert TrainConfig(entries=[("a", "b")]).base_threshold == 0.0
+        default = {f.name: f.default for f in fields(SadModel)}["base_threshold"]
+        assert default == 0.0
+
 
 class TestCutSegments:
     UBM = Gmm(
