@@ -8,12 +8,14 @@ against per-class mean embeddings.
 
 The network is plain numpy on purpose: a few dense layers, ReLU, softmax
 cross-entropy, minibatch SGD. Determinism given a seed is a contract here,
-checkpoints are kept per epoch, and the selected epoch is a config value.
+the loss is logged per epoch, and the selected epoch is a config value.
+Detection keeps only the (weight, bias) layers up to the embedding; the
+layers after it exist to train them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,6 +77,12 @@ class MlpModel:
     def input_dim(self) -> int:
         return self.weights[0].shape[0]
 
+    @property
+    def embedding_layers(self) -> tuple:
+        """The (weight, bias) pairs from the input up to the embedding layer."""
+        k = self.embedding_layer
+        return tuple(zip(self.weights[:k], self.biases[:k]))
+
 
 def init_mlp(layer_dims, seed: int = 0, activation: str = "relu") -> MlpModel:
     """He-initialized network with zero biases; deterministic per seed."""
@@ -119,19 +127,19 @@ def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
     return logits[0] if single else logits
 
 
-def extract_embedding(supervector: np.ndarray, model: MlpModel) -> np.ndarray:
-    """Embedding for one supervector: the designated hidden layer's activations."""
-    return embed_batch(np.asarray(supervector)[np.newaxis, :], model)[0]
+def extract_embedding(supervector: np.ndarray, layers) -> np.ndarray:
+    """Embedding for one supervector: the last of the ReLU layers' activations."""
+    return embed_batch(np.asarray(supervector)[np.newaxis, :], layers)[0]
 
 
-def embed_batch(supervectors: np.ndarray, model: MlpModel) -> np.ndarray:
-    x = np.asarray(supervectors, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.input_dim:
-        raise ValueError(f"expected (n, {model.input_dim}) supervectors, got {x.shape}")
-    act, _ = ACTIVATIONS[model.activation]
-    h = x
-    for w, b in zip(model.weights[: model.embedding_layer], model.biases[: model.embedding_layer]):
-        h = act(h @ w + b)
+def embed_batch(supervectors: np.ndarray, layers) -> np.ndarray:
+    """Run (n, in_dim) supervectors through (weight, bias) ReLU layers."""
+    h = np.asarray(supervectors, dtype=np.float64)
+    in_dim = layers[0][0].shape[0]
+    if h.ndim != 2 or h.shape[1] != in_dim:
+        raise ValueError(f"expected (n, {in_dim}) supervectors, got {h.shape}")
+    for w, b in layers:
+        h = _relu(h @ w + b)
     return h
 
 
@@ -187,16 +195,15 @@ def _copy_model(model: MlpModel, epoch: int) -> MlpModel:
 
 @dataclass
 class MlpTrainResult:
-    """Selected model plus the full per-epoch history.
+    """Selected model plus the per-epoch losses.
 
-    checkpoints[e] is the model after e epochs (index 0 is the
-    initialization); train_losses aligns with checkpoints.
+    train_losses[e] (and monitor_losses[e], when monitored) is the loss
+    after e epochs; index 0 is the initialization.
     """
 
     model: MlpModel
-    checkpoints: list = field(default_factory=list)
-    train_losses: list = field(default_factory=list)
-    monitor_losses: list = field(default_factory=list)
+    train_losses: list
+    monitor_losses: list
 
 
 def train_mlp(
@@ -214,7 +221,7 @@ def train_mlp(
 
     monitor, when given, is a (supervectors, speech_mask) pair evaluated
     after every epoch purely for logging; it never changes the result.
-    select_epoch picks the returned checkpoint (default: the last epoch).
+    select_epoch picks the epoch whose network is returned (default: the last).
     """
     x = np.asarray(supervectors, dtype=np.float64)
     mask = np.asarray(speech_mask, dtype=bool)
@@ -231,44 +238,35 @@ def train_mlp(
 
     rng = np.random.default_rng(seed)
     model = init_mlp([x.shape[1], *hidden_dims, 2], seed=seed)
-
-    def monitor_loss(m):
-        if monitor is None:
-            return None
-        mon_x, mon_mask = monitor
-        return cross_entropy(m, np.asarray(mon_x), np.asarray(mon_mask, dtype=bool).astype(int))
-
-    result = MlpTrainResult(model=model)
-    result.checkpoints.append(_copy_model(model, 0))
-    result.train_losses.append(cross_entropy(model, x, labels))
     if monitor is not None:
-        result.monitor_losses.append(monitor_loss(model))
+        mon_x, mon_labels = np.asarray(monitor[0]), np.asarray(monitor[1], dtype=bool).astype(int)
 
-    for epoch in range(1, epochs + 1):
-        order = rng.permutation(len(x))
-        for batch_start in range(0, len(x), batch_size):
-            batch = order[batch_start : batch_start + batch_size]
-            loss, grad_w, grad_b = loss_and_grads(model, x[batch], labels[batch])
-            if not np.isfinite(loss):
-                raise MlpTrainingError(
-                    f"non-finite loss at epoch {epoch}, batch {batch_start // batch_size}"
-                )
-            for w, b, gw, gb in zip(model.weights, model.biases, grad_w, grad_b):
-                w -= learning_rate * gw
-                b -= learning_rate * gb
-        result.checkpoints.append(_copy_model(model, epoch))
-        result.train_losses.append(cross_entropy(model, x, labels))
+    train_losses, monitor_losses = [], []
+    for epoch in range(epochs + 1):
+        if epoch:
+            order = rng.permutation(len(x))
+            for batch_start in range(0, len(x), batch_size):
+                batch = order[batch_start : batch_start + batch_size]
+                loss, grad_w, grad_b = loss_and_grads(model, x[batch], labels[batch])
+                if not np.isfinite(loss):
+                    raise MlpTrainingError(
+                        f"non-finite loss at epoch {epoch}, batch {batch_start // batch_size}"
+                    )
+                for w, b, gw, gb in zip(model.weights, model.biases, grad_w, grad_b):
+                    w -= learning_rate * gw
+                    b -= learning_rate * gb
+        train_losses.append(cross_entropy(model, x, labels))
         if monitor is not None:
-            result.monitor_losses.append(monitor_loss(model))
+            monitor_losses.append(cross_entropy(model, mon_x, mon_labels))
+        if epoch == select_epoch:
+            selected = _copy_model(model, epoch)
+    return MlpTrainResult(model=selected, train_losses=train_losses, monitor_losses=monitor_losses)
 
-    result.model = result.checkpoints[select_epoch]
-    return result
 
-
-def class_embeddings(supervectors: np.ndarray, speech_mask: np.ndarray, model: MlpModel):
-    """Mean embedding per class: (speech_mean, nonspeech_mean)."""
+def class_embeddings(supervectors: np.ndarray, speech_mask: np.ndarray, layers):
+    """Mean embedding per class under the given layers: (speech_mean, nonspeech_mean)."""
     mask = np.asarray(speech_mask, dtype=bool)
     if not mask.any() or mask.all():
         raise ValueError("both classes must be present to form class embeddings")
-    embedded = embed_batch(supervectors, model)
+    embedded = embed_batch(supervectors, layers)
     return embedded[mask].mean(axis=0), embedded[~mask].mean(axis=0)

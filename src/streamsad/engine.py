@@ -22,17 +22,18 @@ so feeding a file sample-by-sample or whole produces bit-identical traces.
 
 from __future__ import annotations
 
-import io
 import json
+import math
 import struct
+import zlib
 from collections import deque
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .audio_io import NONSPEECH, SPEECH, AudioStream, SegmentLabel
 from .context_transform import LDA_CONTEXT, PCA_CONTEXT, LinearTransform, context_window
-from .embeddings import MlpModel, extract_embedding, make_supervector
+from .embeddings import extract_embedding, make_supervector
 from .features import FeatureConfig, FeatureExtractor
 from .gmm import Gmm, accumulate_stats
 
@@ -79,19 +80,23 @@ class SmoothingConfig:
             raise ValueError("smoothing durations must be non-negative")
 
 
+_VECTORS = ("speech_counts", "nonspeech_counts", "speech_embedding", "nonspeech_embedding")
+
+
 @dataclass(frozen=True)
 class SadModel:
-    """Everything inference needs, as trained: front-end config, transforms,
-    the three UBMs, the MLP, per-class model vectors, and the threshold."""
+    """What detection reads and nothing else: front-end config, transforms,
+    the counts and supervector UBMs, the MLP's ReLU layers from the
+    supervector to the embedding as (weight, bias) pairs, per-class model
+    vectors, and the threshold."""
 
     feature_cfg: FeatureConfig
     sample_rate: int
     lda: LinearTransform
     pca: LinearTransform
-    labeling_ubm: Gmm
     counts_ubm: Gmm
     supervector_ubm: Gmm
-    mlp: MlpModel
+    embedding_layers: tuple
     speech_counts: np.ndarray
     nonspeech_counts: np.ndarray
     speech_embedding: np.ndarray
@@ -99,28 +104,28 @@ class SadModel:
     base_threshold: float = 0.0
 
     def __post_init__(self):
-        feat_dim = self.feature_cfg.output_dim
-        if self.labeling_ubm.dim != feat_dim:
-            raise ValueError("labeling UBM dim does not match feature dim")
-        if self.lda.input_dim != LDA_CONTEXT.size * feat_dim:
+        if self.lda.input_dim != LDA_CONTEXT.size * self.feature_cfg.output_dim:
             raise ValueError("LDA input dim does not match stacked feature dim")
         if self.pca.input_dim != PCA_CONTEXT.size * self.lda.output_dim:
             raise ValueError("PCA input dim does not match stacked LDA dim")
         for name in ("counts_ubm", "supervector_ubm"):
             if getattr(self, name).dim != self.pca.output_dim:
                 raise ValueError(f"{name} dim does not match transformed feature dim")
-        sv_dim = self.supervector_ubm.n_components * self.supervector_ubm.dim
-        if self.mlp.input_dim != sv_dim:
-            raise ValueError("MLP input dim does not match supervector dim")
+        if not self.embedding_layers:
+            raise ValueError("need at least one embedding layer")
+        width = self.supervector_ubm.n_components * self.supervector_ubm.dim
+        for i, (w, b) in enumerate(self.embedding_layers):
+            if w.ndim != 2 or w.shape[0] != width or b.shape != (w.shape[1],):
+                raise ValueError(f"embedding layer {i} does not chain from width {width}")
+            width = w.shape[1]
         for name in ("speech_counts", "nonspeech_counts"):
             vec = getattr(self, name)
             if vec.shape != (self.counts_ubm.n_components,):
                 raise ValueError(f"{name} length does not match counts UBM size")
-        emb_dim = self.mlp.layer_dims[self.mlp.embedding_layer]
         for name in ("speech_embedding", "nonspeech_embedding"):
-            if getattr(self, name).shape != (emb_dim,):
+            if getattr(self, name).shape != (width,):
                 raise ValueError(f"{name} length does not match embedding width")
-        for name in ("speech_counts", "nonspeech_counts", "speech_embedding", "nonspeech_embedding"):
+        for name in _VECTORS:
             vec = getattr(self, name)
             if not np.all(np.isfinite(vec)) or not np.any(vec):
                 raise ValueError(f"{name} must be finite and nonzero")
@@ -128,6 +133,8 @@ class SadModel:
             raise ValueError("speech and non-speech count vectors are identical")
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
+        if not math.isfinite(self.base_threshold):
+            raise ValueError("base_threshold must be finite")
 
 
 @dataclass(frozen=True)
@@ -215,7 +222,7 @@ def process_segment(
     zero_score = score_vector(counts_vec, state.adapted_speech_counts, state.adapted_nonspeech_counts)
 
     supervector = make_supervector(accumulate_stats(frames, model.supervector_ubm))
-    embedding = extract_embedding(supervector, model.mlp)
+    embedding = extract_embedding(supervector, model.embedding_layers)
     emb_score = score_vector(embedding, model.speech_embedding, model.nonspeech_embedding)
 
     fused = (zero_score + emb_score) / 2.0
@@ -432,172 +439,94 @@ def write_trace(decisions: list[Decision], path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# model bundle serialization: a magic+version header, then fixed-order
-# sections, each "4-byte tag, u64 payload length, payload". Arrays are raw
-# little-endian float64, so a save/load round trip is bit-exact.
+# model bundle, version 2: magic, u32 version, u32 header length, a
+# sorted-key JSON header, the arrays it lists as raw little-endian float64 in
+# its order, and a u32 zlib.crc32 of every byte before it. The magic, the
+# version and the CRC are checked before anything is parsed, so a damaged
+# byte never reaches the parser. A save/load round trip is bit-exact.
 
 _MAGIC = b"SADB"
-_VERSION = 1
-_SECTION_ORDER = [b"META", b"FCFG", b"LDA ", b"PCA ", b"UBML", b"UBMC", b"UBMS", b"MLP ", b"CNTS", b"EMBS"]
+_VERSION = 2
+_PREFIX = struct.Struct("<4sII")  # magic, version, header length
+_CRC = struct.Struct("<I")
+_TRANSFORM_PARTS, _GMM_PARTS = ("matrix", "mean_offset"), ("weights", "means", "variances")
+_PARTS = {"lda": _TRANSFORM_PARTS, "pca": _TRANSFORM_PARTS,
+          "counts_ubm": _GMM_PARTS, "supervector_ubm": _GMM_PARTS}
 
 
-def _pack_array(buf: io.BytesIO, array: np.ndarray) -> None:
-    array = np.ascontiguousarray(array, dtype="<f8")
-    buf.write(struct.pack("<B", array.ndim))
-    for dim in array.shape:
-        buf.write(struct.pack("<Q", dim))
-    buf.write(array.tobytes())
-
-
-def _unpack_array(buf: io.BytesIO) -> np.ndarray:
-    (ndim,) = struct.unpack("<B", _take(buf, 1))
-    shape = [struct.unpack("<Q", _take(buf, 8))[0] for _ in range(ndim)]
-    count = int(np.prod(shape)) if shape else 1
-    data = np.frombuffer(_take(buf, count * 8), dtype="<f8")
-    return data.reshape(shape).copy()
-
-
-def _pack_json(buf: io.BytesIO, obj) -> None:
-    payload = json.dumps(obj, sort_keys=True).encode("utf-8")
-    buf.write(struct.pack("<Q", len(payload)))
-    buf.write(payload)
-
-
-def _unpack_json(buf: io.BytesIO):
-    (length,) = struct.unpack("<Q", _take(buf, 8))
-    return json.loads(_take(buf, length).decode("utf-8"))
-
-
-def _take(buf: io.BytesIO, n: int) -> bytes:
-    data = buf.read(n)
-    if len(data) != n:
-        raise ValueError("model bundle truncated")
-    return data
-
-
-def _pack_gmm(buf: io.BytesIO, gmm: Gmm) -> None:
-    _pack_array(buf, gmm.weights)
-    _pack_array(buf, gmm.means)
-    _pack_array(buf, gmm.variances)
-
-
-def _unpack_gmm(buf: io.BytesIO) -> Gmm:
-    return Gmm(weights=_unpack_array(buf), means=_unpack_array(buf), variances=_unpack_array(buf))
-
-
-def _pack_transform(buf: io.BytesIO, t: LinearTransform) -> None:
-    _pack_array(buf, t.matrix)
-    _pack_array(buf, t.mean_offset)
+def _bundle_arrays(model: SadModel) -> dict:
+    """Every array of the model, by its bundle name, in bundle order."""
+    arrays = {f"{name}.{part}": getattr(getattr(model, name), part)
+              for name, parts in _PARTS.items() for part in parts}
+    for i, (weight, bias) in enumerate(model.embedding_layers):
+        arrays[f"embedding.{i}.weight"], arrays[f"embedding.{i}.bias"] = weight, bias
+    arrays.update((name, getattr(model, name)) for name in _VECTORS)
+    return arrays
 
 
 def save_model(model: SadModel, path) -> None:
-    """Serialize a SadModel to a single binary bundle file."""
-    sections: dict[bytes, bytes] = {}
-
-    def section(tag: bytes):
-        buf = io.BytesIO()
-        sections[tag] = buf
-        return buf
-
-    _pack_json(section(b"META"), {"sample_rate": model.sample_rate, "base_threshold": model.base_threshold})
-    cfg = model.feature_cfg
-    _pack_json(section(b"FCFG"), {f.name: getattr(cfg, f.name) for f in fields(cfg)})
-    _pack_transform(section(b"LDA "), model.lda)
-    _pack_transform(section(b"PCA "), model.pca)
-    _pack_gmm(section(b"UBML"), model.labeling_ubm)
-    _pack_gmm(section(b"UBMC"), model.counts_ubm)
-    _pack_gmm(section(b"UBMS"), model.supervector_ubm)
-
-    mlp_buf = section(b"MLP ")
-    _pack_json(
-        mlp_buf,
-        {
-            "activation": model.mlp.activation,
-            "embedding_layer": model.mlp.embedding_layer,
-            "epoch": model.mlp.epoch,
-            "n_layers": len(model.mlp.weights),
-        },
-    )
-    for w, b in zip(model.mlp.weights, model.mlp.biases):
-        _pack_array(mlp_buf, w)
-        _pack_array(mlp_buf, b)
-
-    cnts = section(b"CNTS")
-    _pack_array(cnts, model.speech_counts)
-    _pack_array(cnts, model.nonspeech_counts)
-    embs = section(b"EMBS")
-    _pack_array(embs, model.speech_embedding)
-    _pack_array(embs, model.nonspeech_embedding)
-
+    """Serialize a SadModel to one bundle file; the same model gives the same bytes."""
+    arrays = _bundle_arrays(model)
+    header = {
+        "arrays": [[name, list(array.shape)] for name, array in arrays.items()],
+        "base_threshold": float(model.base_threshold),
+        "feature_cfg": asdict(model.feature_cfg),
+        "sample_rate": model.sample_rate,
+    }
+    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    body = b"".join([_PREFIX.pack(_MAGIC, _VERSION, len(header_bytes)), header_bytes]
+                    + [np.ascontiguousarray(array, dtype="<f8").tobytes() for array in arrays.values()])
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", _VERSION))
-        for tag in _SECTION_ORDER:
-            payload = sections[tag].getvalue()
-            fh.write(tag)
-            fh.write(struct.pack("<Q", len(payload)))
-            fh.write(payload)
+        fh.write(body + _CRC.pack(zlib.crc32(body)))
+
+
+def _parse_bundle(header, payload: bytes) -> SadModel:
+    if not isinstance(header, dict):
+        raise ValueError("header is not a JSON object")
+    arrays, offset = {}, 0
+    for name, shape in header["arrays"]:
+        if type(name) is not str or not all(type(dim) is int and dim >= 0 for dim in shape):
+            raise ValueError(f"bad array entry {name!r} with shape {shape!r}")
+        size = 8 * math.prod(shape)
+        if offset + size > len(payload):
+            raise ValueError("array shapes overrun the payload")
+        arrays[name] = np.frombuffer(payload, "<f8", size // 8, offset).reshape(shape)
+        offset += size
+    if offset != len(payload):
+        raise ValueError("payload is longer than its array shapes")
+    groups = {name: [arrays[f"{name}.{part}"] for part in parts] for name, parts in _PARTS.items()}
+    n_layers = sum(name.startswith("embedding.") for name in arrays) // 2
+    model = SadModel(
+        feature_cfg=FeatureConfig(**header["feature_cfg"]),
+        sample_rate=int(header["sample_rate"]),
+        lda=LinearTransform(*groups["lda"], "lda"),
+        pca=LinearTransform(*groups["pca"], "pca"),
+        counts_ubm=Gmm(*groups["counts_ubm"]),
+        supervector_ubm=Gmm(*groups["supervector_ubm"]),
+        embedding_layers=tuple((arrays[f"embedding.{i}.weight"], arrays[f"embedding.{i}.bias"])
+                               for i in range(n_layers)),
+        base_threshold=float(header["base_threshold"]),
+        **{name: arrays[name] for name in _VECTORS},
+    )
+    if [name for name, _ in header["arrays"]] != list(_bundle_arrays(model)):
+        raise ValueError("array names are not the ones this version writes")
+    return model
 
 
 def load_model(path) -> SadModel:
-    """Read back a bundle written by save_model; validates as it builds."""
+    """Read back a bundle written by save_model; any malformed bundle raises ValueError."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    buf = io.BytesIO(raw)
-    if _take(buf, 4) != _MAGIC:
+    if raw[:4] != _MAGIC or len(raw) < _PREFIX.size + _CRC.size:
         raise ValueError(f"{path}: not a model bundle")
-    (version,) = struct.unpack("<I", _take(buf, 4))
+    _, version, header_len = _PREFIX.unpack_from(raw)
     if version != _VERSION:
-        raise ValueError(f"{path}: unsupported bundle version {version}")
-
-    payloads = {}
-    for tag in _SECTION_ORDER:
-        actual = _take(buf, 4)
-        if actual != tag:
-            raise ValueError(f"{path}: expected section {tag!r}, found {actual!r}")
-        (length,) = struct.unpack("<Q", _take(buf, 8))
-        payloads[tag] = io.BytesIO(_take(buf, length))
-    if buf.read(1):
-        raise ValueError(f"{path}: trailing bytes after final section")
-
-    meta = _unpack_json(payloads[b"META"])
-    cfg_fields = _unpack_json(payloads[b"FCFG"])
-    feature_cfg = FeatureConfig(**cfg_fields)
-    lda_buf, pca_buf = payloads[b"LDA "], payloads[b"PCA "]
-    lda_matrix, lda_mean = _unpack_array(lda_buf), _unpack_array(lda_buf)
-    pca_matrix, pca_mean = _unpack_array(pca_buf), _unpack_array(pca_buf)
-    lda = LinearTransform(matrix=lda_matrix, mean_offset=lda_mean, kind="lda")
-    pca = LinearTransform(matrix=pca_matrix, mean_offset=pca_mean, kind="pca")
-
-    mlp_buf = payloads[b"MLP "]
-    mlp_meta = _unpack_json(mlp_buf)
-    weights, biases = [], []
-    for _ in range(mlp_meta["n_layers"]):
-        weights.append(_unpack_array(mlp_buf))
-        biases.append(_unpack_array(mlp_buf))
-    mlp = MlpModel(
-        weights=weights,
-        biases=biases,
-        activation=mlp_meta["activation"],
-        embedding_layer=mlp_meta["embedding_layer"],
-        epoch=mlp_meta["epoch"],
-    )
-
-    cnts, embs = payloads[b"CNTS"], payloads[b"EMBS"]
-    speech_counts, nonspeech_counts = _unpack_array(cnts), _unpack_array(cnts)
-    speech_embedding, nonspeech_embedding = _unpack_array(embs), _unpack_array(embs)
-    return SadModel(
-        feature_cfg=feature_cfg,
-        sample_rate=int(meta["sample_rate"]),
-        lda=lda,
-        pca=pca,
-        labeling_ubm=_unpack_gmm(payloads[b"UBML"]),
-        counts_ubm=_unpack_gmm(payloads[b"UBMC"]),
-        supervector_ubm=_unpack_gmm(payloads[b"UBMS"]),
-        mlp=mlp,
-        speech_counts=speech_counts,
-        nonspeech_counts=nonspeech_counts,
-        speech_embedding=speech_embedding,
-        nonspeech_embedding=nonspeech_embedding,
-        base_threshold=float(meta["base_threshold"]),
-    )
+        raise ValueError(f"{path}: unsupported bundle version {version} (this build reads {_VERSION})")
+    body = raw[: -_CRC.size]
+    if zlib.crc32(body) != _CRC.unpack_from(raw, len(body))[0]:
+        raise ValueError(f"{path}: checksum mismatch: the bundle is damaged or truncated")
+    start = _PREFIX.size + header_len
+    try:
+        return _parse_bundle(json.loads(body[_PREFIX.size : start]), body[start:])
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        raise ValueError(f"{path}: malformed bundle: {type(exc).__name__}: {exc}") from exc

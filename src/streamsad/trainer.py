@@ -6,7 +6,9 @@ LDA and PCA context transforms, re-transform the corpus to 24-d, fit the
 per-class count UBMs and merge them, derive the L1-normalized class count
 vectors, fit the supervector UBM, cut pure 10-frame segments into
 supervectors and train the MLP, average the class embeddings, and assemble
-the bundle. Any failure is reported with the stage it happened in.
+the bundle. The labeling UBM and the MLP layers after the embedding serve
+training only and stay out of the model. Any failure is reported with the
+stage it happened in.
 
 Per-stage seeds are derived from the config seed, so the pipeline is
 deterministic end to end.
@@ -300,11 +302,11 @@ def train(cfg: TrainConfig, out_path=None) -> SadModel:
                 extra = f"  monitor {result.monitor_losses[epoch]:.4f}"
             logger.info("mlp epoch %2d  train loss %.4f%s", epoch, loss, extra)
         logger.info("mlp selected epoch %d", result.model.epoch)
-        mlp = result.model
+        embedding_layers = result.model.embedding_layers
 
     with _stage("class-embeddings"):
         speech_embedding, nonspeech_embedding = class_embeddings(
-            np.stack(supervectors), np.asarray(seg_labels), mlp
+            np.stack(supervectors), np.asarray(seg_labels), embedding_layers
         )
 
     with _stage("assemble"):
@@ -313,10 +315,9 @@ def train(cfg: TrainConfig, out_path=None) -> SadModel:
             sample_rate=sample_rate,
             lda=lda,
             pca=pca,
-            labeling_ubm=labeling_ubm,
             counts_ubm=counts_ubm,
             supervector_ubm=supervector_ubm,
-            mlp=mlp,
+            embedding_layers=embedding_layers,
             speech_counts=speech_counts,
             nonspeech_counts=nonspeech_counts,
             speech_embedding=speech_embedding,

@@ -95,7 +95,18 @@ class TestTrain:
     def test_reports_output_and_bundle_loads(self, cli_workspace, capsys):
         model = load_model(cli_workspace["bundle"])
         assert model.base_threshold == 0.0
-        assert model.labeling_ubm.n_components == 4
+        assert model.lda.output_dim == 4
+
+    def test_labeling_ubm_size_reaches_training(self, cli_workspace, tmp_path, capsys):
+        # the labeling UBM is not in the bundle, so show the key is read by
+        # the bound it must meet: lda_dim <= 2 * labeling_ubm_size - 1
+        cfg = tmp_path / "rank.cfg"
+        cfg.write_text("labeling_ubm_size = 4\nlda_dim = 8\n")
+        rc = main(["train", "--manifest", str(cli_workspace["manifest"]),
+                   "--out", str(tmp_path / "m.sadb"), "--config", str(cfg)])
+        assert rc == 2
+        assert "labeling_ubm_size" in capsys.readouterr().err
+        assert not (tmp_path / "m.sadb").exists()
 
     def test_seed_repeat_is_byte_identical(self, cli_workspace, tmp_path):
         digests = []

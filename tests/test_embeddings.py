@@ -138,12 +138,12 @@ class TestEmbeddings:
         rng = np.random.default_rng(8)
         x = rng.standard_normal(6)
         want = np.maximum(x @ m.weights[0] + m.biases[0], 0.0)
-        np.testing.assert_array_equal(extract_embedding(x, m), want)
+        np.testing.assert_array_equal(extract_embedding(x, m.embedding_layers), want)
 
     def test_embedding_width(self):
         m = init_mlp([10, 7, 4, 2], seed=9)
-        assert extract_embedding(np.zeros(10), m).shape == (7,)
-        assert embed_batch(np.zeros((3, 10)), m).shape == (3, 7)
+        assert extract_embedding(np.zeros(10), m.embedding_layers).shape == (7,)
+        assert embed_batch(np.zeros((3, 10)), m.embedding_layers).shape == (3, 7)
 
     def test_deeper_embedding_layer(self):
         m = init_mlp([6, 5, 4, 2], seed=10)
@@ -153,26 +153,26 @@ class TestEmbeddings:
         x = np.random.default_rng(11).standard_normal(6)
         h1 = np.maximum(x @ m.weights[0] + m.biases[0], 0.0)
         h2 = np.maximum(h1 @ m.weights[1] + m.biases[1], 0.0)
-        np.testing.assert_allclose(extract_embedding(x, deep), h2, atol=1e-12)
+        np.testing.assert_allclose(extract_embedding(x, deep.embedding_layers), h2, atol=1e-12)
 
     def test_embeddings_are_nonnegative(self):
         m = init_mlp([6, 5, 2], seed=12)
         x = np.random.default_rng(13).standard_normal((20, 6)) * 3
-        assert np.all(embed_batch(x, m) >= 0.0)
+        assert np.all(embed_batch(x, m.embedding_layers) >= 0.0)
 
     def test_class_embeddings_are_class_means(self):
         rng = np.random.default_rng(14)
         m = init_mlp([4, 3, 2], seed=14)
         x, mask = blobs(rng, n_per_class=10, dim=4)
-        sp, nsp = class_embeddings(x, mask, m)
-        embedded = embed_batch(x, m)
+        sp, nsp = class_embeddings(x, mask, m.embedding_layers)
+        embedded = embed_batch(x, m.embedding_layers)
         np.testing.assert_allclose(sp, embedded[mask].mean(axis=0), atol=1e-12)
         np.testing.assert_allclose(nsp, embedded[~mask].mean(axis=0), atol=1e-12)
 
     def test_class_embeddings_need_both_classes(self):
         m = init_mlp([4, 3, 2], seed=15)
         with pytest.raises(ValueError, match="both classes"):
-            class_embeddings(np.zeros((3, 4)), np.array([True, True, True]), m)
+            class_embeddings(np.zeros((3, 4)), np.array([True, True, True]), m.embedding_layers)
 
 
 class TestGradients:
@@ -234,24 +234,30 @@ class TestTraining:
         assert result.train_losses[-1] < result.train_losses[0]
 
     def test_checkpoint_history_aligns(self):
+        # train_losses[e] is the loss of the network after e epochs, which is
+        # what select_epoch=e returns
         rng = np.random.default_rng(21)
         x, mask = blobs(rng, n_per_class=40, dim=6)
         result = train_mlp(x, mask, epochs=5, seed=21, hidden_dims=(8,))
-        assert len(result.checkpoints) == 6
         assert len(result.train_losses) == 6
-        assert [m.epoch for m in result.checkpoints] == list(range(6))
-        for e, m in enumerate(result.checkpoints):
+        for e in range(6):
+            selected = train_mlp(x, mask, epochs=5, seed=21, hidden_dims=(8,), select_epoch=e)
+            assert selected.model.epoch == e
+            assert selected.train_losses == result.train_losses
             assert result.train_losses[e] == pytest.approx(
-                cross_entropy(m, x, mask.astype(int)), abs=1e-12
+                cross_entropy(selected.model, x, mask.astype(int)), abs=1e-12
             )
 
     def test_select_epoch_returns_that_checkpoint(self):
+        # the network after 3 of 6 epochs is the one a 3-epoch run ends with
         rng = np.random.default_rng(22)
         x, mask = blobs(rng, n_per_class=40, dim=6)
         result = train_mlp(x, mask, epochs=6, seed=22, hidden_dims=(8,), select_epoch=3)
-        assert result.model.epoch == 3
-        for w_sel, w_ckpt in zip(result.model.weights, result.checkpoints[3].weights):
-            np.testing.assert_array_equal(w_sel, w_ckpt)
+        short = train_mlp(x, mask, epochs=3, seed=22, hidden_dims=(8,))
+        assert result.model.epoch == short.model.epoch == 3
+        for got, want in zip(result.model.weights + result.model.biases,
+                             short.model.weights + short.model.biases):
+            np.testing.assert_array_equal(got, want)
 
     def test_same_seed_bit_identical(self):
         rng = np.random.default_rng(23)

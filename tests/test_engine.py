@@ -1,15 +1,20 @@
+import dataclasses
+import json
 import math
 import os
+import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from streamsad.audio_io import NONSPEECH, SPEECH, AudioStream, SegmentLabel, read_wav
 from streamsad.context_transform import LinearTransform
-from streamsad.embeddings import MlpModel
 from streamsad.engine import (
     SEGMENT_FRAMES,
     TRACE_HEADER,
@@ -45,11 +50,6 @@ def mini_model(base_threshold=0.0, seed=0):
     )
     q, _ = np.linalg.qr(rng.standard_normal((14, 2)))
     pca = LinearTransform(matrix=q.T, mean_offset=rng.standard_normal(14) * 0.01, kind="pca")
-    labeling = Gmm(
-        weights=np.array([0.5, 0.5]),
-        means=rng.standard_normal((2, 36)),
-        variances=np.ones((2, 36)),
-    )
     counts = Gmm(
         weights=np.array([0.4, 0.3, 0.3]),
         means=np.array([[0.0, 0.0], [2.0, 1.0], [-1.5, 2.0]]),
@@ -60,20 +60,21 @@ def mini_model(base_threshold=0.0, seed=0):
         means=np.array([[0.5, -0.5], [-1.0, 1.0]]),
         variances=np.full((2, 2), 1.2),
     )
-    # positive first-layer biases keep every segment's embedding nonzero
-    mlp = MlpModel(
-        weights=[rng.standard_normal((4, 3)) * 0.1, rng.standard_normal((3, 2))],
-        biases=[np.abs(rng.standard_normal(3)) * 0.3 + 0.2, np.zeros(2)],
-    )
+    # the unused draws keep every value at the one the hand-stepped trace
+    # (which needs both classes to occur) was built with
+    rng.standard_normal(2 * 36)
+    weight = rng.standard_normal((4, 3)) * 0.1
+    rng.standard_normal(3 * 2)
+    # positive biases keep every segment's embedding nonzero
+    bias = np.abs(rng.standard_normal(3)) * 0.3 + 0.2
     return SadModel(
         feature_cfg=FeatureConfig(),
         sample_rate=8000,
         lda=lda,
         pca=pca,
-        labeling_ubm=labeling,
         counts_ubm=counts,
         supervector_ubm=supervec,
-        mlp=mlp,
+        embedding_layers=((weight, bias),),
         speech_counts=np.array([0.2, 0.6, 0.2]),
         nonspeech_counts=np.array([0.6, 0.1, 0.3]),
         speech_embedding=np.array([1.0, 0.2, 0.1]),
@@ -110,14 +111,9 @@ class TestScoring:
     def test_zero_embedding_is_an_error(self):
         # a zero-norm test vector cannot be scored; the engine must say so
         # rather than substitute a value
-        model = mini_model()
-        dead_mlp = MlpModel(
-            weights=[np.zeros((4, 3)), model.mlp.weights[1]],
-            biases=[np.full(3, -1.0), np.zeros(2)],
-        )
         from dataclasses import replace
 
-        dead = replace(model, mlp=dead_mlp)
+        dead = replace(mini_model(), embedding_layers=((np.zeros((4, 3)), np.full(3, -1.0)),))
         cfg = AdaptationConfig()
         with pytest.raises(ValueError, match="zero-norm"):
             process_segment(
@@ -248,7 +244,8 @@ class TestProcessSegment:
                 frames, model.supervector_ubm.weights, model.supervector_ubm.means,
                 model.supervector_ubm.variances,
             )
-            emb = np.maximum(sv @ model.mlp.weights[0] + model.mlp.biases[0], 0.0)
+            (weight, bias), = model.embedding_layers
+            emb = np.maximum(sv @ weight + bias, 0.0)
             emb_score = cos_oracle(emb, model.speech_embedding) - cos_oracle(
                 emb, model.nonspeech_embedding
             )
@@ -594,26 +591,54 @@ class TestStreamingDetector:
         assert float(first[5]) == result.decisions[0].fused_score
 
 
+def same_bits(a, b) -> bool:
+    """Field-by-field equality of two models, every array compared bit for bit."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            same_bits(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
+        )
+    if isinstance(a, np.ndarray):
+        return (isinstance(b, np.ndarray) and a.dtype == b.dtype and a.shape == b.shape
+                and a.tobytes() == b.tobytes())
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(same_bits, a, b))
+    return type(a) is type(b) and a == b
+
+
+def reframe(raw: bytes, edit) -> bytes:
+    """A v2 bundle with its JSON header replaced by edit(header), under a valid CRC."""
+    version, header_len = struct.unpack_from("<II", raw, 4)
+    header = json.dumps(edit(json.loads(raw[12 : 12 + header_len]))).encode()
+    body = raw[:4] + struct.pack("<II", version, len(header)) + header + raw[12 + header_len : -4]
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def _with_shape(name, shape):
+    return lambda h: {**h, "arrays": [[n, shape if n == name else s] for n, s in h["arrays"]]}
+
+
+@pytest.fixture(scope="module")
+def tiny_bundle(tiny_model, tmp_path_factory):
+    path = tmp_path_factory.mktemp("bundle") / "model.sadb"
+    save_model(tiny_model, path)
+    return path.read_bytes()
+
+
 class TestModelBundle:
     def test_round_trip_is_bit_exact(self, tiny_model, tmp_path):
         path = tmp_path / "model.sadb"
         save_model(tiny_model, path)
-        loaded = load_model(path)
-        np.testing.assert_array_equal(loaded.lda.matrix, tiny_model.lda.matrix)
-        np.testing.assert_array_equal(loaded.pca.matrix, tiny_model.pca.matrix)
-        for name in ("labeling_ubm", "counts_ubm", "supervector_ubm"):
-            got, want = getattr(loaded, name), getattr(tiny_model, name)
-            np.testing.assert_array_equal(got.weights, want.weights)
-            np.testing.assert_array_equal(got.means, want.means)
-            np.testing.assert_array_equal(got.variances, want.variances)
-        for w1, w2 in zip(loaded.mlp.weights, tiny_model.mlp.weights):
-            np.testing.assert_array_equal(w1, w2)
-        np.testing.assert_array_equal(loaded.speech_counts, tiny_model.speech_counts)
-        np.testing.assert_array_equal(loaded.speech_embedding, tiny_model.speech_embedding)
-        assert loaded.base_threshold == tiny_model.base_threshold
-        assert loaded.sample_rate == tiny_model.sample_rate
-        assert loaded.feature_cfg == tiny_model.feature_cfg
-        assert loaded.mlp.epoch == tiny_model.mlp.epoch
+        assert same_bits(load_model(path), tiny_model)
+
+    def test_bundle_holds_only_what_detection_reads(self, tiny_bundle):
+        header_len, = struct.unpack_from("<I", tiny_bundle, 8)
+        header = json.loads(tiny_bundle[12 : 12 + header_len])
+        assert sorted(header) == ["arrays", "base_threshold", "feature_cfg", "sample_rate"]
+        names = [name for name, _ in header["arrays"]]
+        assert [n for n in names if n.startswith("embedding.")] == ["embedding.0.weight", "embedding.0.bias"]
+        assert not [n for n in names if "labeling" in n]
+        n_floats = sum(math.prod(shape) for _, shape in header["arrays"])
+        assert len(tiny_bundle) == 12 + header_len + 8 * n_floats + 4
 
     def test_loaded_model_detects_identically(self, tiny_corpus, tiny_model, tmp_path):
         path = tmp_path / "model.sadb"
@@ -631,27 +656,90 @@ class TestModelBundle:
         save_model(tiny_model, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_corruption_errors(self, tiny_model, tmp_path):
-        path = tmp_path / "model.sadb"
-        save_model(tiny_model, path)
-        raw = path.read_bytes()
-
+    def test_corruption_errors(self, tiny_bundle, tmp_path):
+        raw = tiny_bundle
         bad = tmp_path / "bad.sadb"
         bad.write_bytes(b"XXXX" + raw[4:])
         with pytest.raises(ValueError, match="not a model bundle"):
             load_model(bad)
 
-        bad.write_bytes(raw[:4] + b"\x09\x00\x00\x00" + raw[8:])
-        with pytest.raises(ValueError, match="version"):
+        # a version 1 bundle is refused before its layout is read
+        bad.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
+        with pytest.raises(ValueError, match="unsupported bundle version 1"):
+            load_model(bad)
+
+        bad.write_bytes(raw[:10])
+        with pytest.raises(ValueError, match="not a model bundle"):
             load_model(bad)
 
         bad.write_bytes(raw[: len(raw) // 2])
-        with pytest.raises(ValueError, match="truncated"):
+        with pytest.raises(ValueError, match="checksum"):
             load_model(bad)
 
         bad.write_bytes(raw + b"\x00")
-        with pytest.raises(ValueError, match="trailing bytes"):
+        with pytest.raises(ValueError, match="checksum"):
             load_model(bad)
+
+    def test_reframed_bundle_loads(self, tiny_bundle, tiny_model, tmp_path):
+        # a writer of the documented layout, apart from save_model, round-trips;
+        # the malformed cases below use it
+        path = tmp_path / "same.sadb"
+        path.write_bytes(reframe(tiny_bundle, lambda h: h))
+        assert same_bits(load_model(path), tiny_model)
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda h: {**h, "feature_cfg": {**h["feature_cfg"], "frame_jitter": 0.1}}, "frame_jitter"),
+            (lambda h: {k: v for k, v in h.items() if k != "sample_rate"}, "sample_rate"),
+            (lambda h: [h], "not a JSON object"),
+            (lambda h: {**h, "base_threshold": float("nan")}, "base_threshold must be finite"),
+            (_with_shape("lda.matrix", [2**40, 2**40]), "overrun"),
+            (_with_shape("speech_counts", [1]), "longer than its array shapes"),
+            (_with_shape("pca.mean_offset", [-8]), "bad array entry"),
+            (lambda h: {**h, "arrays": h["arrays"][1:] + h["arrays"][:1]}, "malformed bundle"),
+        ],
+        ids=["unknown-feature-key", "missing-key", "header-not-object", "nan-threshold", "shapes-overrun",
+             "payload-too-long", "negative-dim", "arrays-out-of-order"],
+    )
+    def test_malformed_header_is_a_value_error(self, tiny_bundle, tmp_path, edit, match):
+        path = tmp_path / "bad.sadb"
+        path.write_bytes(reframe(tiny_bundle, edit))
+        with pytest.raises(ValueError, match=match):
+            load_model(path)
+
+    def test_unknown_feature_key_exits_2(self, tiny_bundle, tiny_corpus, tmp_path, capsys):
+        from streamsad.cli import main
+
+        path = tmp_path / "bad.sadb"
+        path.write_bytes(reframe(tiny_bundle, lambda h: {**h, "feature_cfg": {**h["feature_cfg"], "x": 1}}))
+        rc = main(["detect", "--model", str(path), "--out-dir", str(tmp_path / "hyp"),
+                   str(tiny_corpus["entries"][5][0])])
+        assert rc == 2
+        assert "malformed bundle" in capsys.readouterr().err
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_damaged_bundle_loads_exact_or_raises_value_error(self, tiny_bundle, tiny_model,
+                                                             tmp_path, data):
+        raw = bytearray(tiny_bundle)
+        damage = data.draw(st.sampled_from(["flip", "truncate", "append"]))
+        if damage == "flip":
+            positions = st.integers(0, 8 * len(raw) - 1)
+            for bit in data.draw(st.lists(positions, min_size=1, max_size=8, unique=True)):
+                raw[bit // 8] ^= 1 << (bit % 8)
+        elif damage == "truncate":
+            del raw[data.draw(st.integers(0, len(raw))):]
+        else:
+            raw += data.draw(st.binary(min_size=1, max_size=64))
+        path = tmp_path / "damaged.sadb"
+        path.write_bytes(bytes(raw))
+        try:
+            loaded = load_model(path)
+        except ValueError:
+            return
+        assert same_bits(loaded, tiny_model)
 
     def test_model_validation_catches_dim_break(self, tiny_model):
         from dataclasses import replace
@@ -663,3 +751,12 @@ class TestModelBundle:
             )
         with pytest.raises(ValueError, match="length does not match"):
             replace(tiny_model, speech_counts=np.ones(3))
+        (weight, bias), = tiny_model.embedding_layers
+        with pytest.raises(ValueError, match="embedding layer 0"):
+            replace(tiny_model, embedding_layers=((weight[1:], bias),))
+        with pytest.raises(ValueError, match="embedding layer 0"):
+            replace(tiny_model, embedding_layers=((weight, bias[1:]),))
+        with pytest.raises(ValueError, match="embedding width"):
+            replace(tiny_model, embedding_layers=((weight[:, 1:], bias[1:]),))
+        with pytest.raises(ValueError, match="at least one embedding layer"):
+            replace(tiny_model, embedding_layers=())

@@ -160,16 +160,15 @@ class TestCutSegments:
 
 class TestTrainedModel:
     def test_dimension_chain_matches_config(self, tiny_model):
-        # conftest TINY: labeling 8, counts/class 16, supervector 8,
-        # lda 8, pca 12, hidden (32, 16, 8)
-        assert tiny_model.labeling_ubm.n_components == 8
-        assert tiny_model.labeling_ubm.dim == 36
+        # conftest TINY: counts/class 16, supervector 8, lda 8, pca 12,
+        # hidden (32, 16, 8); the labeling UBM (8) is not part of the model
         assert tiny_model.lda.matrix.shape == (8, 11 * 36)
         assert tiny_model.pca.matrix.shape == (12, 7 * 8)
         assert tiny_model.counts_ubm.n_components == 32
         assert tiny_model.counts_ubm.dim == 12
         assert tiny_model.supervector_ubm.n_components == 8
-        assert tiny_model.mlp.layer_dims == [8 * 12, 32, 16, 8, 2]
+        # only the layer up to the embedding; (16, 8, 2) train it and stay out
+        assert [(w.shape, b.shape) for w, b in tiny_model.embedding_layers] == [((8 * 12, 32), (32,))]
         assert tiny_model.speech_counts.shape == (32,)
         assert tiny_model.speech_embedding.shape == (32,)
         assert tiny_model.sample_rate == 8000
