@@ -41,9 +41,14 @@ ACTIVATIONS = {"relu": (_relu, _relu_grad)}
 
 
 def make_supervector(stats: BaumWelchStats) -> np.ndarray:
-    """Count-normalized centered first-order stats, flattened component-major."""
+    """Count-normalized centered first-order stats, flattened component-major.
+
+    One segment's stats give a (C*D,) vector, a block's give (S, C*D).
+    """
     counts = np.maximum(stats.zero_order, COUNT_FLOOR)
-    return (stats.first_order_centered / counts[:, None]).ravel()
+    normalized = stats.first_order_centered / counts[..., np.newaxis]
+    n_components, dim = normalized.shape[-2:]
+    return normalized.reshape(*counts.shape[:-1], n_components * dim)
 
 
 @dataclass(frozen=True)
@@ -133,10 +138,14 @@ def extract_embedding(supervector: np.ndarray, layers) -> np.ndarray:
 
 
 def embed_batch(supervectors: np.ndarray, layers) -> np.ndarray:
-    """Run (n, in_dim) supervectors through (weight, bias) ReLU layers."""
+    """Run (n, in_dim) supervectors through (weight, bias) ReLU layers.
+
+    An (S, 1, in_dim) stack runs each row as its own (1, in_dim) product,
+    the call a single supervector gets, so a row's bits do not depend on S.
+    """
     h = np.asarray(supervectors, dtype=np.float64)
     in_dim = layers[0][0].shape[0]
-    if h.ndim != 2 or h.shape[1] != in_dim:
+    if h.ndim not in (2, 3) or h.shape[-1] != in_dim:
         raise ValueError(f"expected (n, {in_dim}) supervectors, got {h.shape}")
     for w, b in layers:
         h = _relu(h @ w + b)

@@ -16,6 +16,13 @@ untouched, which also makes a disabled-adaptation run identical to a
 stateless detector. Only the count-based vectors adapt; the embedding
 model vectors stay fixed.
 
+So everything but the count-vector cosines, the threshold test and the
+buffer update is independent of earlier decisions. `score_segments` takes
+every ready segment of a push as one (S, n, D) block: the statistics, count
+vectors, supervectors, embeddings and the embedding scores' products come
+from stacked, batch-invariant kernels, and only the decision-dependent part
+runs per segment. `process_segment` is its S = 1 call.
+
 Decisions depend only on frame values, never on how samples were chunked,
 so feeding a file sample-by-sample or whole produces bit-identical traces.
 """
@@ -33,14 +40,16 @@ import numpy as np
 
 from .audio_io import NONSPEECH, SPEECH, AudioStream, SegmentLabel
 from .context_transform import LDA_CONTEXT, PCA_CONTEXT, LinearTransform, context_window
-from .embeddings import extract_embedding, make_supervector
-from .features import FeatureConfig, FeatureExtractor
-from .gmm import Gmm, accumulate_stats
+from .embeddings import embed_batch, make_supervector
+from .features import BLOCK_FRAMES, FeatureConfig, FeatureExtractor
+from .gmm import Gmm, block_stats
 
 SEGMENT_FRAMES = 10
 # a trailing partial segment is decided on its own if it has at least this
 # many frames; shorter tails inherit the previous label
 MIN_TAIL_FRAMES = 5
+# segments scored as one block, so memory stays bounded however large a push
+BLOCK_SEGMENTS = BLOCK_FRAMES // SEGMENT_FRAMES
 
 
 @dataclass(frozen=True)
@@ -151,25 +160,76 @@ class Decision:
     threshold: float
 
 
+class RingBuffer:
+    """The last `capacity` rows appended, oldest first, as one contiguous slice.
+
+    Each row is written twice, at slot i and i + capacity of a doubled
+    array, so the live rows are always one view with no copy, and summing
+    it over axis 0 adds them in the order np.sum over a deque of the same
+    rows does, bit for bit.
+    """
+
+    def __init__(self, capacity: int, width: int):
+        self._slots = np.zeros((2 * capacity, width))
+        self._capacity = capacity
+        self._head = 0  # slot the next row goes to
+        self._len = 0
+
+    def append(self, row: np.ndarray) -> None:
+        self._slots[self._head] = row
+        self._slots[self._head + self._capacity] = row
+        self._head = (self._head + 1) % self._capacity
+        self._len = min(self._len + 1, self._capacity)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def rows(self) -> np.ndarray:
+        """The live rows, oldest first, as a view of shape (len, width)."""
+        end = self._head + self._capacity
+        return self._slots[end - self._len : end]
+
+
 class AdaptState:
-    """Mutable per-stream adaptation state; starts equal to the model."""
+    """Mutable per-stream adaptation state; starts equal to the model.
+
+    The norms of the adapted count vectors are kept next to them and
+    recomputed whenever the vectors change.
+    """
 
     def __init__(self, model: SadModel, cfg: AdaptationConfig):
-        self.speech_buffer: deque = deque(maxlen=cfg.speech_buffer_len)
-        self.nonspeech_buffer: deque = deque(maxlen=cfg.nonspeech_buffer_len)
+        width = model.counts_ubm.n_components
+        self.speech_buffer = RingBuffer(cfg.speech_buffer_len, width)
+        self.nonspeech_buffer = RingBuffer(cfg.nonspeech_buffer_len, width)
         self.speech_scores: deque = deque(maxlen=cfg.speech_buffer_len)
         self.adapted_speech_counts = model.speech_counts.copy()
         self.adapted_nonspeech_counts = model.nonspeech_counts.copy()
+        self.speech_counts_norm = float(np.linalg.norm(self.adapted_speech_counts))
+        self.nonspeech_counts_norm = float(np.linalg.norm(self.adapted_nonspeech_counts))
         self.adapted_threshold = model.base_threshold
+
+
+def _cosine(dot: float, norm_a: float, norm_b: float) -> float:
+    """cosine() from a dot product and the two norms; NaN passes through the clip."""
+    if norm_a == 0.0 or norm_b == 0.0:
+        raise ValueError("cosine of a zero-norm vector is undefined")
+    value = float(dot) / (norm_a * norm_b)
+    return -1.0 if value < -1.0 else 1.0 if value > 1.0 else value
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity, clipped into [-1, 1] so rounding can never leak out."""
-    norm_a = float(np.linalg.norm(a))
-    norm_b = float(np.linalg.norm(b))
-    if norm_a == 0.0 or norm_b == 0.0:
-        raise ValueError("cosine of a zero-norm vector is undefined")
-    return float(np.clip(np.dot(a, b) / (norm_a * norm_b), -1.0, 1.0))
+    return _cosine(np.dot(a, b), float(np.linalg.norm(a)), float(np.linalg.norm(b)))
+
+
+def _row_dots(rows: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """np.dot of each row with its row of other (S, k), or with one (k,) vector.
+
+    A stacked (1, k) @ (k, 1) product issues, per row, the BLAS dot that
+    np.dot (and so np.linalg.norm) issues for one pair of vectors.
+    """
+    column = other[..., np.newaxis]
+    return (rows[:, np.newaxis, :] @ column)[:, 0, 0]
 
 
 def score_vector(w_test: np.ndarray, w_speech: np.ndarray, w_nonspeech: np.ndarray) -> float:
@@ -177,30 +237,118 @@ def score_vector(w_test: np.ndarray, w_speech: np.ndarray, w_nonspeech: np.ndarr
     return cosine(w_test, w_speech) - cosine(w_test, w_nonspeech)
 
 
-def adapt(state: AdaptState, model: SadModel, cfg: AdaptationConfig) -> AdaptState:
-    """Recompute adapted vectors/threshold from the current buffer contents.
+def _mixed(model_vector: np.ndarray, buffer: RingBuffer, alpha: float) -> np.ndarray:
+    if not len(buffer):
+        return model_vector.copy()
+    mean = buffer.rows().sum(axis=0) / len(buffer)
+    return (1.0 - alpha) * model_vector + alpha * mean
 
-    Each adapted quantity is a convex mix of its model value and the mean
-    over its buffer; an empty buffer leaves it at the model value.
-    """
+
+def _refresh(state: AdaptState, model: SadModel, cfg: AdaptationConfig, speech: bool) -> None:
+    """Recompute what a decision of one class moves: its count vector, and for speech the threshold."""
     alpha = cfg.model_adaptation
-    beta = cfg.threshold_adaptation
-    if state.speech_buffer:
-        mean = np.sum(state.speech_buffer, axis=0) / len(state.speech_buffer)
-        state.adapted_speech_counts = (1.0 - alpha) * model.speech_counts + alpha * mean
-    else:
-        state.adapted_speech_counts = model.speech_counts.copy()
-    if state.nonspeech_buffer:
-        mean = np.sum(state.nonspeech_buffer, axis=0) / len(state.nonspeech_buffer)
-        state.adapted_nonspeech_counts = (1.0 - alpha) * model.nonspeech_counts + alpha * mean
-    else:
-        state.adapted_nonspeech_counts = model.nonspeech_counts.copy()
+    if not speech:
+        state.adapted_nonspeech_counts = _mixed(model.nonspeech_counts, state.nonspeech_buffer, alpha)
+        state.nonspeech_counts_norm = float(np.linalg.norm(state.adapted_nonspeech_counts))
+        return
+    state.adapted_speech_counts = _mixed(model.speech_counts, state.speech_buffer, alpha)
+    state.speech_counts_norm = float(np.linalg.norm(state.adapted_speech_counts))
     if state.speech_scores:
+        beta = cfg.threshold_adaptation
         mean_score = sum(state.speech_scores) / len(state.speech_scores)
         state.adapted_threshold = (1.0 - beta) * model.base_threshold + beta * mean_score
     else:
         state.adapted_threshold = model.base_threshold
+
+
+def adapt(state: AdaptState, model: SadModel, cfg: AdaptationConfig) -> AdaptState:
+    """Recompute adapted vectors/threshold from the current buffer contents.
+
+    Each adapted quantity is a convex mix of its model value and the mean
+    over its buffer; an empty buffer leaves it at the model value. Each is
+    a function of its own buffer only, so after a decision the engine
+    refreshes just the class that decision went to.
+    """
+    _refresh(state, model, cfg, speech=True)
+    _refresh(state, model, cfg, speech=False)
     return state
+
+
+def score_segments(
+    segments: np.ndarray,
+    model: SadModel,
+    state: AdaptState,
+    cfg: AdaptationConfig,
+    first_index: int = 0,
+    out: list | None = None,
+) -> list[Decision]:
+    """Score S segments of n transformed frames, one (S, n, D) block; decide and adapt in order.
+
+    Segment s gets index first_index + s. Its decision is appended to out
+    (a new list by default) as soon as it is made, so a caller that passes
+    its own list keeps the decisions made before a segment raises.
+    """
+    segments = np.asarray(segments, dtype=np.float64)
+    dim = model.pca.output_dim
+    if segments.ndim != 3 or segments.shape[2] != dim:
+        raise ValueError(f"expected (S, n, {dim}) transformed frames, got shape {segments.shape}")
+    if segments.shape[1] == 0:
+        raise ValueError("empty segment")
+    out = [] if out is None else out
+
+    # independent of earlier decisions: computed for the whole block
+    counts = block_stats(segments, model.counts_ubm).zero_order
+    counts_vecs = counts / counts.sum(axis=-1, keepdims=True)
+    counts_norms = np.sqrt(_row_dots(counts_vecs, counts_vecs)).tolist()
+    supervectors = make_supervector(block_stats(segments, model.supervector_ubm))
+    embeddings = embed_batch(supervectors[:, np.newaxis, :], model.embedding_layers)[:, 0]
+    emb_norms = np.sqrt(_row_dots(embeddings, embeddings)).tolist()
+    speech_dots = _row_dots(embeddings, model.speech_embedding).tolist()
+    nonspeech_dots = _row_dots(embeddings, model.nonspeech_embedding).tolist()
+    speech_norm = float(np.linalg.norm(model.speech_embedding))
+    nonspeech_norm = float(np.linalg.norm(model.nonspeech_embedding))
+
+    # times come straight off the integer frame grid so decision i's end is
+    # bit-identical to decision i+1's start
+    hop = model.feature_cfg.hop
+    n_frames = segments.shape[1]
+    for s, counts_vec in enumerate(counts_vecs):
+        zero_score = _cosine(
+            np.dot(counts_vec, state.adapted_speech_counts), counts_norms[s], state.speech_counts_norm
+        ) - _cosine(
+            np.dot(counts_vec, state.adapted_nonspeech_counts), counts_norms[s], state.nonspeech_counts_norm
+        )
+        emb_score = _cosine(speech_dots[s], emb_norms[s], speech_norm) - _cosine(
+            nonspeech_dots[s], emb_norms[s], nonspeech_norm
+        )
+        fused = (zero_score + emb_score) / 2.0
+        for value in (zero_score, emb_score, fused):
+            if not (-2.0 <= value <= 2.0):
+                raise RuntimeError(f"score {value} escaped [-2, 2]")
+
+        threshold = state.adapted_threshold
+        label = SPEECH if fused > threshold else NONSPEECH
+        index = first_index + s
+        start_frame = index * SEGMENT_FRAMES
+        decision = Decision(
+            index=index,
+            start=start_frame * hop,
+            end=(start_frame + n_frames) * hop,
+            label=label,
+            zero_score=zero_score,
+            emb_score=emb_score,
+            fused_score=fused,
+            threshold=threshold,
+        )
+        if cfg.enabled:
+            if label == SPEECH:
+                state.speech_buffer.append(counts_vec)
+                state.speech_scores.append(fused)
+            else:
+                state.nonspeech_buffer.append(counts_vec)
+            _refresh(state, model, cfg, speech=label == SPEECH)
+        out.append(decision)
+    return out
 
 
 def process_segment(
@@ -210,52 +358,14 @@ def process_segment(
     cfg: AdaptationConfig,
     index: int = 0,
 ) -> Decision:
-    """Score one segment (nominally 10 transformed frames), decide, adapt."""
+    """Score one segment (nominally 10 transformed frames), decide, adapt.
+
+    The S = 1 call of score_segments.
+    """
     frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 2 or frames.shape[1] != model.pca.output_dim:
+    if frames.ndim != 2:
         raise ValueError(f"expected (n, {model.pca.output_dim}) transformed frames")
-    if len(frames) == 0:
-        raise ValueError("empty segment")
-
-    counts = accumulate_stats(frames, model.counts_ubm).zero_order
-    counts_vec = counts / counts.sum()
-    zero_score = score_vector(counts_vec, state.adapted_speech_counts, state.adapted_nonspeech_counts)
-
-    supervector = make_supervector(accumulate_stats(frames, model.supervector_ubm))
-    embedding = extract_embedding(supervector, model.embedding_layers)
-    emb_score = score_vector(embedding, model.speech_embedding, model.nonspeech_embedding)
-
-    fused = (zero_score + emb_score) / 2.0
-    for value in (zero_score, emb_score, fused):
-        if not (-2.0 <= value <= 2.0):
-            raise RuntimeError(f"score {value} escaped [-2, 2]")
-
-    threshold = state.adapted_threshold
-    label = SPEECH if fused > threshold else NONSPEECH
-
-    # times come straight off the integer frame grid so decision i's end is
-    # bit-identical to decision i+1's start
-    hop = model.feature_cfg.hop
-    start_frame = index * SEGMENT_FRAMES
-    decision = Decision(
-        index=index,
-        start=start_frame * hop,
-        end=(start_frame + len(frames)) * hop,
-        label=label,
-        zero_score=zero_score,
-        emb_score=emb_score,
-        fused_score=fused,
-        threshold=threshold,
-    )
-
-    if cfg.enabled:
-        if label == SPEECH:
-            state.speech_buffer.append(counts_vec)
-            state.speech_scores.append(fused)
-        else:
-            state.nonspeech_buffer.append(counts_vec)
-        adapt(state, model, cfg)
-    return decision
+    return score_segments(frames[np.newaxis], model, state, cfg, index)[0]
 
 
 class StreamingDetector:
@@ -264,6 +374,12 @@ class StreamingDetector:
     One instance per audio stream. Resetting between recordings is the
     caller's job (make a new instance); adaptation state deliberately
     persists across the whole stream.
+
+    Every whole segment a push makes ready goes to `score_segments`, in
+    blocks of at most BLOCK_SEGMENTS. When a segment raises, the decisions
+    before it stand, the raising segment is consumed together with its
+    index, and the segments after it return to `pending`; the next push or
+    flush decides them.
     """
 
     def __init__(
@@ -288,18 +404,26 @@ class StreamingDetector:
         self.pending = np.concatenate([self.pending, transformed])
         new = []
         while len(self.pending) >= SEGMENT_FRAMES:
-            new.append(self._decide(SEGMENT_FRAMES))
+            n = min(len(self.pending) // SEGMENT_FRAMES, BLOCK_SEGMENTS)
+            new += self._decide(self.pending[: n * SEGMENT_FRAMES].reshape(n, SEGMENT_FRAMES, -1))
         return new
 
-    def _decide(self, n_frames: int) -> Decision:
-        # the segment leaves pending and takes its index before it is scored,
-        # so one that raises cannot stall later segments or shift their times
-        segment, self.pending = self.pending[:n_frames], self.pending[n_frames:]
-        index = self.n_segments
-        self.n_segments += 1
-        decision = process_segment(segment, self.model, self.state, self.adaptation, index=index)
-        self.decisions.append(decision)
-        return decision
+    def _decide(self, segments: np.ndarray) -> list[Decision]:
+        """Score a block of segments taken from the front of pending.
+
+        If segment s raises, the decisions before it stand, it leaves
+        pending together with its index (so it can neither stall the stream
+        nor shift later times), and the segments after it stay pending for
+        the next push or flush to decide.
+        """
+        first = len(self.decisions)
+        try:
+            score_segments(segments, self.model, self.state, self.adaptation, self.n_segments, self.decisions)
+        finally:
+            used = min(len(self.decisions) - first + 1, len(segments))
+            self.pending = self.pending[used * segments.shape[1] :]
+            self.n_segments += used
+        return self.decisions[first:]
 
     def push(self, samples) -> list[Decision]:
         """Feed samples (ValueError on NaN/Inf, state untouched); returns new decisions."""
@@ -323,7 +447,7 @@ class StreamingDetector:
         if self.extractor.n_frames == 0:
             raise ValueError("audio shorter than one analysis window")
         if len(self.pending) >= MIN_TAIL_FRAMES:
-            new.append(self._decide(len(self.pending)))
+            new += self._decide(self.pending[np.newaxis])
         elif len(self.pending):
             self.tail_extra = len(self.pending) * self.model.feature_cfg.hop
             self.pending = self.pending[:0]

@@ -65,7 +65,11 @@ def _as_frames(x: np.ndarray, dim: int) -> np.ndarray:
 
 def log_likelihoods(frames: np.ndarray, gmm: Gmm) -> np.ndarray:
     """log(w_c * N(x_t; m_c, v_c)) for every frame/component pair, (T, C)."""
-    x = _as_frames(frames, gmm.dim)
+    return _component_logliks(_as_frames(frames, gmm.dim), gmm)
+
+
+def _component_logliks(x: np.ndarray, gmm: Gmm) -> np.ndarray:
+    """log_likelihoods of (..., T, D) frames, one matrix product per (T, D) slice."""
     precision = 1.0 / gmm.variances
     constant = (
         np.log(np.maximum(gmm.weights, 1e-300))
@@ -92,8 +96,11 @@ def loglik(frames: np.ndarray, gmm: Gmm) -> float:
 
 def posterior_matrix(frames: np.ndarray, gmm: Gmm) -> np.ndarray:
     """Component responsibilities per frame, rows summing to 1, (T, C)."""
-    ll = log_likelihoods(frames, gmm)
-    return np.exp(ll - logsumexp(ll, axis=1, keepdims=True))
+    return _responsibilities(log_likelihoods(frames, gmm))
+
+
+def _responsibilities(ll: np.ndarray) -> np.ndarray:
+    return np.exp(ll - logsumexp(ll, axis=-1, keepdims=True))
 
 
 def posteriors(x: np.ndarray, gmm: Gmm) -> np.ndarray:
@@ -184,18 +191,22 @@ def merge_gmms(speech: Gmm, nonspeech: Gmm, weight_speech: float = 0.5) -> Gmm:
 
 @dataclass(frozen=True)
 class BaumWelchStats:
-    """Zero-order counts and centered first-order sums under a UBM."""
+    """Zero-order counts and centered first-order sums under a UBM.
+
+    One segment holds (C,) counts and (C, D) sums; a block of S segments
+    holds (S, C) and (S, C, D), each segment frame_count frames long.
+    """
 
     zero_order: np.ndarray
     first_order_centered: np.ndarray
     frame_count: int
 
     def __post_init__(self):
-        if self.zero_order.shape != (len(self.first_order_centered),):
+        if self.zero_order.shape != self.first_order_centered.shape[:-1]:
             raise ValueError("zero/first order component counts differ")
         if np.any(self.zero_order < -1e-12):
             raise ValueError("zero-order stats must be non-negative")
-        if abs(self.zero_order.sum() - self.frame_count) > 1e-6:
+        if np.any(np.abs(self.zero_order.sum(axis=-1) - self.frame_count) > 1e-6):
             raise ValueError("zero-order stats must sum to the frame count")
 
     def __add__(self, other: "BaumWelchStats") -> "BaumWelchStats":
@@ -206,12 +217,26 @@ class BaumWelchStats:
         )
 
 
+def block_stats(segments: np.ndarray, ubm: Gmm) -> BaumWelchStats:
+    """Statistics of S segments of n frames each, given as one (S, n, D) array.
+
+    np.matmul on the stacked arrays issues, per segment, the BLAS call that
+    the segment's own 2-D product issues, so each segment's bits are the
+    same in a block of any size.
+    """
+    x = np.asarray(segments, dtype=np.float64)
+    if x.ndim != 3 or x.shape[2] != ubm.dim:
+        raise ValueError(f"expected (S, n, {ubm.dim}) segments, got shape {x.shape}")
+    if x.shape[1] == 0:
+        raise ValueError("empty frame sequence")
+    resp = _responsibilities(_component_logliks(x, ubm))
+    counts = resp.sum(axis=1)
+    first = resp.transpose(0, 2, 1) @ x - counts[:, :, np.newaxis] * ubm.means
+    return BaumWelchStats(zero_order=counts, first_order_centered=first, frame_count=x.shape[1])
+
+
 def accumulate_stats(frames: np.ndarray, ubm: Gmm) -> BaumWelchStats:
     """Sufficient statistics of a frame sequence; additive over concatenation."""
     x = _as_frames(frames, ubm.dim)
-    if len(x) == 0:
-        raise ValueError("empty frame sequence")
-    resp = posterior_matrix(x, ubm)
-    counts = resp.sum(axis=0)
-    first = resp.T @ x - counts[:, None] * ubm.means
-    return BaumWelchStats(zero_order=counts, first_order_centered=first, frame_count=len(x))
+    stats = block_stats(x[np.newaxis], ubm)
+    return BaumWelchStats(stats.zero_order[0], stats.first_order_centered[0], stats.frame_count)

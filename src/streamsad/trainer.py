@@ -37,7 +37,7 @@ from .context_transform import (
 from .embeddings import class_embeddings, make_supervector, train_mlp
 from .engine import SEGMENT_FRAMES, SadModel, save_model
 from .features import FeatureConfig, extract_features
-from .gmm import accumulate_stats, merge_gmms, train_gmm
+from .gmm import accumulate_stats, block_stats, merge_gmms, train_gmm
 
 logger = logging.getLogger(__name__)
 
@@ -141,24 +141,20 @@ def _stage(name: str):
     logger.info("stage %-16s %6.2f s", name, time.perf_counter() - start)
 
 
-def _cut_segments(frames24: np.ndarray, mask: np.ndarray, ubm) -> tuple[list, list, int, int]:
+def _cut_segments(frames24: np.ndarray, mask: np.ndarray, ubm) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Non-overlapping pure-label 10-frame segments as supervectors.
 
     Returns (supervectors, labels, n_candidates, n_dropped); segments whose
-    frames disagree on the label are dropped, not majority-voted.
+    frames disagree on the label are dropped, not majority-voted. The kept
+    segments are scored as one block, through the kernel detection uses.
     """
-    supervectors, seg_labels = [], []
-    candidates = dropped = 0
-    for start in range(0, len(frames24) - SEGMENT_FRAMES + 1, SEGMENT_FRAMES):
-        candidates += 1
-        window = mask[start : start + SEGMENT_FRAMES]
-        if window.all() or not window.any():
-            stats = accumulate_stats(frames24[start : start + SEGMENT_FRAMES], ubm)
-            supervectors.append(make_supervector(stats))
-            seg_labels.append(bool(window[0]))
-        else:
-            dropped += 1
-    return supervectors, seg_labels, candidates, dropped
+    n_segments = len(frames24) // SEGMENT_FRAMES
+    n_frames = n_segments * SEGMENT_FRAMES
+    windows = mask[:n_frames].reshape(n_segments, SEGMENT_FRAMES)
+    pure = windows.all(axis=1) | ~windows.any(axis=1)
+    segments = frames24[:n_frames].reshape(n_segments, SEGMENT_FRAMES, frames24.shape[1])[pure]
+    supervectors = make_supervector(block_stats(segments, ubm))
+    return supervectors, windows[pure, 0], n_segments, int(n_segments - pure.sum())
 
 
 def train(cfg: TrainConfig, out_path=None) -> SadModel:
@@ -246,15 +242,11 @@ def train(cfg: TrainConfig, out_path=None) -> SadModel:
         )
 
     with _stage("segments"):
-        supervectors: list[np.ndarray] = []
-        seg_labels: list[bool] = []
-        candidates = dropped = 0
-        for frames, mask in zip(transformed, masks):
-            svs, labs, cand, drop = _cut_segments(frames, mask, supervector_ubm)
-            supervectors.extend(svs)
-            seg_labels.extend(labs)
-            candidates += cand
-            dropped += drop
+        svs, labels, candidates, dropped = zip(
+            *(_cut_segments(frames, mask, supervector_ubm) for frames, mask in zip(transformed, masks))
+        )
+        supervectors, seg_labels = np.concatenate(svs), np.concatenate(labels)
+        candidates, dropped = sum(candidates), sum(dropped)
         fraction = dropped / max(candidates, 1)
         message = (
             f"segments: {candidates - dropped} kept, {dropped} dropped "
@@ -269,7 +261,7 @@ def train(cfg: TrainConfig, out_path=None) -> SadModel:
     if cfg.monitor_entries:
         with _stage("monitor-set"):
             mon_svs: list[np.ndarray] = []
-            mon_labels: list[bool] = []
+            mon_labels: list[np.ndarray] = []
             for audio_path, label_path in cfg.monitor_entries:
                 audio = read_wav(audio_path)
                 if audio.sample_rate != sample_rate:
@@ -279,15 +271,16 @@ def train(cfg: TrainConfig, out_path=None) -> SadModel:
                 reduced = context_window(LDA_CONTEXT, lda).flush(frames)
                 frames24 = context_window(PCA_CONTEXT, pca).flush(reduced)
                 svs, labs, _, _ = _cut_segments(frames24, mask, supervector_ubm)
-                mon_svs.extend(svs)
-                mon_labels.extend(labs)
-            if mon_svs:
-                monitor = (np.stack(mon_svs), np.asarray(mon_labels))
+                mon_svs.append(svs)
+                mon_labels.append(labs)
+            mon_x = np.concatenate(mon_svs)
+            if len(mon_x):
+                monitor = (mon_x, np.concatenate(mon_labels))
 
     with _stage("mlp"):
         result = train_mlp(
-            np.stack(supervectors),
-            np.asarray(seg_labels),
+            supervectors,
+            seg_labels,
             epochs=cfg.mlp_epochs,
             seed=cfg.seed + 4,
             hidden_dims=cfg.hidden_dims,
@@ -306,7 +299,7 @@ def train(cfg: TrainConfig, out_path=None) -> SadModel:
 
     with _stage("class-embeddings"):
         speech_embedding, nonspeech_embedding = class_embeddings(
-            np.stack(supervectors), np.asarray(seg_labels), embedding_layers
+            supervectors, seg_labels, embedding_layers
         )
 
     with _stage("assemble"):

@@ -521,17 +521,24 @@ class TestStreamingDetector:
         assert len(det.decisions) == 15
         assert format_trace(det.decisions) == format_trace(ref.decisions)
 
-    def test_raising_segment_does_not_stall_later_ones(self, tiny_corpus, tiny_model, monkeypatch):
+    @staticmethod
+    def fail_at(monkeypatch, bad_index):
+        """Make the block scorer raise at segment bad_index, after scoring those before it."""
         import streamsad.engine as engine
 
-        original = engine.process_segment
+        original = engine.score_segments
 
-        def fail_once(frames, model, state, cfg, index=0):
-            if index == 3:
+        def failing(segments, model, state, cfg, first_index=0, out=None):
+            stop = bad_index - first_index
+            if 0 <= stop < len(segments):
+                original(segments[:stop], model, state, cfg, first_index, out)
                 raise RuntimeError("scoring failed")
-            return original(frames, model, state, cfg, index=index)
+            return original(segments, model, state, cfg, first_index, out)
 
-        monkeypatch.setattr(engine, "process_segment", fail_once)
+        monkeypatch.setattr(engine, "score_segments", failing)
+
+    def test_raising_segment_does_not_stall_later_ones(self, tiny_corpus, tiny_model, monkeypatch):
+        self.fail_at(monkeypatch, 3)
         samples = read_wav(tiny_corpus["entries"][4][0]).samples
         det = StreamingDetector(tiny_model)
         raised = 0
@@ -543,6 +550,32 @@ class TestStreamingDetector:
             assert len(det.pending) < SEGMENT_FRAMES
         assert raised == 1
         assert [d.index for d in det.decisions] == [i for i in range(len(det.decisions) + 1) if i != 3]
+
+    def test_raising_segment_inside_a_block(self, tiny_corpus, tiny_model, monkeypatch):
+        self.fail_at(monkeypatch, 3)
+        samples = read_wav(tiny_corpus["entries"][4][0]).samples
+        det = StreamingDetector(tiny_model)
+        with pytest.raises(RuntimeError, match="scoring failed"):
+            det.push(samples[:16000])  # 2 s: 17 whole segments in one block
+        # the decisions before it stand and the raising segment took its index
+        assert [d.index for d in det.decisions] == [0, 1, 2]
+        assert det.n_segments == 4
+        # the 13 segments after it went back to pending, for the next push
+        assert len(det.pending) // SEGMENT_FRAMES == 13
+        new = det.push(samples[16000:24000])
+        assert [d.index for d in new[:13]] == list(range(4, 17))
+        det.flush()
+        indices = [d.index for d in det.decisions]
+        assert indices == [i for i in range(len(indices) + 1) if i != 3]
+        # and the trace equals 0.1 s pushes that meet the same failure
+        ref = StreamingDetector(tiny_model)
+        for i in range(0, 24000, 800):
+            try:
+                ref.push(samples[i : i + 800])
+            except RuntimeError:
+                pass
+        ref.flush()
+        assert format_trace(det.decisions) == format_trace(ref.decisions)
 
     def test_import_does_not_load_scipy(self):
         import streamsad

@@ -1,9 +1,21 @@
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamsad.audio_io import AudioStream
+from streamsad.audio_io import NONSPEECH, SPEECH, AudioStream, read_wav
+from streamsad.embeddings import COUNT_FLOOR, embed_batch, make_supervector
+from streamsad.engine import (
+    AdaptationConfig,
+    AdaptState,
+    RingBuffer,
+    StreamingDetector,
+    format_trace,
+    process_segment,
+    score_segments,
+)
 from streamsad.features import (
     FeatureConfig,
     FeatureExtractor,
@@ -20,6 +32,7 @@ from streamsad.features import (
     mel_filterbank,
     mel_to_hz,
 )
+from streamsad.gmm import Gmm, block_stats, log_likelihoods, logsumexp
 from oracles import delta_oracle, mfcc_oracle, trailing_mean_oracle
 
 
@@ -324,6 +337,141 @@ class TestBatchInvariance:
         x = np.random.default_rng(31).standard_normal((1500, 24))
         whole = delta_window(12, CFG.delta_window).flush(x)
         np.testing.assert_array_equal(streamed(delta_window(12, CFG.delta_window), x, size), whole)
+
+
+def stats_reference(segment, ubm):
+    """One segment's counts and centered first-order sums, as plain 2-D products."""
+    ll = log_likelihoods(segment, ubm)
+    resp = np.exp(ll - logsumexp(ll, axis=1, keepdims=True))
+    counts = resp.sum(axis=0)
+    return counts, resp.T @ segment - counts[:, None] * ubm.means
+
+
+def cosine_reference(a, b):
+    return float(np.clip(np.dot(a, b) / (float(np.linalg.norm(a)) * float(np.linalg.norm(b))), -1.0, 1.0))
+
+
+def scores_reference(segments, model, cfg):
+    """(zero, emb, fused, threshold, label) per segment, one segment at a time, with deques."""
+    alpha, beta = cfg.model_adaptation, cfg.threshold_adaptation
+    sp_buf, nsp_buf = deque(maxlen=cfg.speech_buffer_len), deque(maxlen=cfg.nonspeech_buffer_len)
+    scores = deque(maxlen=cfg.speech_buffer_len)
+    adapted_sp, adapted_nsp, theta = model.speech_counts, model.nonspeech_counts, model.base_threshold
+    out = []
+    for segment in segments:
+        counts, _ = stats_reference(segment, model.counts_ubm)
+        counts_vec = counts / counts.sum()
+        zero = cosine_reference(counts_vec, adapted_sp) - cosine_reference(counts_vec, adapted_nsp)
+        counts, first = stats_reference(segment, model.supervector_ubm)
+        h = (first / np.maximum(counts, COUNT_FLOOR)[:, None]).ravel()[np.newaxis]
+        for w, b in model.embedding_layers:
+            h = np.maximum(h @ w + b, 0.0)
+        emb = cosine_reference(h[0], model.speech_embedding) - cosine_reference(h[0], model.nonspeech_embedding)
+        fused = (zero + emb) / 2.0
+        label = SPEECH if fused > theta else NONSPEECH
+        out.append((zero, emb, fused, theta, label))
+        if label == SPEECH:
+            sp_buf.append(counts_vec)
+            scores.append(fused)
+        else:
+            nsp_buf.append(counts_vec)
+        if sp_buf:
+            adapted_sp = (1.0 - alpha) * model.speech_counts + alpha * (np.sum(sp_buf, axis=0) / len(sp_buf))
+        if nsp_buf:
+            adapted_nsp = (1.0 - alpha) * model.nonspeech_counts + alpha * (np.sum(nsp_buf, axis=0) / len(nsp_buf))
+        if scores:
+            theta = (1.0 - beta) * model.base_threshold + beta * (sum(scores) / len(scores))
+    return out
+
+
+def random_ubm(rng, n_components, dim):
+    return Gmm(
+        weights=np.full(n_components, 1.0 / n_components),
+        means=rng.standard_normal((n_components, dim)),
+        variances=rng.uniform(0.5, 2.0, (n_components, dim)),
+    )
+
+
+class TestSegmentBatchInvariance:
+    """Segment scoring gives each segment the same bits in a block of any size.
+
+    The detector scores every segment a push makes ready as one block, so
+    this is what keeps decisions independent of how samples were chunked.
+    Segment lengths cover whole segments (10 frames) and every tail length
+    that gets its own decision (5-9).
+    """
+
+    @pytest.mark.parametrize("size", BLOCK_SIZES)
+    @pytest.mark.parametrize("n_frames", [5, 6, 7, 8, 9, 10])
+    def test_block_stats_and_supervectors(self, size, n_frames):
+        # the counts UBM (2 x 64 components) and the supervector UBM (32) over 24-d frames
+        rng = np.random.default_rng(size * 100 + n_frames)
+        segments = rng.standard_normal((size, n_frames, 24)) * 2.0
+        for ubm in (random_ubm(rng, 128, 24), random_ubm(rng, 32, 24)):
+            stats = block_stats(segments, ubm)
+            supervectors = make_supervector(stats)
+            for segment, counts, first, sv in zip(
+                segments, stats.zero_order, stats.first_order_centered, supervectors
+            ):
+                want_counts, want_first = stats_reference(segment, ubm)
+                np.testing.assert_array_equal(counts, want_counts)
+                np.testing.assert_array_equal(first, want_first)
+                want_sv = (want_first / np.maximum(want_counts, COUNT_FLOOR)[:, None]).ravel()
+                np.testing.assert_array_equal(sv, want_sv)
+
+    @pytest.mark.parametrize("size", BLOCK_SIZES)
+    @pytest.mark.parametrize("in_dim,out_dim", [(768, 256), (96, 32), (4, 3)])
+    def test_stacked_embeddings(self, size, in_dim, out_dim):
+        rng = np.random.default_rng(in_dim + size)
+        layers = ((rng.standard_normal((in_dim, out_dim)) * 0.05, rng.standard_normal(out_dim) * 0.1),)
+        supervectors = rng.standard_normal((size, in_dim))
+        got = embed_batch(supervectors[:, np.newaxis, :], layers)[:, 0]
+        for row, sv in zip(got, supervectors):
+            want = np.maximum(sv[np.newaxis, :] @ layers[0][0] + layers[0][1], 0.0)[0]
+            np.testing.assert_array_equal(row, want)
+
+    @pytest.mark.parametrize("capacity", [1, 2, 3, 30, 60])
+    def test_ring_sum_equals_deque_sum(self, capacity):
+        rng = np.random.default_rng(capacity)
+        ring, reference = RingBuffer(capacity, 128), deque(maxlen=capacity)
+        for fill in range(capacity + 6):
+            assert len(ring) == len(reference)
+            if reference:
+                np.testing.assert_array_equal(ring.rows().sum(axis=0), np.sum(list(reference), axis=0))
+            else:
+                assert ring.rows().shape == (0, 128)
+            row = rng.dirichlet(np.ones(128))
+            ring.append(row)
+            reference.append(row)
+
+    @pytest.mark.parametrize("size", BLOCK_SIZES)
+    @pytest.mark.parametrize("n_frames", [7, 10])
+    def test_block_scorer_matches_per_segment_reference(self, tiny_model, size, n_frames):
+        # short buffers so they wrap inside the larger blocks
+        cfg = AdaptationConfig(speech_buffer_len=4, nonspeech_buffer_len=6)
+        dim = tiny_model.pca.output_dim
+        segments = np.random.default_rng(size + n_frames).standard_normal((size, n_frames, dim))
+        got = score_segments(segments, tiny_model, AdaptState(tiny_model, cfg), cfg, first_index=5)
+        want = scores_reference(segments, tiny_model, cfg)
+        assert [(d.zero_score, d.emb_score, d.fused_score, d.threshold, d.label) for d in got] == want
+        assert [d.index for d in got] == list(range(5, 5 + size))
+        # and process_segment, the S = 1 call, one segment at a time
+        state = AdaptState(tiny_model, cfg)
+        assert [process_segment(seg, tiny_model, state, cfg, index=5 + i) for i, seg in enumerate(segments)] == got
+
+    @settings(max_examples=25, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 12000), min_size=1, max_size=40))
+    def test_random_chunkings_give_the_whole_push_trace(self, tiny_corpus, tiny_model, sizes):
+        samples = read_wav(tiny_corpus["entries"][5][0]).samples
+        whole = StreamingDetector(tiny_model)
+        whole.push(samples)
+        whole.flush()
+        chunked = StreamingDetector(tiny_model)
+        edges = np.cumsum(sizes)
+        for chunk in np.split(samples, edges[edges < len(samples)]):
+            chunked.push(chunk)
+        chunked.flush()
+        assert format_trace(chunked.decisions) == format_trace(whole.decisions)
 
 
 class TestConfig:

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from streamsad.audio_io import NONSPEECH, SPEECH, SegmentLabel, write_labels, write_wav
+from streamsad.embeddings import make_supervector
 from streamsad.engine import load_model, save_model, stream_detect
 from streamsad.features import FeatureConfig
-from streamsad.gmm import Gmm
+from streamsad.gmm import Gmm, accumulate_stats
 from streamsad.synth import make_corpus
 from streamsad.trainer import (
     TrainConfig,
@@ -139,8 +140,12 @@ class TestCutSegments:
         mask = np.array([True] * 10 + [False] * 10)
         svs, labels, candidates, dropped = _cut_segments(frames, mask, self.UBM)
         assert (candidates, dropped) == (2, 0)
-        assert labels == [True, False]
-        assert all(sv.shape == (4,) for sv in svs)
+        assert labels.tolist() == [True, False]
+        assert svs.shape == (2, 4)
+        # the block gives each segment the bits of its own accumulate_stats
+        for sv, start in zip(svs, (0, 10)):
+            want = make_supervector(accumulate_stats(frames[start : start + 10], self.UBM))
+            np.testing.assert_array_equal(sv, want)
 
     def test_straddling_segment_dropped(self):
         rng = np.random.default_rng(2)
@@ -148,7 +153,7 @@ class TestCutSegments:
         mask = np.array([True] * 10 + [True] * 5 + [False] * 5 + [False] * 10)
         svs, labels, candidates, dropped = _cut_segments(frames, mask, self.UBM)
         assert (candidates, dropped) == (3, 1)
-        assert labels == [True, False]
+        assert labels.tolist() == [True, False]
 
     def test_leftover_tail_frames_ignored(self):
         rng = np.random.default_rng(3)
@@ -156,6 +161,11 @@ class TestCutSegments:
         mask = np.zeros(27, dtype=bool)
         _, _, candidates, _ = _cut_segments(frames, mask, self.UBM)
         assert candidates == 2
+
+    def test_file_shorter_than_a_segment(self):
+        svs, labels, candidates, dropped = _cut_segments(np.zeros((7, 2)), np.zeros(7, dtype=bool), self.UBM)
+        assert svs.shape == (0, 4) and labels.shape == (0,)
+        assert (candidates, dropped) == (0, 0)
 
 
 class TestTrainedModel:
