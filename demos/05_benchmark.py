@@ -2,7 +2,7 @@
 """Measure the real-time factor of the streaming pipeline on one core.
 
 Feeds a synthetic recording to the detector in 0.1 s chunks, the cadence a
-live audio callback would use, and reports where the time goes. RTF is
+live audio callback would use, and reports what it costs. RTF is
 processing time divided by audio time; anything under 1.0 keeps up with a
 live stream, and the engine typically lands well under 0.1. Pass a duration
 in seconds to try longer files (default 120).
@@ -21,7 +21,6 @@ for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 
 from streamsad.engine import StreamingDetector  # noqa: E402
-from streamsad.features import FeatureExtractor  # noqa: E402
 from streamsad.synth import make_corpus, make_recording  # noqa: E402
 from streamsad.trainer import TrainConfig, train  # noqa: E402
 
@@ -48,14 +47,6 @@ def main():
     chunk = model.sample_rate // 10
     print(f"{duration:.0f} s of audio, pushed in {chunk}-sample (0.1 s) chunks\n")
 
-    # front end alone, to separate feature cost from model cost
-    started = time.perf_counter()
-    extractor = FeatureExtractor(model.feature_cfg, model.sample_rate)
-    for i in range(0, len(samples), chunk):
-        extractor.push(samples[i:i + chunk])
-    extractor.flush()
-    front_end = time.perf_counter() - started
-
     started = time.perf_counter()
     detector = StreamingDetector(model)
     peak = 0.0
@@ -66,9 +57,8 @@ def main():
     detector.flush()
     total = time.perf_counter() - started
 
-    print(f"front end only      {front_end:7.3f} s  (rtf {front_end / duration:.4f})")
     print(f"full pipeline       {total:7.3f} s  (rtf {total / duration:.4f})")
-    print(f"transform + scoring {total - front_end:7.3f} s")
+    print(f"frames computed     {detector.extractor.n_frames}")
     print(f"worst single chunk  {1000 * peak:7.2f} ms against a 100 ms budget")
     print(f"decisions emitted   {len(detector.decisions)}")
 

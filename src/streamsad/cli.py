@@ -11,6 +11,7 @@ import argparse
 import logging
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 from .audio_io import AudioFormatError, LabelFileError, read_labels, read_wav, write_labels
@@ -23,7 +24,7 @@ from .engine import (
     write_trace,
 )
 from .evaluation import EvalConfig, EvaluationError, aggregate, format_keyvalues, format_table, score
-from .features import FeatureConfig, FeatureExtractor
+from .features import FeatureConfig
 from .trainer import TrainConfig, TrainingError, load_manifest, train
 
 EXIT_OK = 0
@@ -57,8 +58,10 @@ def _int_tuple(text: str):
     return tuple(int(part) for part in text.split(",") if part.strip())
 
 
-# every tunable of the system, defaults matching the shipped configuration;
-# each subcommand reads the keys relevant to it
+# the config file's keys, each with its parser: every field of FeatureConfig,
+# TrainConfig, AdaptationConfig and SmoothingConfig except the corpus lists,
+# the nested feature_cfg and the `enabled` switches, which flags set; a key
+# the file leaves out keeps its dataclass default
 CONFIG_KEYS = {
     # front end
     "window_length": float,
@@ -93,19 +96,7 @@ CONFIG_KEYS = {
     # smoothing
     "min_gap": float,
     "min_speech": float,
-    # scoring
-    "collar": float,
 }
-
-_FEATURE_KEYS = (
-    "window_length", "hop", "n_mfcc", "mel_low", "mel_high", "n_mel_filters",
-    "cmn_window", "delta_window", "pre_emphasis", "n_fft",
-)
-_TRAIN_KEYS = (
-    "labeling_ubm_size", "counts_ubm_per_class", "supervector_ubm_size",
-    "lda_dim", "pca_dim", "gmm_iters", "hidden_dims", "mlp_epochs",
-    "select_epoch", "learning_rate", "batch_size", "base_threshold", "seed",
-)
 
 
 def parse_config_file(path) -> dict:
@@ -135,22 +126,9 @@ def _require_paths(paths) -> None:
         raise FileNotFoundError("missing input file(s): " + ", ".join(missing))
 
 
-def _adaptation_from(config: dict, disabled: bool) -> AdaptationConfig:
-    return AdaptationConfig(
-        model_adaptation=config.get("model_adaptation", 0.4),
-        threshold_adaptation=config.get("threshold_adaptation", 0.1),
-        speech_buffer_len=config.get("speech_buffer_len", 30),
-        nonspeech_buffer_len=config.get("nonspeech_buffer_len", 60),
-        enabled=not disabled,
-    )
-
-
-def _smoothing_from(config: dict, disabled: bool) -> SmoothingConfig:
-    return SmoothingConfig(
-        enabled=not disabled,
-        min_gap=config.get("min_gap", 0.3),
-        min_speech=config.get("min_speech", 0.2),
-    )
+def _section(cls, config: dict) -> dict:
+    """The config values that set fields of the dataclass cls."""
+    return {f.name: config[f.name] for f in fields(cls) if f.name in config}
 
 
 def cmd_train(args) -> int:
@@ -169,12 +147,11 @@ def cmd_train(args) -> int:
     config = parse_config_file(args.config) if args.config else {}
     if args.seed is not None:
         config["seed"] = args.seed
-    feature_cfg = FeatureConfig(**{k: config[k] for k in _FEATURE_KEYS if k in config})
     train_cfg = TrainConfig(
         entries=entries,
-        feature_cfg=feature_cfg,
+        feature_cfg=FeatureConfig(**_section(FeatureConfig, config)),
         monitor_entries=monitor_entries,
-        **{k: config[k] for k in _TRAIN_KEYS if k in config},
+        **_section(TrainConfig, config),
     )
 
     if args.log_file:
@@ -192,8 +169,8 @@ def cmd_detect(args) -> int:
     _require_paths([args.model] + ([args.config] if args.config else []) + list(args.audio))
     model = load_model(args.model)
     config = parse_config_file(args.config) if args.config else {}
-    adaptation = _adaptation_from(config, args.no_adapt)
-    smoothing = _smoothing_from(config, args.no_smoothing)
+    adaptation = AdaptationConfig(enabled=not args.no_adapt, **_section(AdaptationConfig, config))
+    smoothing = SmoothingConfig(enabled=not args.no_smoothing, **_section(SmoothingConfig, config))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -245,18 +222,9 @@ def cmd_score(args) -> int:
 def cmd_bench(args) -> int:
     _require_paths([args.model] + list(args.audio))
     model = load_model(args.model)
-    chunk_seconds = args.chunk
     for audio_path in args.audio:
         audio = read_wav(Path(audio_path))
-        chunk = max(1, int(round(chunk_seconds * audio.sample_rate)))
-
-        start = time.perf_counter()
-        extractor = FeatureExtractor(model.feature_cfg, model.sample_rate)
-        n_frames = 0
-        for i in range(0, len(audio.samples), chunk):
-            n_frames += len(extractor.push(audio.samples[i : i + chunk]))
-        n_frames += len(extractor.flush())
-        front_end_time = time.perf_counter() - start
+        chunk = max(1, int(round(args.chunk * audio.sample_rate)))
 
         start = time.perf_counter()
         detector = StreamingDetector(model)
@@ -271,9 +239,8 @@ def cmd_bench(args) -> int:
         total_time = time.perf_counter() - start
 
         rtf = total_time / audio.duration
-        print(f"{audio_path}: duration={audio.duration:.2f}s frames={n_frames}")
-        print(f"  front-end only     {front_end_time:8.3f} s")
-        print(f"  full pipeline      {total_time:8.3f} s (transform+scoring {total_time - front_end_time:.3f} s)")
+        print(f"{audio_path}: duration={audio.duration:.2f}s frames={detector.extractor.n_frames}")
+        print(f"  full pipeline      {total_time:8.3f} s")
         print(
             f"  rtf={rtf:.4f} peak_chunk_latency={1000.0 * peak_push:.2f}ms "
             f"decisions={len(detector.decisions)}"

@@ -9,8 +9,9 @@ against per-class mean embeddings.
 The network is plain numpy on purpose: a few dense layers, ReLU, softmax
 cross-entropy, minibatch SGD. Determinism given a seed is a contract here,
 the loss is logged per epoch, and the selected epoch is a config value.
-Detection keeps only the (weight, bias) layers up to the embedding; the
-layers after it exist to train them.
+Training and detection run the same ReLU layer pass (`layer_outputs`).
+Detection keeps only the first hidden layer's (weight, bias) pair; the
+layers after it exist to train it.
 """
 
 from __future__ import annotations
@@ -29,17 +30,6 @@ class MlpTrainingError(RuntimeError):
     """Training could not proceed (bad data or diverged loss)."""
 
 
-def _relu(z):
-    return np.maximum(z, 0.0)
-
-
-def _relu_grad(z):
-    return (z > 0.0).astype(np.float64)
-
-
-ACTIVATIONS = {"relu": (_relu, _relu_grad)}
-
-
 def make_supervector(stats: BaumWelchStats) -> np.ndarray:
     """Count-normalized centered first-order stats, flattened component-major.
 
@@ -53,17 +43,17 @@ def make_supervector(stats: BaumWelchStats) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MlpModel:
-    """Dense feed-forward classifier; weights[i] maps layer i to layer i+1."""
+    """Dense feed-forward classifier; weights[i] maps layer i to layer i+1.
+
+    Every layer but the last is a ReLU hidden layer; the last gives the
+    class logits.
+    """
 
     weights: list
     biases: list
-    activation: str = "relu"
-    embedding_layer: int = 1
     epoch: int = 0
 
     def __post_init__(self):
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
         if len(self.weights) != len(self.biases) or not self.weights:
             raise ValueError("weights and biases must pair up")
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -71,25 +61,21 @@ class MlpModel:
                 raise ValueError(f"layer {i}: weight/bias shapes inconsistent")
             if i > 0 and w.shape[0] != self.weights[i - 1].shape[1]:
                 raise ValueError(f"layer {i}: dims do not chain")
-        if not (1 <= self.embedding_layer <= len(self.weights) - 1):
-            raise ValueError("embedding_layer must name a hidden layer")
+        if len(self.weights) < 2:
+            raise ValueError("the network needs a hidden layer to embed with")
 
     @property
-    def layer_dims(self) -> list:
-        return [self.weights[0].shape[0]] + [w.shape[1] for w in self.weights]
-
-    @property
-    def input_dim(self) -> int:
-        return self.weights[0].shape[0]
+    def hidden_layers(self) -> tuple:
+        """The (weight, bias) pairs of the ReLU layers, input first."""
+        return tuple(zip(self.weights[:-1], self.biases[:-1]))
 
     @property
     def embedding_layers(self) -> tuple:
-        """The (weight, bias) pairs from the input up to the embedding layer."""
-        k = self.embedding_layer
-        return tuple(zip(self.weights[:k], self.biases[:k]))
+        """The first hidden layer's (weight, bias) pair: what detection embeds with."""
+        return ((self.weights[0], self.biases[0]),)
 
 
-def init_mlp(layer_dims, seed: int = 0, activation: str = "relu") -> MlpModel:
+def init_mlp(layer_dims, seed: int = 0) -> MlpModel:
     """He-initialized network with zero biases; deterministic per seed."""
     if len(layer_dims) < 2:
         raise ValueError("need at least input and output dims")
@@ -98,7 +84,7 @@ def init_mlp(layer_dims, seed: int = 0, activation: str = "relu") -> MlpModel:
     for fan_in, fan_out in zip(layer_dims, layer_dims[1:]):
         weights.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
-    return MlpModel(weights=weights, biases=biases, activation=activation)
+    return MlpModel(weights=weights, biases=biases)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -107,34 +93,13 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
-def _hidden_activations(model: MlpModel, x: np.ndarray) -> list:
-    """Post-activation values of every hidden layer, in order."""
-    act, _ = ACTIVATIONS[model.activation]
-    hidden = []
-    h = x
-    for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        h = act(h @ w + b)
-        hidden.append(h)
-    return hidden
-
-
-def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Class logits for (n, in_dim) inputs or a single vector."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[np.newaxis, :]
-    if x.shape[1] != model.input_dim:
-        raise ValueError(f"input dim {x.shape[1]} != model dim {model.input_dim}")
-    hidden = _hidden_activations(model, x)
-    h = hidden[-1] if hidden else x
-    logits = h @ model.weights[-1] + model.biases[-1]
-    return logits[0] if single else logits
-
-
-def extract_embedding(supervector: np.ndarray, layers) -> np.ndarray:
-    """Embedding for one supervector: the last of the ReLU layers' activations."""
-    return embed_batch(np.asarray(supervector)[np.newaxis, :], layers)[0]
+def layer_outputs(x: np.ndarray, layers) -> list:
+    """Each (weight, bias) ReLU layer's output for input x, in layer order."""
+    outputs = []
+    for w, b in layers:
+        x = np.maximum(x @ w + b, 0.0)
+        outputs.append(x)
+    return outputs
 
 
 def embed_batch(supervectors: np.ndarray, layers) -> np.ndarray:
@@ -147,36 +112,38 @@ def embed_batch(supervectors: np.ndarray, layers) -> np.ndarray:
     in_dim = layers[0][0].shape[0]
     if h.ndim not in (2, 3) or h.shape[-1] != in_dim:
         raise ValueError(f"expected (n, {in_dim}) supervectors, got {h.shape}")
-    for w, b in layers:
-        h = _relu(h @ w + b)
-    return h
+    return layer_outputs(h, layers)[-1]
+
+
+def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
+    """Class logits for (n, in_dim) inputs or a single vector."""
+    x = np.asarray(x, dtype=np.float64)
+    single = x.ndim == 1
+    h = embed_batch(x[np.newaxis, :] if single else x, model.hidden_layers)
+    logits = h @ model.weights[-1] + model.biases[-1]
+    return logits[0] if single else logits
+
+
+def _mean_nll(probs: np.ndarray, labels: np.ndarray) -> float:
+    picked = probs[np.arange(len(labels)), labels]
+    return float(-np.mean(np.log(np.maximum(picked, 1e-300))))
 
 
 def cross_entropy(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> float:
     """Mean softmax cross-entropy; labels are class indices."""
-    probs = softmax(forward(model, x))
-    picked = probs[np.arange(len(labels)), labels]
-    return float(-np.mean(np.log(np.maximum(picked, 1e-300))))
+    return _mean_nll(softmax(forward(model, x)), labels)
 
 
 def loss_and_grads(model: MlpModel, x: np.ndarray, labels: np.ndarray):
     """Mean cross-entropy plus gradients for every weight and bias."""
     x = np.asarray(x, dtype=np.float64)
     labels = np.asarray(labels)
-    act, act_grad = ACTIVATIONS[model.activation]
 
-    preacts, h = [], x
-    inputs = [x]
-    for w, b in zip(model.weights[:-1], model.biases[:-1]):
-        z = h @ w + b
-        preacts.append(z)
-        h = act(z)
-        inputs.append(h)
-    logits = h @ model.weights[-1] + model.biases[-1]
-
-    probs = softmax(logits)
-    picked = probs[np.arange(len(labels)), labels]
-    loss = float(-np.mean(np.log(np.maximum(picked, 1e-300))))
+    # inputs[i] feeds weights[i]; the ReLU derivative of a hidden output h is
+    # h > 0, which equals z > 0 for its pre-activation z since h = max(z, 0)
+    inputs = [x] + layer_outputs(x, model.hidden_layers)
+    probs = softmax(inputs[-1] @ model.weights[-1] + model.biases[-1])
+    loss = _mean_nll(probs, labels)
 
     delta = probs.copy()
     delta[np.arange(len(labels)), labels] -= 1.0
@@ -188,7 +155,7 @@ def loss_and_grads(model: MlpModel, x: np.ndarray, labels: np.ndarray):
         grad_w[layer] = inputs[layer].T @ delta
         grad_b[layer] = delta.sum(axis=0)
         if layer > 0:
-            delta = (delta @ model.weights[layer].T) * act_grad(preacts[layer - 1])
+            delta = (delta @ model.weights[layer].T) * (inputs[layer] > 0.0)
     return loss, grad_w, grad_b
 
 
@@ -196,8 +163,6 @@ def _copy_model(model: MlpModel, epoch: int) -> MlpModel:
     return MlpModel(
         weights=[w.copy() for w in model.weights],
         biases=[b.copy() for b in model.biases],
-        activation=model.activation,
-        embedding_layer=model.embedding_layer,
         epoch=epoch,
     )
 

@@ -223,9 +223,14 @@ def cmn_window(cfg: FeatureConfig) -> CausalWindow:
         if start < width - 1:
             context = context.copy()
             context[: width - 1 - start] = 0.0  # edge replicas from before the start
-        total = context[:n].copy()
-        for j in range(1, width):
-            total += context[j : j + n]
+        # (width, n, D) view: a reduction over its first axis adds frames
+        # oldest first. With one output value that axis would become numpy's
+        # inner loop, which sums pairwise, so that case accumulates instead.
+        windows = np.moveaxis(sliding_window_view(context, n, axis=0), -1, 1)
+        if windows[0].size == 1:
+            total = np.add.accumulate(windows, axis=0)[-1]
+        else:
+            total = np.add.reduce(windows, axis=0)
         count = np.minimum(np.arange(start + 1, start + n + 1), width)
         return context[width - 1 :] - total / count[:, None]
 

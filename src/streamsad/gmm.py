@@ -209,13 +209,6 @@ class BaumWelchStats:
         if np.any(np.abs(self.zero_order.sum(axis=-1) - self.frame_count) > 1e-6):
             raise ValueError("zero-order stats must sum to the frame count")
 
-    def __add__(self, other: "BaumWelchStats") -> "BaumWelchStats":
-        return BaumWelchStats(
-            zero_order=self.zero_order + other.zero_order,
-            first_order_centered=self.first_order_centered + other.first_order_centered,
-            frame_count=self.frame_count + other.frame_count,
-        )
-
 
 def block_stats(segments: np.ndarray, ubm: Gmm) -> BaumWelchStats:
     """Statistics of S segments of n frames each, given as one (S, n, D) array.

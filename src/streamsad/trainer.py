@@ -141,6 +141,23 @@ def _stage(name: str):
     logger.info("stage %-16s %6.2f s", name, time.perf_counter() - start)
 
 
+def _read_entry(audio_path, label_path, feat_cfg: FeatureConfig, sample_rate: int | None):
+    """Features, frame speech mask and sample rate of one manifest entry.
+
+    sample_rate, when given, is the corpus rate the file must have. Any
+    failure is raised as a ValueError that names the audio file.
+    """
+    try:
+        audio = read_wav(audio_path)
+        if sample_rate is not None and audio.sample_rate != sample_rate:
+            raise ValueError(f"sample rate {audio.sample_rate} differs from corpus rate {sample_rate}")
+        frames = extract_features(audio, feat_cfg)
+        mask = frame_labels(read_labels(label_path), len(frames), feat_cfg.hop, feat_cfg.window_length)
+    except Exception as exc:
+        raise ValueError(f"{audio_path}: {exc}") from exc
+    return frames, mask, audio.sample_rate
+
+
 def _cut_segments(frames24: np.ndarray, mask: np.ndarray, ubm) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Non-overlapping pure-label 10-frame segments as supervectors.
 
@@ -162,27 +179,15 @@ def train(cfg: TrainConfig, out_path=None) -> SadModel:
     if not cfg.entries:
         raise TrainingError("manifest", "no training entries")
     feat_cfg = cfg.feature_cfg
-    hop, window = feat_cfg.hop, feat_cfg.window_length
 
     features: list[np.ndarray] = []
     masks: list[np.ndarray] = []
     sample_rate = None
     with _stage("features"):
         for audio_path, label_path in cfg.entries:
-            try:
-                audio = read_wav(audio_path)
-                labels = read_labels(label_path)
-                if sample_rate is None:
-                    sample_rate = audio.sample_rate
-                elif audio.sample_rate != sample_rate:
-                    raise ValueError(
-                        f"sample rate {audio.sample_rate} differs from corpus rate {sample_rate}"
-                    )
-                frames = extract_features(audio, feat_cfg)
-            except Exception as exc:
-                raise TrainingError("features", f"{audio_path}: {exc}") from exc
+            frames, mask, sample_rate = _read_entry(audio_path, label_path, feat_cfg, sample_rate)
             features.append(frames)
-            masks.append(frame_labels(labels, len(frames), hop, window))
+            masks.append(mask)
         n_frames = sum(len(f) for f in features)
         n_speech = int(sum(m.sum() for m in masks))
         logger.info(
@@ -263,11 +268,7 @@ def train(cfg: TrainConfig, out_path=None) -> SadModel:
             mon_svs: list[np.ndarray] = []
             mon_labels: list[np.ndarray] = []
             for audio_path, label_path in cfg.monitor_entries:
-                audio = read_wav(audio_path)
-                if audio.sample_rate != sample_rate:
-                    raise ValueError(f"{audio_path}: sample rate differs from corpus")
-                frames = extract_features(audio, feat_cfg)
-                mask = frame_labels(read_labels(label_path), len(frames), hop, window)
+                frames, mask, _ = _read_entry(audio_path, label_path, feat_cfg, sample_rate)
                 reduced = context_window(LDA_CONTEXT, lda).flush(frames)
                 frames24 = context_window(PCA_CONTEXT, pca).flush(reduced)
                 svs, labs, _, _ = _cut_segments(frames24, mask, supervector_ubm)

@@ -1,11 +1,14 @@
 import hashlib
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from streamsad.audio_io import NONSPEECH, SPEECH, SegmentLabel, read_labels, write_labels, write_wav
-from streamsad.cli import main, parse_config_file
-from streamsad.engine import TRACE_HEADER, load_model
+from streamsad.cli import CONFIG_KEYS, main, parse_config_file
+from streamsad.engine import TRACE_HEADER, AdaptationConfig, SmoothingConfig, load_model
+from streamsad.features import FeatureConfig
+from streamsad.trainer import TrainConfig
 from streamsad.synth import make_corpus, write_manifest
 
 
@@ -77,6 +80,12 @@ class TestConfigFile:
         path.write_text("hop 0.01\n")
         with pytest.raises(ValueError, match="expected 'key = value'"):
             parse_config_file(path)
+
+    def test_keys_are_the_config_dataclass_fields(self):
+        # a field that gains no key, or a key that sets no field, breaks this
+        names = {f.name for cls in (FeatureConfig, TrainConfig, AdaptationConfig, SmoothingConfig)
+                 for f in fields(cls)}
+        assert set(CONFIG_KEYS) == names - {"entries", "feature_cfg", "monitor_entries", "enabled"}
 
 
 class TestUsage:

@@ -11,7 +11,6 @@ from streamsad.embeddings import (
     class_embeddings,
     cross_entropy,
     embed_batch,
-    extract_embedding,
     forward,
     init_mlp,
     loss_and_grads,
@@ -76,7 +75,7 @@ class TestSupervector:
 class TestModelBasics:
     def test_init_shapes_and_determinism(self):
         m = init_mlp([10, 8, 6, 2], seed=3)
-        assert m.layer_dims == [10, 8, 6, 2]
+        assert [w.shape for w in m.weights] == [(10, 8), (8, 6), (6, 2)]
         assert all(np.all(b == 0) for b in m.biases)
         m2 = init_mlp([10, 8, 6, 2], seed=3)
         for w1, w2 in zip(m.weights, m2.weights):
@@ -90,14 +89,11 @@ class TestModelBasics:
                 weights=[np.zeros((4, 3)), np.zeros((5, 2))],
                 biases=[np.zeros(3), np.zeros(2)],
             )
-        with pytest.raises(ValueError, match="embedding_layer"):
+        with pytest.raises(ValueError, match="hidden layer"):
             MlpModel(
                 weights=[np.zeros((4, 2))],
                 biases=[np.zeros(2)],
-                embedding_layer=1,
             )
-        with pytest.raises(ValueError, match="activation"):
-            init_mlp([4, 2, 2], activation="tanh")
 
     def test_forward_single_and_batch_agree(self):
         m = init_mlp([6, 4, 2], seed=0)
@@ -114,9 +110,15 @@ class TestModelBasics:
         want = h @ m.weights[1] + m.biases[1]
         np.testing.assert_allclose(forward(m, x), want, atol=1e-12)
 
+    def test_forward_is_embed_batch_then_output_layer(self):
+        m = init_mlp([6, 5, 4, 2], seed=6)
+        x = np.random.default_rng(6).standard_normal((9, 6))
+        hidden = embed_batch(x, list(zip(m.weights[:-1], m.biases[:-1])))
+        assert np.array_equal(forward(m, x), hidden @ m.weights[-1] + m.biases[-1])
+
     def test_input_dim_check(self):
         m = init_mlp([6, 4, 2])
-        with pytest.raises(ValueError, match="dim"):
+        with pytest.raises(ValueError, match=r"expected \(n, 6\)"):
             forward(m, np.zeros(5))
 
     @settings(max_examples=30, deadline=None)
@@ -138,22 +140,21 @@ class TestEmbeddings:
         rng = np.random.default_rng(8)
         x = rng.standard_normal(6)
         want = np.maximum(x @ m.weights[0] + m.biases[0], 0.0)
-        np.testing.assert_array_equal(extract_embedding(x, m.embedding_layers), want)
+        assert len(m.embedding_layers) == 1
+        np.testing.assert_array_equal(embed_batch(x[np.newaxis], m.embedding_layers)[0], want)
 
     def test_embedding_width(self):
         m = init_mlp([10, 7, 4, 2], seed=9)
-        assert extract_embedding(np.zeros(10), m.embedding_layers).shape == (7,)
+        assert embed_batch(np.zeros((1, 10)), m.embedding_layers).shape == (1, 7)
         assert embed_batch(np.zeros((3, 10)), m.embedding_layers).shape == (3, 7)
 
     def test_deeper_embedding_layer(self):
+        # embed_batch runs any stack of layers, the way training runs the hidden ones
         m = init_mlp([6, 5, 4, 2], seed=10)
-        deep = MlpModel(
-            weights=m.weights, biases=m.biases, embedding_layer=2
-        )
-        x = np.random.default_rng(11).standard_normal(6)
+        x = np.random.default_rng(11).standard_normal((1, 6))
         h1 = np.maximum(x @ m.weights[0] + m.biases[0], 0.0)
         h2 = np.maximum(h1 @ m.weights[1] + m.biases[1], 0.0)
-        np.testing.assert_allclose(extract_embedding(x, deep.embedding_layers), h2, atol=1e-12)
+        np.testing.assert_allclose(embed_batch(x, m.hidden_layers), h2, atol=1e-12)
 
     def test_embeddings_are_nonnegative(self):
         m = init_mlp([6, 5, 2], seed=12)
@@ -199,7 +200,7 @@ class TestGradients:
         x = rng.standard_normal((5, 4))
         labels = rng.integers(0, 2, 5)
         loss, _, _ = loss_and_grads(m, x, labels)
-        assert loss == pytest.approx(cross_entropy(m, x, labels), abs=1e-12)
+        assert loss == cross_entropy(m, x, labels)
 
     def test_gradient_step_reduces_loss(self):
         rng = np.random.default_rng(18)

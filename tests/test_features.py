@@ -333,6 +333,20 @@ class TestBatchInvariance:
         np.testing.assert_array_equal(streamed(cmn_window(CFG), x, size), apply_cmn(x))
 
     @pytest.mark.parametrize("size", BLOCK_SIZES)
+    @pytest.mark.parametrize("dim", [1, 12])
+    def test_cmn_window_sum_matches_oldest_first_loop(self, size, dim):
+        # one column pushed one frame at a time leaves a single value per
+        # window, the case numpy would otherwise sum pairwise
+        width = CFG.cmn_frames()
+        x = np.random.default_rng(32).standard_normal((300, dim)) * 100.0
+        padded = np.vstack([np.zeros((width - 1, dim)), x])
+        total = padded[: len(x)].copy()
+        for j in range(1, width):
+            total += padded[j : j + len(x)]
+        want = x - total / np.minimum(np.arange(1, len(x) + 1), width)[:, None]
+        np.testing.assert_array_equal(streamed(cmn_window(CFG), x, size), want)
+
+    @pytest.mark.parametrize("size", BLOCK_SIZES)
     def test_delta_formula(self, size):
         x = np.random.default_rng(31).standard_normal((1500, 24))
         whole = delta_window(12, CFG.delta_window).flush(x)

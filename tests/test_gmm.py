@@ -283,11 +283,11 @@ class TestBaumWelchStats:
         a = rng.standard_normal((20, 3))
         b = rng.standard_normal((30, 3))
         whole = accumulate_stats(np.vstack([a, b]), ubm)
-        parts = accumulate_stats(a, ubm) + accumulate_stats(b, ubm)
-        assert parts.frame_count == whole.frame_count
-        np.testing.assert_allclose(parts.zero_order, whole.zero_order, atol=1e-9)
+        sa, sb = accumulate_stats(a, ubm), accumulate_stats(b, ubm)
+        assert sa.frame_count + sb.frame_count == whole.frame_count
+        np.testing.assert_allclose(sa.zero_order + sb.zero_order, whole.zero_order, atol=1e-9)
         np.testing.assert_allclose(
-            parts.first_order_centered, whole.first_order_centered, atol=1e-9
+            sa.first_order_centered + sb.first_order_centered, whole.first_order_centered, atol=1e-9
         )
 
     def test_frames_at_a_mean_center_to_zero(self):

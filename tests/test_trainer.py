@@ -273,3 +273,13 @@ class TestTrainRuns:
         cfg = TrainConfig(entries=micro_corpus + [(wav16, lab16)], seed=18, **MICRO)
         with pytest.raises(TrainingError, match="sample rate"):
             train(cfg)
+
+    def test_short_monitor_file_names_file_and_stage(self, micro_corpus, tmp_path):
+        # monitor files go through the same reader as training files
+        short = tmp_path / "short.wav"
+        write_wav(short, 8000, np.zeros(80))
+        lab = tmp_path / "short.lab"
+        write_labels(lab, [SegmentLabel(0.0, 0.01, NONSPEECH)])
+        cfg = TrainConfig(entries=micro_corpus, seed=19, monitor_entries=[(short, lab)], **MICRO)
+        with pytest.raises(TrainingError, match=r"\[monitor-set\].*short\.wav: audio shorter"):
+            train(cfg)
