@@ -58,44 +58,25 @@ def _int_tuple(text: str):
     return tuple(int(part) for part in text.split(",") if part.strip())
 
 
-# the config file's keys, each with its parser: every field of FeatureConfig,
-# TrainConfig, AdaptationConfig and SmoothingConfig except the corpus lists,
-# the nested feature_cfg and the `enabled` switches, which flags set; a key
-# the file leaves out keeps its dataclass default
+# the parser of each field type a config key may have; fields of other types
+# (the corpus lists, the nested feature_cfg, the `enabled` switches that
+# flags set) get no key
+_PARSERS = {
+    "float": float,
+    "int": int,
+    "float | None": _float_or_none,
+    "int | None": _int_or_none,
+    "tuple": _int_tuple,
+}
+
+# the config file's keys, each with its parser: the fields of these four
+# dataclasses, in declaration order; a key the file leaves out keeps its
+# dataclass default
 CONFIG_KEYS = {
-    # front end
-    "window_length": float,
-    "hop": float,
-    "n_mfcc": int,
-    "mel_low": float,
-    "mel_high": _float_or_none,
-    "n_mel_filters": int,
-    "cmn_window": float,
-    "delta_window": int,
-    "pre_emphasis": float,
-    "n_fft": _int_or_none,
-    # models
-    "labeling_ubm_size": int,
-    "counts_ubm_per_class": int,
-    "supervector_ubm_size": int,
-    "lda_dim": int,
-    "pca_dim": int,
-    "gmm_iters": int,
-    "hidden_dims": _int_tuple,
-    "mlp_epochs": int,
-    "select_epoch": _int_or_none,
-    "learning_rate": float,
-    "batch_size": int,
-    "base_threshold": float,
-    "seed": int,
-    # runtime adaptation
-    "model_adaptation": float,
-    "threshold_adaptation": float,
-    "speech_buffer_len": int,
-    "nonspeech_buffer_len": int,
-    # smoothing
-    "min_gap": float,
-    "min_speech": float,
+    f.name: _PARSERS[f.type]
+    for cls in (FeatureConfig, TrainConfig, AdaptationConfig, SmoothingConfig)
+    for f in fields(cls)
+    if f.type in _PARSERS
 }
 
 

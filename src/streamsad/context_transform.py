@@ -27,8 +27,6 @@ from .gmm import Gmm, posterior_matrix
 # high-dimensional scatter from limited audio is close to singular
 LDA_RIDGE = 1e-4
 
-TRANSFORM_KINDS = ("lda", "pca")
-
 
 @dataclass(frozen=True)
 class ContextSpec:
@@ -65,21 +63,14 @@ class LinearTransform:
 
     matrix: np.ndarray
     mean_offset: np.ndarray
-    kind: str
 
     def __post_init__(self):
-        if self.kind not in TRANSFORM_KINDS:
-            raise ValueError(f"kind must be one of {TRANSFORM_KINDS}")
         if self.matrix.ndim != 2 or self.mean_offset.shape != (self.matrix.shape[1],):
             raise ValueError("matrix must be (out_dim, in_dim) with matching mean_offset")
         if self.matrix.shape[0] > self.matrix.shape[1]:
             raise ValueError("output dim cannot exceed input dim")
         if not (np.all(np.isfinite(self.matrix)) and np.all(np.isfinite(self.mean_offset))):
             raise ValueError("transform contains non-finite entries")
-        if self.kind == "pca":
-            gram = self.matrix @ self.matrix.T
-            if np.max(np.abs(gram - np.eye(len(gram)))) >= 1e-6:
-                raise ValueError("pca rows must be orthonormal")
 
     @property
     def input_dim(self) -> int:
@@ -207,7 +198,7 @@ class LdaScatter:
         values, vectors = scipy.linalg.eigh(between, within)
         order = np.argsort(-values, kind="stable")[:out_dim]
         rows = _fix_signs(np.ascontiguousarray(vectors[:, order].T))
-        return LinearTransform(matrix=rows, mean_offset=mean, kind="lda")
+        return LinearTransform(matrix=rows, mean_offset=mean)
 
 
 def train_lda(vectors: np.ndarray, class_ids: np.ndarray, out_dim: int) -> LinearTransform:
@@ -246,7 +237,7 @@ class PcaMoments:
         values, vectors = np.linalg.eigh(cov)
         order = np.argsort(-values, kind="stable")[:out_dim]
         rows = _fix_signs(np.ascontiguousarray(vectors[:, order].T))
-        return LinearTransform(matrix=rows, mean_offset=mean, kind="pca")
+        return LinearTransform(matrix=rows, mean_offset=mean)
 
 
 def train_pca(vectors: np.ndarray, out_dim: int) -> LinearTransform:

@@ -69,11 +69,6 @@ class MlpModel:
         """The (weight, bias) pairs of the ReLU layers, input first."""
         return tuple(zip(self.weights[:-1], self.biases[:-1]))
 
-    @property
-    def embedding_layers(self) -> tuple:
-        """The first hidden layer's (weight, bias) pair: what detection embeds with."""
-        return ((self.weights[0], self.biases[0]),)
-
 
 def init_mlp(layer_dims, seed: int = 0) -> MlpModel:
     """He-initialized network with zero biases; deterministic per seed."""

@@ -94,10 +94,10 @@ _VECTORS = ("speech_counts", "nonspeech_counts", "speech_embedding", "nonspeech_
 
 @dataclass(frozen=True)
 class SadModel:
-    """What detection reads and nothing else: front-end config, transforms,
-    the counts and supervector UBMs, the MLP's ReLU layers from the
-    supervector to the embedding as (weight, bias) pairs, per-class model
-    vectors, and the threshold."""
+    """What detection reads and nothing else: front-end config, the LDA and
+    PCA transforms, the counts and supervector UBMs, the MLP's first hidden
+    (ReLU) layer that embeds a supervector, per-class model vectors, and the
+    threshold."""
 
     feature_cfg: FeatureConfig
     sample_rate: int
@@ -105,7 +105,8 @@ class SadModel:
     pca: LinearTransform
     counts_ubm: Gmm
     supervector_ubm: Gmm
-    embedding_layers: tuple
+    embedding_weight: np.ndarray
+    embedding_bias: np.ndarray
     speech_counts: np.ndarray
     nonspeech_counts: np.ndarray
     speech_embedding: np.ndarray
@@ -117,22 +118,22 @@ class SadModel:
             raise ValueError("LDA input dim does not match stacked feature dim")
         if self.pca.input_dim != PCA_CONTEXT.size * self.lda.output_dim:
             raise ValueError("PCA input dim does not match stacked LDA dim")
+        gram = self.pca.matrix @ self.pca.matrix.T
+        if np.max(np.abs(gram - np.eye(len(gram)))) >= 1e-6:
+            raise ValueError("pca rows must be orthonormal")
         for name in ("counts_ubm", "supervector_ubm"):
             if getattr(self, name).dim != self.pca.output_dim:
                 raise ValueError(f"{name} dim does not match transformed feature dim")
-        if not self.embedding_layers:
-            raise ValueError("need at least one embedding layer")
         width = self.supervector_ubm.n_components * self.supervector_ubm.dim
-        for i, (w, b) in enumerate(self.embedding_layers):
-            if w.ndim != 2 or w.shape[0] != width or b.shape != (w.shape[1],):
-                raise ValueError(f"embedding layer {i} does not chain from width {width}")
-            width = w.shape[1]
+        w, b = self.embedding_weight, self.embedding_bias
+        if w.ndim != 2 or w.shape[0] != width or b.shape != (w.shape[1],):
+            raise ValueError(f"embedding layer does not chain from supervector width {width}")
         for name in ("speech_counts", "nonspeech_counts"):
             vec = getattr(self, name)
             if vec.shape != (self.counts_ubm.n_components,):
                 raise ValueError(f"{name} length does not match counts UBM size")
         for name in ("speech_embedding", "nonspeech_embedding"):
-            if getattr(self, name).shape != (width,):
+            if getattr(self, name).shape != b.shape:
                 raise ValueError(f"{name} length does not match embedding width")
         for name in _VECTORS:
             vec = getattr(self, name)
@@ -211,14 +212,20 @@ class AdaptState:
 
 def _cosine(dot: float, norm_a: float, norm_b: float) -> float:
     """cosine() from a dot product and the two norms; NaN passes through the clip."""
-    if norm_a == 0.0 or norm_b == 0.0:
-        raise ValueError("cosine of a zero-norm vector is undefined")
-    value = float(dot) / (norm_a * norm_b)
+    denominator = norm_a * norm_b
+    if denominator == 0.0:
+        return 0.0
+    value = float(dot) / denominator
     return -1.0 if value < -1.0 else 1.0 if value > 1.0 else value
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity, clipped into [-1, 1] so rounding can never leak out."""
+    """Cosine similarity, clipped into [-1, 1] so rounding can never leak out.
+
+    A zero-norm vector has no direction and so gives no evidence either way:
+    its cosine is 0. A segment whose embedding is all zero (a dead ReLU
+    layer) then scores 0 on that view and is still decided.
+    """
     return _cosine(np.dot(a, b), float(np.linalg.norm(a)), float(np.linalg.norm(b)))
 
 
@@ -301,7 +308,8 @@ def score_segments(
     counts_vecs = counts / counts.sum(axis=-1, keepdims=True)
     counts_norms = np.sqrt(_row_dots(counts_vecs, counts_vecs)).tolist()
     supervectors = make_supervector(block_stats(segments, model.supervector_ubm))
-    embeddings = embed_batch(supervectors[:, np.newaxis, :], model.embedding_layers)[:, 0]
+    layer = (model.embedding_weight, model.embedding_bias)
+    embeddings = embed_batch(supervectors[:, np.newaxis, :], (layer,))[:, 0]
     emb_norms = np.sqrt(_row_dots(embeddings, embeddings)).tolist()
     speech_dots = _row_dots(embeddings, model.speech_embedding).tolist()
     nonspeech_dots = _row_dots(embeddings, model.nonspeech_embedding).tolist()
@@ -467,12 +475,7 @@ def merge_decisions(decisions: list[Decision], tail_extra: float = 0.0) -> list[
     tail_extra seconds of undecided audio extend the final segment; with no
     decisions at all the whole span is called non-speech.
     """
-    segments: list[SegmentLabel] = []
-    for d in decisions:
-        if segments and segments[-1].label == d.label:
-            segments[-1] = SegmentLabel(segments[-1].start, d.end, d.label)
-        else:
-            segments.append(SegmentLabel(d.start, d.end, d.label))
+    segments = _merge_adjacent([SegmentLabel(d.start, d.end, d.label) for d in decisions])
     if tail_extra > 0.0:
         if segments:
             last = segments[-1]
@@ -582,8 +585,8 @@ def _bundle_arrays(model: SadModel) -> dict:
     """Every array of the model, by its bundle name, in bundle order."""
     arrays = {f"{name}.{part}": getattr(getattr(model, name), part)
               for name, parts in _PARTS.items() for part in parts}
-    for i, (weight, bias) in enumerate(model.embedding_layers):
-        arrays[f"embedding.{i}.weight"], arrays[f"embedding.{i}.bias"] = weight, bias
+    # the embedding layer keeps the name of the MLP layer it came from
+    arrays["embedding.0.weight"], arrays["embedding.0.bias"] = model.embedding_weight, model.embedding_bias
     arrays.update((name, getattr(model, name)) for name in _VECTORS)
     return arrays
 
@@ -619,16 +622,15 @@ def _parse_bundle(header, payload: bytes) -> SadModel:
     if offset != len(payload):
         raise ValueError("payload is longer than its array shapes")
     groups = {name: [arrays[f"{name}.{part}"] for part in parts] for name, parts in _PARTS.items()}
-    n_layers = sum(name.startswith("embedding.") for name in arrays) // 2
     model = SadModel(
         feature_cfg=FeatureConfig(**header["feature_cfg"]),
         sample_rate=int(header["sample_rate"]),
-        lda=LinearTransform(*groups["lda"], "lda"),
-        pca=LinearTransform(*groups["pca"], "pca"),
+        lda=LinearTransform(*groups["lda"]),
+        pca=LinearTransform(*groups["pca"]),
         counts_ubm=Gmm(*groups["counts_ubm"]),
         supervector_ubm=Gmm(*groups["supervector_ubm"]),
-        embedding_layers=tuple((arrays[f"embedding.{i}.weight"], arrays[f"embedding.{i}.bias"])
-                               for i in range(n_layers)),
+        embedding_weight=arrays["embedding.0.weight"],
+        embedding_bias=arrays["embedding.0.bias"],
         base_threshold=float(header["base_threshold"]),
         **{name: arrays[name] for name in _VECTORS},
     )

@@ -2,9 +2,10 @@
 
 The metric is a weighted sum of two error rates: the fraction of scored
 speech time the hypothesis missed (weight 0.75) and the fraction of scored
-non-speech time it falsely called speech (weight 0.25). A collar around
-every reference speech boundary (0.25 s by default) is excluded from
-scoring entirely, absorbing annotation jitter.
+non-speech time it falsely called speech (weight 0.25). The weights are the
+Fearless Steps challenge's and are fixed, so every report, file or pooled,
+is on one scale. A collar around every reference speech boundary (0.25 s by
+default) is excluded from scoring entirely, absorbing annotation jitter.
 
 All time accounting is exact interval arithmetic on floats; nothing is
 quantized to a grid. Corpus results pool the error and scored times across
@@ -17,6 +18,9 @@ from dataclasses import dataclass, field
 
 from .audio_io import SPEECH, SegmentLabel, validate_segments
 
+MISS_WEIGHT = 0.75
+FALSE_ALARM_WEIGHT = 0.25
+
 
 class EvaluationError(ValueError):
     """Scoring is undefined for this input (e.g. no scored speech time)."""
@@ -25,16 +29,10 @@ class EvaluationError(ValueError):
 @dataclass(frozen=True)
 class EvalConfig:
     collar: float = 0.25
-    miss_weight: float = 0.75
-    false_alarm_weight: float = 0.25
 
     def __post_init__(self):
         if self.collar < 0:
             raise ValueError("collar must be non-negative")
-        if self.miss_weight < 0 or self.false_alarm_weight < 0:
-            raise ValueError("weights must be non-negative")
-        if abs(self.miss_weight + self.false_alarm_weight - 1.0) > 1e-12:
-            raise ValueError("weights must sum to 1")
 
 
 def normalize_intervals(intervals) -> list[tuple[float, float]]:
@@ -134,8 +132,6 @@ class EvalReport:
     scored_nonspeech: float
     missed: float
     false_alarm: float
-    miss_weight: float = 0.75
-    false_alarm_weight: float = 0.25
     per_file: dict = field(default_factory=dict)
 
     @property
@@ -149,10 +145,10 @@ class EvalReport:
     @property
     def dcf(self) -> float:
         # grouped as (weight * time) / time so the textbook worked example
-        # comes out exact; equals miss_weight*p_fn + fa_weight*p_fp to 1e-12
+        # comes out exact; equals MISS_WEIGHT*p_fn + FALSE_ALARM_WEIGHT*p_fp to 1e-12
         return (
-            self.miss_weight * self.missed / self.scored_speech
-            + self.false_alarm_weight * self.false_alarm / self.scored_nonspeech
+            MISS_WEIGHT * self.missed / self.scored_speech
+            + FALSE_ALARM_WEIGHT * self.false_alarm / self.scored_nonspeech
         )
 
 
@@ -186,8 +182,6 @@ def score(
         scored_nonspeech=scored_nonspeech,
         missed=missed,
         false_alarm=false_alarm,
-        miss_weight=cfg.miss_weight,
-        false_alarm_weight=cfg.false_alarm_weight,
     )
 
 
@@ -205,16 +199,11 @@ def aggregate(reports) -> EvalReport:
         named = {str(i): r for i, r in enumerate(items)}
     if not items:
         raise EvaluationError("nothing to aggregate")
-    weights = {(r.miss_weight, r.false_alarm_weight) for r in items}
-    if len(weights) != 1:
-        raise EvaluationError("cannot pool reports scored with different weights")
     return EvalReport(
         scored_speech=sum(r.scored_speech for r in items),
         scored_nonspeech=sum(r.scored_nonspeech for r in items),
         missed=sum(r.missed for r in items),
         false_alarm=sum(r.false_alarm for r in items),
-        miss_weight=items[0].miss_weight,
-        false_alarm_weight=items[0].false_alarm_weight,
         per_file=named,
     )
 

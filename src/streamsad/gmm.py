@@ -174,16 +174,12 @@ def train_gmm(
     return gmm
 
 
-def merge_gmms(speech: Gmm, nonspeech: Gmm, weight_speech: float = 0.5) -> Gmm:
-    """Concatenate two mixtures, speech components first, reweighted convexly."""
+def merge_gmms(speech: Gmm, nonspeech: Gmm) -> Gmm:
+    """Concatenate two mixtures, speech components first, each class weighing 0.5."""
     if speech.dim != nonspeech.dim:
         raise ValueError(f"dimension mismatch: {speech.dim} vs {nonspeech.dim}")
-    if not (0.0 < weight_speech < 1.0):
-        raise ValueError("weight_speech must lie strictly between 0 and 1")
     return Gmm(
-        weights=np.concatenate(
-            [weight_speech * speech.weights, (1.0 - weight_speech) * nonspeech.weights]
-        ),
+        weights=np.concatenate([0.5 * speech.weights, 0.5 * nonspeech.weights]),
         means=np.vstack([speech.means, nonspeech.means]),
         variances=np.vstack([speech.variances, nonspeech.variances]),
     )

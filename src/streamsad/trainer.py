@@ -233,7 +233,7 @@ def train(cfg: TrainConfig, out_path=None) -> SadModel:
         nonspeech_gmm = train_gmm(
             np.concatenate(nonspeech_frames), cfg.counts_ubm_per_class, cfg.gmm_iters, seed=cfg.seed + 2
         )
-        counts_ubm = merge_gmms(speech_gmm, nonspeech_gmm, weight_speech=0.5)
+        counts_ubm = merge_gmms(speech_gmm, nonspeech_gmm)
 
     with _stage("count-vectors"):
         speech_stats = sum(accumulate_stats(f, counts_ubm).zero_order for f in speech_frames)
@@ -296,11 +296,12 @@ def train(cfg: TrainConfig, out_path=None) -> SadModel:
                 extra = f"  monitor {result.monitor_losses[epoch]:.4f}"
             logger.info("mlp epoch %2d  train loss %.4f%s", epoch, loss, extra)
         logger.info("mlp selected epoch %d", result.model.epoch)
-        embedding_layers = result.model.embedding_layers
+        # detection embeds with the first hidden layer alone
+        weight, bias = result.model.weights[0], result.model.biases[0]
 
     with _stage("class-embeddings"):
         speech_embedding, nonspeech_embedding = class_embeddings(
-            supervectors, seg_labels, embedding_layers
+            supervectors, seg_labels, [(weight, bias)]
         )
 
     with _stage("assemble"):
@@ -311,7 +312,8 @@ def train(cfg: TrainConfig, out_path=None) -> SadModel:
             pca=pca,
             counts_ubm=counts_ubm,
             supervector_ubm=supervector_ubm,
-            embedding_layers=embedding_layers,
+            embedding_weight=weight,
+            embedding_bias=bias,
             speech_counts=speech_counts,
             nonspeech_counts=nonspeech_counts,
             speech_embedding=speech_embedding,

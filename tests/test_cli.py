@@ -83,9 +83,20 @@ class TestConfigFile:
 
     def test_keys_are_the_config_dataclass_fields(self):
         # a field that gains no key, or a key that sets no field, breaks this
-        names = {f.name for cls in (FeatureConfig, TrainConfig, AdaptationConfig, SmoothingConfig)
-                 for f in fields(cls)}
-        assert set(CONFIG_KEYS) == names - {"entries", "feature_cfg", "monitor_entries", "enabled"}
+        defaults = {f.name: f.default for cls in (FeatureConfig, TrainConfig, AdaptationConfig, SmoothingConfig)
+                    for f in fields(cls)}
+        assert set(CONFIG_KEYS) == set(defaults) - {"entries", "feature_cfg", "monitor_entries", "enabled"}
+        # and each key's parser reads the text form of its field's default back
+        for key, parse in CONFIG_KEYS.items():
+            default = defaults[key]
+            if default is None:
+                text = "none"
+            elif isinstance(default, tuple):
+                text = ",".join(map(str, default))
+            else:
+                text = str(default)
+            value = parse(text)
+            assert value == default and type(value) is type(default), key
 
 
 class TestUsage:

@@ -283,7 +283,7 @@ class TestStreamingCascade:
         rng = np.random.default_rng(40)
         frames = rng.standard_normal((1300, 36))
         lda = LinearTransform(
-            matrix=rng.standard_normal((12, 396)), mean_offset=rng.standard_normal(396), kind="lda"
+            matrix=rng.standard_normal((12, 396)), mean_offset=rng.standard_normal(396)
         )
         pca = train_pca(rng.standard_normal((200, 84)), 24)
         reduced = apply_transform(stack_context_all(frames, LDA_CONTEXT), lda)
@@ -315,7 +315,7 @@ class TestApplyTransform:
         rng = np.random.default_rng(17)
         matrix = rng.standard_normal((3, 5))
         mean = rng.standard_normal(5)
-        transform = LinearTransform(matrix=matrix, mean_offset=mean, kind="lda")
+        transform = LinearTransform(matrix=matrix, mean_offset=mean)
         x = rng.standard_normal((4, 5))
         want = np.array([[row @ (xi - mean) for row in matrix] for xi in x])
         np.testing.assert_allclose(apply_transform(x, transform), want, atol=1e-12)
@@ -332,18 +332,14 @@ class TestApplyTransform:
 
     def test_dim_mismatch(self):
         transform = LinearTransform(
-            matrix=np.eye(2), mean_offset=np.zeros(2), kind="lda"
+            matrix=np.eye(2), mean_offset=np.zeros(2)
         )
         with pytest.raises(ValueError, match="dim"):
             apply_transform(np.zeros(3), transform)
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="kind"):
-            LinearTransform(np.eye(2), np.zeros(2), "whitening")
-        with pytest.raises(ValueError, match="orthonormal"):
-            LinearTransform(np.eye(2) * 2.0, np.zeros(2), "pca")
         with pytest.raises(ValueError, match="exceed input"):
-            LinearTransform(np.zeros((3, 2)), np.zeros(2), "lda")
+            LinearTransform(np.zeros((3, 2)), np.zeros(2))
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000))

@@ -140,13 +140,12 @@ class TestEmbeddings:
         rng = np.random.default_rng(8)
         x = rng.standard_normal(6)
         want = np.maximum(x @ m.weights[0] + m.biases[0], 0.0)
-        assert len(m.embedding_layers) == 1
-        np.testing.assert_array_equal(embed_batch(x[np.newaxis], m.embedding_layers)[0], want)
+        np.testing.assert_array_equal(embed_batch(x[np.newaxis], m.hidden_layers[:1])[0], want)
 
     def test_embedding_width(self):
         m = init_mlp([10, 7, 4, 2], seed=9)
-        assert embed_batch(np.zeros((1, 10)), m.embedding_layers).shape == (1, 7)
-        assert embed_batch(np.zeros((3, 10)), m.embedding_layers).shape == (3, 7)
+        assert embed_batch(np.zeros((1, 10)), m.hidden_layers[:1]).shape == (1, 7)
+        assert embed_batch(np.zeros((3, 10)), m.hidden_layers[:1]).shape == (3, 7)
 
     def test_deeper_embedding_layer(self):
         # embed_batch runs any stack of layers, the way training runs the hidden ones
@@ -159,21 +158,21 @@ class TestEmbeddings:
     def test_embeddings_are_nonnegative(self):
         m = init_mlp([6, 5, 2], seed=12)
         x = np.random.default_rng(13).standard_normal((20, 6)) * 3
-        assert np.all(embed_batch(x, m.embedding_layers) >= 0.0)
+        assert np.all(embed_batch(x, m.hidden_layers[:1]) >= 0.0)
 
     def test_class_embeddings_are_class_means(self):
         rng = np.random.default_rng(14)
         m = init_mlp([4, 3, 2], seed=14)
         x, mask = blobs(rng, n_per_class=10, dim=4)
-        sp, nsp = class_embeddings(x, mask, m.embedding_layers)
-        embedded = embed_batch(x, m.embedding_layers)
+        sp, nsp = class_embeddings(x, mask, m.hidden_layers[:1])
+        embedded = embed_batch(x, m.hidden_layers[:1])
         np.testing.assert_allclose(sp, embedded[mask].mean(axis=0), atol=1e-12)
         np.testing.assert_allclose(nsp, embedded[~mask].mean(axis=0), atol=1e-12)
 
     def test_class_embeddings_need_both_classes(self):
         m = init_mlp([4, 3, 2], seed=15)
         with pytest.raises(ValueError, match="both classes"):
-            class_embeddings(np.zeros((3, 4)), np.array([True, True, True]), m.embedding_layers)
+            class_embeddings(np.zeros((3, 4)), np.array([True, True, True]), m.hidden_layers[:1])
 
 
 class TestGradients:

@@ -46,10 +46,9 @@ def mini_model(base_threshold=0.0, seed=0):
     lda = LinearTransform(
         matrix=rng.standard_normal((2, 396)) * 0.05,
         mean_offset=rng.standard_normal(396) * 0.01,
-        kind="lda",
     )
     q, _ = np.linalg.qr(rng.standard_normal((14, 2)))
-    pca = LinearTransform(matrix=q.T, mean_offset=rng.standard_normal(14) * 0.01, kind="pca")
+    pca = LinearTransform(matrix=q.T, mean_offset=rng.standard_normal(14) * 0.01)
     counts = Gmm(
         weights=np.array([0.4, 0.3, 0.3]),
         means=np.array([[0.0, 0.0], [2.0, 1.0], [-1.5, 2.0]]),
@@ -74,7 +73,8 @@ def mini_model(base_threshold=0.0, seed=0):
         pca=pca,
         counts_ubm=counts,
         supervector_ubm=supervec,
-        embedding_layers=((weight, bias),),
+        embedding_weight=weight,
+        embedding_bias=bias,
         speech_counts=np.array([0.2, 0.6, 0.2]),
         nonspeech_counts=np.array([0.6, 0.1, 0.3]),
         speech_embedding=np.array([1.0, 0.2, 0.1]),
@@ -94,8 +94,11 @@ class TestScoring:
         assert cosine(np.array([1.0, 0.0]), np.array([2.0, 0.0])) == 1.0
         assert cosine(np.array([1.0, 0.0]), np.array([-3.0, 0.0])) == -1.0
         assert cosine(np.array([1.0, 0.0]), np.array([0.0, 5.0])) == 0.0
-        with pytest.raises(ValueError, match="zero-norm"):
-            cosine(np.zeros(2), np.ones(2))
+        # a vector with no direction gives no evidence either way
+        assert cosine(np.zeros(2), np.ones(2)) == 0.0
+        assert cosine(np.ones(2), np.zeros(2)) == 0.0
+        assert cosine(np.zeros(2), np.zeros(2)) == 0.0
+        assert score_vector(np.zeros(2), np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
 
     def test_cosine_stays_inside_unit_interval(self):
         # parallel vectors can push the raw ratio past 1 ulp-wise; the
@@ -108,18 +111,21 @@ class TestScoring:
             assert c == pytest.approx(1.0, abs=1e-12)
             assert -1.0 <= cosine(a, -3.0 * a) <= 1.0
 
-    def test_zero_embedding_is_an_error(self):
-        # a zero-norm test vector cannot be scored; the engine must say so
-        # rather than substitute a value
+    def test_zero_embedding_scores_zero(self):
+        # a dead embedding layer zeroes the embedding view's score; the
+        # count view and the decision are made as usual
         from dataclasses import replace
 
-        dead = replace(mini_model(), embedding_layers=((np.zeros((4, 3)), np.full(3, -1.0)),))
+        live = mini_model()
+        dead = replace(live, embedding_weight=np.zeros((4, 3)), embedding_bias=np.full(3, -1.0))
         cfg = AdaptationConfig()
-        with pytest.raises(ValueError, match="zero-norm"):
-            process_segment(
-                np.random.default_rng(1).standard_normal((10, 2)),
-                dead, AdaptState(dead, cfg), cfg,
-            )
+        frames = np.random.default_rng(1).standard_normal((10, 2))
+        d = process_segment(frames, dead, AdaptState(dead, cfg), cfg)
+        want = process_segment(frames, live, AdaptState(live, cfg), cfg)
+        assert d.emb_score == 0.0
+        assert d.zero_score == want.zero_score
+        assert d.fused_score == d.zero_score / 2.0
+        assert d.label == (SPEECH if d.fused_score > d.threshold else NONSPEECH)
 
     def test_score_extremes(self):
         sp = np.array([1.0, 0.0])
@@ -244,8 +250,7 @@ class TestProcessSegment:
                 frames, model.supervector_ubm.weights, model.supervector_ubm.means,
                 model.supervector_ubm.variances,
             )
-            (weight, bias), = model.embedding_layers
-            emb = np.maximum(sv @ weight + bias, 0.0)
+            emb = np.maximum(sv @ model.embedding_weight + model.embedding_bias, 0.0)
             emb_score = cos_oracle(emb, model.speech_embedding) - cos_oracle(
                 emb, model.nonspeech_embedding
             )
@@ -460,6 +465,26 @@ class TestStreamingDetector:
         for i, d in enumerate(result.decisions):
             assert d.index == i
             assert d.start == pytest.approx(i * 0.1, abs=1e-12)
+
+    def test_dead_embedding_layer_keeps_the_tiling(self, tiny_corpus, tiny_model):
+        # every embedding is zero: each 0.1 s still gets its decision, with
+        # the embedding view scoring 0, for a whole push and 0.1 s pushes
+        from dataclasses import replace
+
+        dead = replace(tiny_model, embedding_bias=tiny_model.embedding_bias - 1e6)
+        audio = read_wav(tiny_corpus["entries"][4][0])
+        n_frames = (len(audio.samples) - 200) // 80 + 1
+        want = n_frames // SEGMENT_FRAMES + (1 if n_frames % SEGMENT_FRAMES >= 5 else 0)
+        whole = stream_detect(audio, dead)
+        chunked = StreamingDetector(dead)
+        for i in range(0, len(audio.samples), 800):
+            chunked.push(audio.samples[i : i + 800])
+        chunked.flush()
+        assert [d.index for d in whole.decisions] == list(range(want))
+        assert all(d.emb_score == 0.0 for d in whole.decisions)
+        assert format_trace(chunked.decisions) == format_trace(whole.decisions)
+        assert chunked.segments() == whole.segments
+        assert whole.segments[-1].end == pytest.approx(audio.duration, abs=0.03)
 
     def test_segments_partition_the_timeline(self, tiny_corpus, tiny_model):
         audio = read_wav(tiny_corpus["entries"][5][0])
@@ -784,12 +809,15 @@ class TestModelBundle:
             )
         with pytest.raises(ValueError, match="length does not match"):
             replace(tiny_model, speech_counts=np.ones(3))
-        (weight, bias), = tiny_model.embedding_layers
-        with pytest.raises(ValueError, match="embedding layer 0"):
-            replace(tiny_model, embedding_layers=((weight[1:], bias),))
-        with pytest.raises(ValueError, match="embedding layer 0"):
-            replace(tiny_model, embedding_layers=((weight, bias[1:]),))
+        weight, bias = tiny_model.embedding_weight, tiny_model.embedding_bias
+        with pytest.raises(ValueError, match="embedding layer"):
+            replace(tiny_model, embedding_weight=weight[1:])
+        with pytest.raises(ValueError, match="embedding layer"):
+            replace(tiny_model, embedding_bias=bias[1:])
         with pytest.raises(ValueError, match="embedding width"):
-            replace(tiny_model, embedding_layers=((weight[:, 1:], bias[1:]),))
-        with pytest.raises(ValueError, match="at least one embedding layer"):
-            replace(tiny_model, embedding_layers=())
+            replace(tiny_model, embedding_weight=weight[:, 1:], embedding_bias=bias[1:])
+        with pytest.raises(ValueError, match="embedding layer"):
+            replace(tiny_model, embedding_weight=weight[0])
+        pca = tiny_model.pca
+        with pytest.raises(ValueError, match="orthonormal"):
+            replace(tiny_model, pca=LinearTransform(pca.matrix * 2.0, pca.mean_offset))

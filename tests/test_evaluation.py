@@ -226,8 +226,6 @@ class TestScore:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="collar"):
             EvalConfig(collar=-0.1)
-        with pytest.raises(ValueError, match="sum to 1"):
-            EvalConfig(miss_weight=0.8, false_alarm_weight=0.25)
 
 
 class TestAggregate:
@@ -278,12 +276,6 @@ class TestAggregate:
     def test_errors(self):
         with pytest.raises(EvaluationError, match="nothing"):
             aggregate([])
-        mismatched = EvalReport(
-            scored_speech=1.0, scored_nonspeech=1.0, missed=0.0, false_alarm=0.0,
-            miss_weight=0.5, false_alarm_weight=0.5,
-        )
-        with pytest.raises(EvaluationError, match="different weights"):
-            aggregate([self.r(1.0, 1.0, 0.0, 0.0), mismatched])
 
 
 class TestFormatting:

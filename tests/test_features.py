@@ -378,8 +378,7 @@ def scores_reference(segments, model, cfg):
         zero = cosine_reference(counts_vec, adapted_sp) - cosine_reference(counts_vec, adapted_nsp)
         counts, first = stats_reference(segment, model.supervector_ubm)
         h = (first / np.maximum(counts, COUNT_FLOOR)[:, None]).ravel()[np.newaxis]
-        for w, b in model.embedding_layers:
-            h = np.maximum(h @ w + b, 0.0)
+        h = np.maximum(h @ model.embedding_weight + model.embedding_bias, 0.0)
         emb = cosine_reference(h[0], model.speech_embedding) - cosine_reference(h[0], model.nonspeech_embedding)
         fused = (zero + emb) / 2.0
         label = SPEECH if fused > theta else NONSPEECH

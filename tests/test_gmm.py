@@ -201,7 +201,7 @@ class TestMerge:
         rng = np.random.default_rng(13)
         sp = random_gmm(rng, 4, 3)
         nsp = random_gmm(rng, 4, 3)
-        merged = merge_gmms(sp, nsp, weight_speech=0.5)
+        merged = merge_gmms(sp, nsp)
         np.testing.assert_allclose(merged.weights[:4], 0.5 * sp.weights, atol=1e-15)
         assert merged.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -221,8 +221,6 @@ class TestMerge:
         rng = np.random.default_rng(15)
         with pytest.raises(ValueError, match="mismatch"):
             merge_gmms(random_gmm(rng, 2, 2), random_gmm(rng, 2, 3))
-        with pytest.raises(ValueError, match="strictly between"):
-            merge_gmms(random_gmm(rng, 2, 2), random_gmm(rng, 2, 2), 1.0)
 
 
 def loglik_rows(frames, gmm):

@@ -178,7 +178,7 @@ class TestTrainedModel:
         assert tiny_model.counts_ubm.dim == 12
         assert tiny_model.supervector_ubm.n_components == 8
         # only the layer up to the embedding; (16, 8, 2) train it and stay out
-        assert [(w.shape, b.shape) for w, b in tiny_model.embedding_layers] == [((8 * 12, 32), (32,))]
+        assert (tiny_model.embedding_weight.shape, tiny_model.embedding_bias.shape) == ((8 * 12, 32), (32,))
         assert tiny_model.speech_counts.shape == (32,)
         assert tiny_model.speech_embedding.shape == (32,)
         assert tiny_model.sample_rate == 8000
