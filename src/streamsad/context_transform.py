@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import CausalWindow
+from .features import BLOCK_FRAMES, CausalWindow
 from .gmm import Gmm, posterior_matrix
 
 # within-class scatter gets this fraction of trace/dim added to its diagonal;
@@ -96,11 +96,14 @@ def apply_transform(x: np.ndarray, transform: LinearTransform) -> np.ndarray:
 def context_window(spec: ContextSpec, transform: LinearTransform | None = None) -> CausalWindow:
     """Stage stacking the frames at spec's offsets around each frame, edges
     replicated: (T, D) -> (T, |offsets|*D), projected by transform if given."""
-    positions = np.asarray(spec.offsets) + spec.lookback
+    span, size = spec.lookback + spec.lookahead, spec.size
+    # row t of a kernel's context indices: built once for the largest block
+    # a CausalWindow runs, and sliced to each block's length
+    index = np.arange(BLOCK_FRAMES)[:, None] + (np.asarray(spec.offsets) + spec.lookback)
 
     def kernel(context: np.ndarray, start: int) -> np.ndarray:
-        n = len(context) - spec.lookback - spec.lookahead
-        stacked = context[np.arange(n)[:, None] + positions].reshape(n, spec.size * context.shape[1])
+        n = len(context) - span
+        stacked = context[index[:n]].reshape(n, size * context.shape[1])
         return stacked if transform is None else apply_transform(stacked, transform)
 
     return CausalWindow(spec.lookback, spec.lookahead, kernel)

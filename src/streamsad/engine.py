@@ -35,6 +35,7 @@ import struct
 import zlib
 from collections import deque
 from dataclasses import asdict, dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from .audio_io import NONSPEECH, SPEECH, AudioStream, SegmentLabel
 from .context_transform import LDA_CONTEXT, PCA_CONTEXT, LinearTransform, context_window
 from .embeddings import embed_batch, make_supervector
 from .features import BLOCK_FRAMES, FeatureConfig, FeatureExtractor
-from .gmm import Gmm, block_stats
+from .gmm import Gmm, block_counts, block_stats
 
 SEGMENT_FRAMES = 10
 # a trailing partial segment is decided on its own if it has at least this
@@ -146,6 +147,11 @@ class SadModel:
         if not math.isfinite(self.base_threshold):
             raise ValueError("base_threshold must be finite")
 
+    @cached_property
+    def embedding_norms(self) -> tuple[float, float]:
+        """Norms of the speech and non-speech embedding vectors, which never adapt."""
+        return _norm(self.speech_embedding), _norm(self.nonspeech_embedding)
+
 
 @dataclass(frozen=True)
 class Decision:
@@ -205,9 +211,15 @@ class AdaptState:
         self.speech_scores: deque = deque(maxlen=cfg.speech_buffer_len)
         self.adapted_speech_counts = model.speech_counts.copy()
         self.adapted_nonspeech_counts = model.nonspeech_counts.copy()
-        self.speech_counts_norm = float(np.linalg.norm(self.adapted_speech_counts))
-        self.nonspeech_counts_norm = float(np.linalg.norm(self.adapted_nonspeech_counts))
+        self.speech_counts_norm = _norm(self.adapted_speech_counts)
+        self.nonspeech_counts_norm = _norm(self.adapted_nonspeech_counts)
         self.adapted_threshold = model.base_threshold
+
+
+def _norm(vector: np.ndarray) -> float:
+    """float(np.linalg.norm(vector)) of a 1-D float vector, bit for bit: the
+    square root of the vector's np.dot with itself, as numpy computes it."""
+    return math.sqrt(vector.dot(vector))
 
 
 def _cosine(dot: float, norm_a: float, norm_b: float) -> float:
@@ -247,7 +259,7 @@ def score_vector(w_test: np.ndarray, w_speech: np.ndarray, w_nonspeech: np.ndarr
 def _mixed(model_vector: np.ndarray, buffer: RingBuffer, alpha: float) -> np.ndarray:
     if not len(buffer):
         return model_vector.copy()
-    mean = buffer.rows().sum(axis=0) / len(buffer)
+    mean = np.add.reduce(buffer.rows(), axis=0) / len(buffer)
     return (1.0 - alpha) * model_vector + alpha * mean
 
 
@@ -256,10 +268,10 @@ def _refresh(state: AdaptState, model: SadModel, cfg: AdaptationConfig, speech: 
     alpha = cfg.model_adaptation
     if not speech:
         state.adapted_nonspeech_counts = _mixed(model.nonspeech_counts, state.nonspeech_buffer, alpha)
-        state.nonspeech_counts_norm = float(np.linalg.norm(state.adapted_nonspeech_counts))
+        state.nonspeech_counts_norm = _norm(state.adapted_nonspeech_counts)
         return
     state.adapted_speech_counts = _mixed(model.speech_counts, state.speech_buffer, alpha)
-    state.speech_counts_norm = float(np.linalg.norm(state.adapted_speech_counts))
+    state.speech_counts_norm = _norm(state.adapted_speech_counts)
     if state.speech_scores:
         beta = cfg.threshold_adaptation
         mean_score = sum(state.speech_scores) / len(state.speech_scores)
@@ -304,8 +316,8 @@ def score_segments(
     out = [] if out is None else out
 
     # independent of earlier decisions: computed for the whole block
-    counts = block_stats(segments, model.counts_ubm).zero_order
-    counts_vecs = counts / counts.sum(axis=-1, keepdims=True)
+    counts = block_counts(segments, model.counts_ubm)
+    counts_vecs = counts / np.add.reduce(counts, axis=-1, keepdims=True)
     counts_norms = np.sqrt(_row_dots(counts_vecs, counts_vecs)).tolist()
     supervectors = make_supervector(block_stats(segments, model.supervector_ubm))
     layer = (model.embedding_weight, model.embedding_bias)
@@ -313,8 +325,7 @@ def score_segments(
     emb_norms = np.sqrt(_row_dots(embeddings, embeddings)).tolist()
     speech_dots = _row_dots(embeddings, model.speech_embedding).tolist()
     nonspeech_dots = _row_dots(embeddings, model.nonspeech_embedding).tolist()
-    speech_norm = float(np.linalg.norm(model.speech_embedding))
-    nonspeech_norm = float(np.linalg.norm(model.nonspeech_embedding))
+    speech_norm, nonspeech_norm = model.embedding_norms
 
     # times come straight off the integer frame grid so decision i's end is
     # bit-identical to decision i+1's start
@@ -409,7 +420,8 @@ class StreamingDetector:
         self.finished = False
 
     def _consume(self, transformed: np.ndarray) -> list[Decision]:
-        self.pending = np.concatenate([self.pending, transformed])
+        # nothing pending (a first or whole push, or one starting on a segment edge): no join
+        self.pending = np.concatenate([self.pending, transformed]) if len(self.pending) else transformed
         new = []
         while len(self.pending) >= SEGMENT_FRAMES:
             n = min(len(self.pending) // SEGMENT_FRAMES, BLOCK_SEGMENTS)
@@ -434,7 +446,13 @@ class StreamingDetector:
         return self.decisions[first:]
 
     def push(self, samples) -> list[Decision]:
-        """Feed samples (ValueError on NaN/Inf, state untouched); returns new decisions."""
+        """Feed samples; returns the decisions they complete.
+
+        Samples are a 1-D sequence of real numbers, as FeatureExtractor.push
+        takes them: an array of any integer or float dtype and any strides,
+        or a list. Any other shape or dtype, and NaN or Inf samples, raise
+        ValueError with the detector's state untouched.
+        """
         if self.finished:
             raise RuntimeError("push after flush")
         frames = self.extractor.push(samples)

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 LOG_FLOOR = 1e-10
 
@@ -141,16 +140,31 @@ class StaticMfcc:
         self.filterbank = mel_filterbank(sample_rate, self.n_fft, cfg.n_mel_filters, cfg.mel_low, f_high)
         self.dct = dct_matrix(cfg.n_mfcc, cfg.n_mel_filters)
 
+    def windows(self, samples: np.ndarray) -> np.ndarray:
+        """Every complete analysis window of 1-D samples as one (T, window_samples)
+        view; row t starts at sample t * hop.
+
+        The view is built straight on a C-contiguous float64 copy of the
+        samples (no copy if they already are), with strides in that copy's
+        own item size, so samples of any dtype or strides are read right.
+        """
+        samples = np.ascontiguousarray(samples, dtype=np.float64)
+        n = max(0, (len(samples) - self.win) // self.hop + 1)
+        step = samples.itemsize
+        return np.ndarray((n, self.win), samples.dtype, samples, 0, (self.hop * step, step))
+
     def compute_block(self, frames: np.ndarray) -> np.ndarray:
         """Static MFCCs for a (T, window_samples) block of raw frames."""
         emphasized = np.empty(frames.shape)
         # pre-emphasis stays inside the window so a frame never depends on
         # samples outside its own analysis window
-        emphasized[:, 0] = frames[:, 0] * (1.0 - self.cfg.pre_emphasis)
-        emphasized[:, 1:] = frames[:, 1:] - self.cfg.pre_emphasis * frames[:, :-1]
-        spectrum = np.abs(np.fft.rfft(emphasized * self.window, n=self.n_fft, axis=1))
+        np.multiply(frames[:, 0], 1.0 - self.cfg.pre_emphasis, out=emphasized[:, 0])
+        np.multiply(frames[:, :-1], self.cfg.pre_emphasis, out=emphasized[:, 1:])
+        np.subtract(frames[:, 1:], emphasized[:, 1:], out=emphasized[:, 1:])
+        emphasized *= self.window
+        spectrum = np.abs(np.fft.rfft(emphasized, n=self.n_fft, axis=1))
         energies = np.einsum("tj,kj->tk", spectrum, self.filterbank)
-        log_energies = np.log(np.maximum(energies, LOG_FLOOR))
+        log_energies = np.log(np.maximum(energies, LOG_FLOOR, out=energies), out=energies)
         return np.einsum("tj,kj->tk", log_energies, self.dct)
 
 
@@ -161,8 +175,10 @@ class CausalWindow:
     rows to the n outputs for frames start .. start + n - 1. Input frames
     outside the stream are edge replicas: the first frame stands in before
     the start and, at flush, the last frame after the end. Each push runs
-    the kernel over every newly ready frame, at most BLOCK_FRAMES at a time,
-    and holds back the last lookahead frames until more input or flush.
+    the kernel once over every newly ready frame (a push that readies more
+    than BLOCK_FRAMES runs it once per BLOCK_FRAMES), and holds back the
+    last lookahead frames until more input or flush. The context the kernel
+    gets is C-contiguous.
     """
 
     def __init__(self, lookback: int, lookahead: int, kernel):
@@ -196,13 +212,16 @@ class CausalWindow:
         n = len(self.context) - span
         if n <= 0:
             return self._nothing(self.context.shape[1])
-        blocks = [
-            self.kernel(self.context[i : i + span + min(BLOCK_FRAMES, n - i)], self.start + i)
-            for i in range(0, n, BLOCK_FRAMES)
-        ]
+        if n <= BLOCK_FRAMES:
+            out = self.kernel(self.context, self.start)
+        else:
+            out = np.concatenate([
+                self.kernel(self.context[i : i + span + min(BLOCK_FRAMES, n - i)], self.start + i)
+                for i in range(0, n, BLOCK_FRAMES)
+            ])
         self.context = self.context[n:]
         self.start += n
-        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        return out
 
     def _nothing(self, dim: int) -> np.ndarray:
         # the kernel run on no frames gives the empty block of the right width
@@ -219,20 +238,24 @@ def cmn_window(cfg: FeatureConfig) -> CausalWindow:
     width = cfg.cmn_frames()
 
     def kernel(context: np.ndarray, start: int) -> np.ndarray:
-        n = len(context) - (width - 1)
+        n, dim = len(context) - (width - 1), context.shape[1]
         if start < width - 1:
             context = context.copy()
             context[: width - 1 - start] = 0.0  # edge replicas from before the start
-        # (width, n, D) view: a reduction over its first axis adds frames
-        # oldest first. With one output value that axis would become numpy's
-        # inner loop, which sums pairwise, so that case accumulates instead.
-        windows = np.moveaxis(sliding_window_view(context, n, axis=0), -1, 1)
-        if windows[0].size == 1:
+            count = np.minimum(np.arange(start + 1, start + n + 1), width)[:, None]
+        else:
+            count = width  # a full window: the bits of dividing by an array of width
+        # (width, n, D) view whose window j holds rows j .. j + n - 1: a
+        # reduction over its first axis adds frames oldest first. With one
+        # output value that axis would become numpy's inner loop, which sums
+        # pairwise, so that case accumulates instead.
+        row = dim * context.itemsize
+        windows = np.ndarray((width, n, dim), context.dtype, context, 0, (row, row, context.itemsize))
+        if n * dim == 1:
             total = np.add.accumulate(windows, axis=0)[-1]
         else:
             total = np.add.reduce(windows, axis=0)
-        count = np.minimum(np.arange(start + 1, start + n + 1), width)
-        return context[width - 1 :] - total / count[:, None]
+        return context[width - 1 :] - total / count
 
     return CausalWindow(width - 1, 0, kernel)
 
@@ -242,13 +265,15 @@ def delta_window(dim: int, window: int) -> CausalWindow:
     denom = 2.0 * sum(k * k for k in range(1, window + 1))
 
     def kernel(context: np.ndarray, start: int) -> np.ndarray:
-        n = len(context) - 2 * window
+        n, width = len(context) - 2 * window, context.shape[1]
         x = context[:, -dim:]
         delta = np.zeros((n, dim))
         for k in range(1, window + 1):
             delta += k * (x[window + k : window + k + n] - x[window - k : window - k + n])
         delta /= denom
-        return np.hstack([context[window : window + n], delta])
+        out = np.empty((n, width + dim))
+        out[:, :width], out[:, width:] = context[window : window + n], delta
+        return out
 
     return CausalWindow(window, window, kernel)
 
@@ -262,7 +287,7 @@ def extract_mfcc(audio, cfg: FeatureConfig | None = None) -> np.ndarray:
         raise ValueError(
             f"audio shorter than one analysis window ({cfg.window_length * 1000:.0f} ms)"
         )
-    return static.compute_block(sliding_window_view(audio.samples, static.win)[:: static.hop])
+    return static.compute_block(static.windows(audio.samples))
 
 
 def apply_cmn(frames: np.ndarray, cfg: FeatureConfig | None = None) -> np.ndarray:
@@ -310,27 +335,41 @@ class FeatureExtractor:
     def push(self, samples) -> np.ndarray:
         """Feed samples; returns the newly completed (n, 36) frames.
 
-        NaN or Inf samples raise ValueError before any state changes.
+        Samples are a 1-D sequence of real numbers: an array of any integer
+        or float dtype and any strides, or a list. Any other shape or dtype
+        (complex, bool, object, text) and NaN or Inf samples raise
+        ValueError before any state changes.
         """
         if self.finished:
             raise RuntimeError("push after flush")
-        samples = np.asarray(samples, dtype=np.float64)
+        samples = np.asarray(samples)
+        if samples.ndim != 1 or samples.dtype.kind not in "iuf":
+            raise ValueError(
+                f"samples must be 1-D real numbers, got shape {samples.shape} of dtype {samples.dtype}"
+            )
+        samples = np.ascontiguousarray(samples, dtype=np.float64)
         if not np.isfinite(samples).all():
             raise ValueError("samples contain NaN or Inf")
         if len(self.pending):
             samples = np.concatenate([self.pending, samples])
-        win, hop = self.static.win, self.static.hop
-        n = max(0, (len(samples) - win) // hop + 1)
-        windows = sliding_window_view(samples, win)[::hop] if n else np.empty((0, win))
-        blocks = []
-        for i in range(0, max(n, 1), BLOCK_FRAMES):
-            frames = self.static.compute_block(windows[i : i + BLOCK_FRAMES])
-            for stage in self.stages:
-                frames = stage.push(frames)
-            blocks.append(frames)
-        self.pending = samples[n * hop :].copy()
+        windows = self.static.windows(samples)
+        n = len(windows)
+        if n <= BLOCK_FRAMES:
+            frames = self._run(windows)
+        else:
+            frames = np.concatenate(
+                [self._run(windows[i : i + BLOCK_FRAMES]) for i in range(0, n, BLOCK_FRAMES)]
+            )
+        self.pending = samples[n * self.static.hop :].copy()
         self.n_frames += n
-        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+        return frames
+
+    def _run(self, windows: np.ndarray) -> np.ndarray:
+        """Static MFCCs of at most BLOCK_FRAMES windows, through every stage."""
+        frames = self.static.compute_block(windows)
+        for stage in self.stages:
+            frames = stage.push(frames)
+        return frames
 
     def flush(self) -> np.ndarray:
         """Finish the stream; returns the remaining frames."""

@@ -10,6 +10,7 @@ Gaussian likelihoods underflow hopelessly in linear space.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,6 +54,21 @@ class Gmm:
     def dim(self) -> int:
         return self.means.shape[1]
 
+    @cached_property
+    def scoring_tables(self) -> tuple:
+        """(constant, (means * precision).T, precision.T) of the log-likelihood.
+
+        They depend on the parameters alone, so they are built once per
+        mixture, the first time it scores anything.
+        """
+        precision = 1.0 / self.variances
+        constant = (
+            np.log(np.maximum(self.weights, 1e-300))
+            - 0.5 * (self.dim * _LOG_2PI + np.sum(np.log(self.variances), axis=1))
+            - 0.5 * np.sum(self.means**2 * precision, axis=1)
+        )
+        return constant, (self.means * precision).T, precision.T
+
 
 def _as_frames(x: np.ndarray, dim: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
@@ -70,22 +86,25 @@ def log_likelihoods(frames: np.ndarray, gmm: Gmm) -> np.ndarray:
 
 def _component_logliks(x: np.ndarray, gmm: Gmm) -> np.ndarray:
     """log_likelihoods of (..., T, D) frames, one matrix product per (T, D) slice."""
-    precision = 1.0 / gmm.variances
-    constant = (
-        np.log(np.maximum(gmm.weights, 1e-300))
-        - 0.5 * (gmm.dim * _LOG_2PI + np.sum(np.log(gmm.variances), axis=1))
-        - 0.5 * np.sum(gmm.means**2 * precision, axis=1)
-    )
-    # quadratic term expanded so the whole thing is three matrix products
-    return constant + x @ (gmm.means * precision).T - 0.5 * (x**2) @ precision.T
+    constant, scaled_means, precision = gmm.scoring_tables
+    # quadratic term expanded so the whole thing is two matrix products
+    return constant + x @ scaled_means - 0.5 * (x**2) @ precision
 
 
 def logsumexp(a: np.ndarray, axis: int = -1, keepdims: bool = False) -> np.ndarray:
     """log(sum(exp(a))) along axis, shifted by the maximum so exp never overflows."""
-    peak = np.max(a, axis=axis, keepdims=True)
-    peak[~np.isfinite(peak)] = 0.0  # all -inf stays -inf; +inf or nan propagate
+    peak = np.maximum.reduce(a, axis=axis, keepdims=True)
+    finite = np.isfinite(peak)
+    if np.logical_and.reduce(finite, axis=None):
+        # the largest term is exp(0) = 1, so the sum is at least 1
+        return _shifted_logsumexp(a, peak, axis, keepdims)
+    peak[~finite] = 0.0  # all -inf stays -inf; +inf or nan propagate
     with np.errstate(divide="ignore"):
-        out = np.log(np.sum(np.exp(a - peak), axis=axis, keepdims=True)) + peak
+        return _shifted_logsumexp(a, peak, axis, keepdims)
+
+
+def _shifted_logsumexp(a: np.ndarray, peak: np.ndarray, axis: int, keepdims: bool) -> np.ndarray:
+    out = np.log(np.add.reduce(np.exp(a - peak), axis=axis, keepdims=True)) + peak
     return out if keepdims else np.squeeze(out, axis=axis)
 
 
@@ -200,14 +219,23 @@ class BaumWelchStats:
     def __post_init__(self):
         if self.zero_order.shape != self.first_order_centered.shape[:-1]:
             raise ValueError("zero/first order component counts differ")
-        if np.any(self.zero_order < -1e-12):
-            raise ValueError("zero-order stats must be non-negative")
-        if np.any(np.abs(self.zero_order.sum(axis=-1) - self.frame_count) > 1e-6):
-            raise ValueError("zero-order stats must sum to the frame count")
+        _check_counts(self.zero_order, self.frame_count)
 
 
-def block_stats(segments: np.ndarray, ubm: Gmm) -> BaumWelchStats:
-    """Statistics of S segments of n frames each, given as one (S, n, D) array.
+def _check_counts(counts: np.ndarray, frame_count: int) -> None:
+    """Zero-order counts are non-negative and each segment's sum to its
+    frame count: one vectorized test each for a whole block. fmin and fmax
+    skip NaN, so NaN counts pass both tests, as under an elementwise np.any;
+    the score-range check downstream catches them."""
+    if np.fmin.reduce(counts, axis=None, initial=0.0) < -1e-12:
+        raise ValueError("zero-order stats must be non-negative")
+    error = np.abs(np.add.reduce(counts, axis=-1) - frame_count)
+    if np.fmax.reduce(error, axis=None, initial=0.0) > 1e-6:
+        raise ValueError("zero-order stats must sum to the frame count")
+
+
+def _block_responsibilities(segments: np.ndarray, ubm: Gmm) -> tuple:
+    """(frames, responsibilities) of S segments of n frames, (S, n, D) and (S, n, C).
 
     np.matmul on the stacked arrays issues, per segment, the BLAS call that
     the segment's own 2-D product issues, so each segment's bits are the
@@ -218,8 +246,25 @@ def block_stats(segments: np.ndarray, ubm: Gmm) -> BaumWelchStats:
         raise ValueError(f"expected (S, n, {ubm.dim}) segments, got shape {x.shape}")
     if x.shape[1] == 0:
         raise ValueError("empty frame sequence")
-    resp = _responsibilities(_component_logliks(x, ubm))
-    counts = resp.sum(axis=1)
+    return x, _responsibilities(_component_logliks(x, ubm))
+
+
+def block_counts(segments: np.ndarray, ubm: Gmm) -> np.ndarray:
+    """Zero-order counts alone of S segments given as one (S, n, D) array, (S, C).
+
+    The bits of block_stats(segments, ubm).zero_order, under the same
+    checks, without computing the first-order sums.
+    """
+    x, resp = _block_responsibilities(segments, ubm)
+    counts = np.add.reduce(resp, axis=1)
+    _check_counts(counts, x.shape[1])
+    return counts
+
+
+def block_stats(segments: np.ndarray, ubm: Gmm) -> BaumWelchStats:
+    """Statistics of S segments of n frames each, given as one (S, n, D) array."""
+    x, resp = _block_responsibilities(segments, ubm)
+    counts = np.add.reduce(resp, axis=1)
     first = resp.transpose(0, 2, 1) @ x - counts[:, :, np.newaxis] * ubm.means
     return BaumWelchStats(zero_order=counts, first_order_centered=first, frame_count=x.shape[1])
 

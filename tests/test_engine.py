@@ -546,6 +546,76 @@ class TestStreamingDetector:
         assert len(det.decisions) == 15
         assert format_trace(det.decisions) == format_trace(ref.decisions)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [np.zeros((1, 800)), np.zeros((2, 800)), np.zeros((800, 2)), 0.5, np.zeros(800, dtype=np.complex128)],
+        ids=["(1, 800)", "(2, 800)", "(800, 2)", "0-d", "complex"],
+    )
+    @pytest.mark.parametrize("fed", [0, 8000], ids=["fresh", "fed"])
+    def test_bad_push_is_rejected_and_stream_continues(self, tiny_corpus, tiny_model, bad, fed):
+        samples = read_wav(tiny_corpus["entries"][4][0]).samples[:20000]
+        det, ref = StreamingDetector(tiny_model), StreamingDetector(tiny_model)
+        for d in (det, ref):
+            d.push(samples[:fed])
+        with pytest.raises(ValueError, match="1-D real numbers"):
+            det.push(bad)
+        for d in (det, ref):
+            for pos in range(fed, len(samples), 800):
+                d.push(samples[pos : pos + 800])
+            d.flush()
+        assert len(det.decisions) == 25
+        assert format_trace(det.decisions) == format_trace(ref.decisions)
+
+    @pytest.mark.parametrize("layout", ["every other", "reversed", "float32", "int16", "list"])
+    def test_any_sample_layout_gives_its_float64_copy_trace(self, tiny_corpus, tiny_model, layout):
+        # the framing and window views read the caller's memory, whatever its strides or dtype
+        base = read_wav(tiny_corpus["entries"][5][0]).samples
+        samples = {
+            "every other": base[::2],
+            "reversed": base[::-1],
+            "float32": base.astype(np.float32),
+            "int16": (base * 32767.0).astype(np.int16),
+            "list": base.tolist(),
+        }[layout]
+        copy = np.array(samples, dtype=np.float64)
+        for size in (len(copy), 800):
+            det, ref = StreamingDetector(tiny_model), StreamingDetector(tiny_model)
+            for pos in range(0, len(copy), size):
+                det.push(samples[pos : pos + size])
+                ref.push(copy[pos : pos + size])
+            det.flush()
+            ref.flush()
+            assert len(ref.decisions) >= 39
+            assert format_trace(det.decisions) == format_trace(ref.decisions)
+
+    def test_steady_push_call_budget(self, tiny_corpus, tiny_model):
+        """At most 300 Python-level and C calls per steady-state 0.1 s push.
+
+        Counts sys.setprofile "call" and "c_call" events over 100 pushes after
+        5 s of audio. Measured with numpy 2.4.6: 190 per push, with this
+        model and with the benchmark's default-size one. The count does not
+        depend on timing, so it guards the live path's fixed cost (scoring
+        tables built once per model, a counts-only pass for the counts UBM,
+        one kernel call per stage) where timings are noise.
+        """
+        samples = np.concatenate([read_wav(tiny_corpus["entries"][i][0]).samples for i in (4, 5)])
+        det = StreamingDetector(tiny_model)
+        det.push(samples[:40000])
+        events = {"call": 0, "c_call": 0}
+
+        def count(frame, event, arg):
+            if event in events:
+                events[event] += 1
+
+        sys.setprofile(count)
+        try:
+            for pos in range(40000, 120000, 800):
+                det.push(samples[pos : pos + 800])
+        finally:
+            sys.setprofile(None)
+        assert len(det.decisions) == 147
+        assert (events["call"] + events["c_call"]) / 100 <= 300, events
+
     @staticmethod
     def fail_at(monkeypatch, bad_index):
         """Make the block scorer raise at segment bad_index, after scoring those before it."""

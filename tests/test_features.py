@@ -1,3 +1,4 @@
+import itertools
 from collections import deque
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import streamsad.gmm as gmm_module
 from streamsad.audio_io import NONSPEECH, SPEECH, AudioStream, read_wav
+from streamsad.context_transform import LDA_CONTEXT, PCA_CONTEXT, LinearTransform, context_window
 from streamsad.embeddings import COUNT_FLOOR, embed_batch, make_supervector
 from streamsad.engine import (
     AdaptationConfig,
@@ -17,6 +20,7 @@ from streamsad.engine import (
     score_segments,
 )
 from streamsad.features import (
+    BLOCK_FRAMES,
     FeatureConfig,
     FeatureExtractor,
     StaticMfcc,
@@ -32,11 +36,24 @@ from streamsad.features import (
     mel_filterbank,
     mel_to_hz,
 )
-from streamsad.gmm import Gmm, block_stats, log_likelihoods, logsumexp
+from streamsad.gmm import Gmm, block_counts, block_stats, log_likelihoods, logsumexp
 from oracles import delta_oracle, mfcc_oracle, trailing_mean_oracle
 
 
 CFG = FeatureConfig()
+
+
+# pushes that are not 1-D real samples, each with the text its error names
+BAD_PUSHES = [
+    (np.zeros((1, 800)), r"shape \(1, 800\)"),
+    (np.zeros((2, 800)), r"shape \(2, 800\)"),
+    (np.zeros((800, 2)), r"shape \(800, 2\)"),
+    (0.5, r"shape \(\)"),
+    (np.zeros(800, dtype=np.complex128), "complex128"),
+    (np.zeros(800, dtype=bool), "bool"),
+    (np.array(["0.1"] * 800), "<U3"),
+    (np.array([0.1, None] * 400, dtype=object), "object"),
+]
 
 
 def tone(freq, duration, sample_rate, amp=0.5):
@@ -271,12 +288,46 @@ class TestStreamingExtractor:
         got += [ext.push(samples[3000:]), ext.flush()]
         np.testing.assert_array_equal(np.concatenate(got), extract_features(stream(samples)))
 
+    @pytest.mark.parametrize("bad,named", BAD_PUSHES, ids=[named for _, named in BAD_PUSHES])
+    @pytest.mark.parametrize("fed", [0, 3000], ids=["fresh", "fed"])
+    def test_bad_push_rejected_before_any_change(self, bad, named, fed):
+        samples = np.random.default_rng(26).uniform(-0.5, 0.5, 6000)
+        ext = FeatureExtractor(CFG, 8000)
+        got = [ext.push(samples[:fed])]
+        before = (ext.pending.copy(), ext.n_frames, [(s.start, s.context) for s in ext.stages])
+        with pytest.raises(ValueError, match=named):
+            ext.push(bad)
+        assert ext.pending.ndim == 1
+        np.testing.assert_array_equal(ext.pending, before[0])
+        assert ext.n_frames == before[1]
+        assert [(s.start, s.context) for s in ext.stages] == before[2]
+        got += [ext.push(samples[fed:]), ext.flush()]
+        np.testing.assert_array_equal(np.concatenate(got), extract_features(stream(samples)))
+
     def test_process_too_short_raises(self):
         with pytest.raises(ValueError, match="shorter than one analysis window"):
             FeatureExtractor(CFG, 8000).process(np.zeros(50))
 
 
 BLOCK_SIZES = [1, 2, 7, 10, 64, 1000]
+# push sizes around one frame, one segment and one kernel block
+PIECES = [0, 1, 9, 10, 11, 499, 500, 501, 1234]
+
+
+def _transform(out_dim, in_dim, seed):
+    rng = np.random.default_rng(seed)
+    return LinearTransform(rng.standard_normal((out_dim, in_dim)), rng.standard_normal(in_dim))
+
+
+# every kind of CausalWindow the detector runs: (factory, input dim)
+CAUSAL_WINDOWS = {
+    "cmn": (lambda: cmn_window(CFG), 12),
+    "deltas": (lambda: delta_window(12, CFG.delta_window), 12),
+    "delta-deltas": (lambda: delta_window(12, CFG.delta_window), 24),
+    "lda-stack": (lambda: context_window(LDA_CONTEXT), 36),
+    "lda": (lambda: context_window(LDA_CONTEXT, _transform(12, 396, 1)), 36),
+    "pca": (lambda: context_window(PCA_CONTEXT, _transform(24, 84, 2)), 12),
+}
 
 
 def in_blocks(fn, x, size):
@@ -345,6 +396,39 @@ class TestBatchInvariance:
             total += padded[j : j + len(x)]
         want = x - total / np.minimum(np.arange(1, len(x) + 1), width)[:, None]
         np.testing.assert_array_equal(streamed(cmn_window(CFG), x, size), want)
+
+    @pytest.mark.parametrize("kind", list(CAUSAL_WINDOWS))
+    @pytest.mark.parametrize("piece", PIECES + ["mixed"])
+    def test_causal_window_pieces_equal_one_flush(self, kind, piece):
+        # a push runs its stage's kernel once, or once per BLOCK_FRAMES
+        # outputs when it readies more; both give one flush's bits
+        make, dim = CAUSAL_WINDOWS[kind]
+        x = np.random.default_rng(33).standard_normal((3000, dim))
+        if piece == "mixed":
+            sizes = itertools.cycle(PIECES)
+        else:
+            sizes = itertools.repeat(piece, 3) if piece == 0 else itertools.repeat(piece)
+        stage, calls = make(), []
+        kernel = stage.kernel
+
+        def counted(context, start):
+            out = kernel(context, start)
+            calls[-1].append(len(out))
+            return out
+
+        stage.kernel = counted
+        got, pos = [], 0
+        for size in sizes:
+            if pos + size > len(x):
+                break
+            calls.append([])
+            got.append(stage.push(x[pos : pos + size]))
+            assert len(calls[-1]) == max(1, -(-len(got[-1]) // BLOCK_FRAMES))
+            assert max(calls[-1]) <= BLOCK_FRAMES
+            pos += size
+        calls.append([])
+        got.append(stage.flush(x[pos:]))
+        np.testing.assert_array_equal(np.concatenate(got), make().flush(x))
 
     @pytest.mark.parametrize("size", BLOCK_SIZES)
     def test_delta_formula(self, size):
@@ -431,6 +515,50 @@ class TestSegmentBatchInvariance:
                 np.testing.assert_array_equal(first, want_first)
                 want_sv = (want_first / np.maximum(want_counts, COUNT_FLOOR)[:, None]).ravel()
                 np.testing.assert_array_equal(sv, want_sv)
+
+    @pytest.mark.parametrize("n_components", [1, 32, 128])
+    def test_scoring_tables_are_the_inline_expressions(self, n_components):
+        rng = np.random.default_rng(n_components)
+        ubm = random_ubm(rng, n_components, 24)
+        constant, scaled_means, precision = ubm.scoring_tables
+        assert ubm.scoring_tables is ubm.scoring_tables  # built once per mixture
+        want_precision = 1.0 / ubm.variances
+        want_constant = (
+            np.log(np.maximum(ubm.weights, 1e-300))
+            - 0.5 * (24 * np.log(2.0 * np.pi) + np.sum(np.log(ubm.variances), axis=1))
+            - 0.5 * np.sum(ubm.means**2 * want_precision, axis=1)
+        )
+        np.testing.assert_array_equal(constant, want_constant)
+        np.testing.assert_array_equal(scaled_means, (ubm.means * want_precision).T)
+        np.testing.assert_array_equal(precision, want_precision.T)
+        x = rng.standard_normal((50, 24))
+        want = want_constant + x @ (ubm.means * want_precision).T - 0.5 * (x**2) @ want_precision.T
+        np.testing.assert_array_equal(log_likelihoods(x, ubm), want)
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 7, 50, 1000])
+    @pytest.mark.parametrize("n_frames", [5, 10])
+    def test_counts_only_pass_equals_block_stats_counts(self, size, n_frames):
+        rng = np.random.default_rng(size * 10 + n_frames)
+        segments = rng.standard_normal((size, n_frames, 24)) * 2.0
+        for ubm in (random_ubm(rng, 128, 24), random_ubm(rng, 32, 24)):
+            counts = block_counts(segments, ubm)
+            assert counts.shape == (size, ubm.n_components)
+            np.testing.assert_array_equal(counts, block_stats(segments, ubm).zero_order)
+
+    @pytest.mark.parametrize(
+        "shift,match",
+        [([2.0, -2.0, 0.0, 0.0], "non-negative"), ([1e-3, 0.0, 0.0, 0.0], "sum to the frame count")],
+    )
+    def test_counts_only_pass_keeps_the_stats_checks(self, monkeypatch, shift, match):
+        # moved responsibilities: a negative count with exact sums, or sums off by 1e-2
+        responsibilities = gmm_module._responsibilities
+        monkeypatch.setattr(gmm_module, "_responsibilities", lambda ll: responsibilities(ll) + np.array(shift))
+        ubm = random_ubm(np.random.default_rng(3), 4, 24)
+        segments = np.random.default_rng(4).standard_normal((3, 10, 24))
+        with pytest.raises(ValueError, match=match):
+            block_counts(segments, ubm)
+        with pytest.raises(ValueError, match=match):
+            block_stats(segments, ubm)
 
     @pytest.mark.parametrize("size", BLOCK_SIZES)
     @pytest.mark.parametrize("in_dim,out_dim", [(768, 256), (96, 32), (4, 3)])
