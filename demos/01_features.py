@@ -13,8 +13,8 @@ from streamsad.audio_io import AudioStream
 from streamsad.features import (
     FeatureConfig,
     FeatureExtractor,
-    append_deltas,
-    apply_cmn,
+    cmn_window,
+    delta_window,
     extract_mfcc,
 )
 
@@ -40,13 +40,15 @@ def main():
                         ("last", static[2 * third:])]:
         print(f"  {name:6s} |c1..c3| = {np.abs(block[:, :3]).mean(axis=0).round(2)}")
 
-    normalized = apply_cmn(static, cfg)
+    # each stage alone is one flush of the causal window the extractor streams through
+    normalized = cmn_window(cfg).flush(static)
     print(f"\nafter causal mean normalization (trailing {cfg.cmn_frames()}-frame window):")
     print(f"  global mean per coefficient shrinks from "
           f"{np.abs(static.mean(axis=0)).max():.2f} to "
           f"{np.abs(normalized.mean(axis=0)).max():.2f}")
 
-    full = append_deltas(normalized, cfg)
+    with_deltas = delta_window(cfg.n_mfcc, cfg.delta_window).flush(normalized)
+    full = delta_window(cfg.n_mfcc, cfg.delta_window).flush(with_deltas)
     print(f"\nwith deltas appended: {full.shape[1]} dims "
           f"(12 static + 12 delta + 12 delta-delta)")
     print(f"  delta magnitudes peak near the burst edges: "

@@ -109,14 +109,6 @@ def context_window(spec: ContextSpec, transform: LinearTransform | None = None) 
     return CausalWindow(spec.lookback, spec.lookahead, kernel)
 
 
-def stack_context_all(frames: np.ndarray, spec: ContextSpec) -> np.ndarray:
-    """Row t concatenates frames[t + offset] for every offset, edges replicated."""
-    frames = np.asarray(frames, dtype=np.float64)
-    if len(frames) == 0:
-        raise ValueError("empty frame sequence")
-    return context_window(spec).flush(frames)
-
-
 def acoustic_labels(frames: np.ndarray, ubm: Gmm, speech_mask: np.ndarray) -> np.ndarray:
     """Class ids for LDA: winning UBM component x 2, plus 1 for non-speech."""
     frames = np.asarray(frames, dtype=np.float64)
@@ -204,14 +196,6 @@ class LdaScatter:
         return LinearTransform(matrix=rows, mean_offset=mean)
 
 
-def train_lda(vectors: np.ndarray, class_ids: np.ndarray, out_dim: int) -> LinearTransform:
-    """One-shot LDA on an in-memory dataset."""
-    vectors = np.asarray(vectors, dtype=np.float64)
-    scatter = LdaScatter(vectors.shape[1])
-    scatter.add(vectors, class_ids)
-    return scatter.finalize(out_dim)
-
-
 class PcaMoments:
     """Streaming mean/covariance accumulation for PCA."""
 
@@ -241,11 +225,3 @@ class PcaMoments:
         order = np.argsort(-values, kind="stable")[:out_dim]
         rows = _fix_signs(np.ascontiguousarray(vectors[:, order].T))
         return LinearTransform(matrix=rows, mean_offset=mean)
-
-
-def train_pca(vectors: np.ndarray, out_dim: int) -> LinearTransform:
-    """One-shot PCA on an in-memory dataset."""
-    vectors = np.asarray(vectors, dtype=np.float64)
-    moments = PcaMoments(vectors.shape[1])
-    moments.add(vectors)
-    return moments.finalize(out_dim)

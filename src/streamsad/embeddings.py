@@ -1,10 +1,10 @@
-"""Supervectors over 10-frame segments and the MLP that embeds them.
+"""The MLP that embeds segment supervectors.
 
-Each segment's centered first-order statistics (normalized by the posterior
-counts) are flattened into a supervector. A small feed-forward network is
-trained to call the segment speech or non-speech; its first hidden layer,
-not its output, is the representation used for scoring, compared by cosine
-against per-class mean embeddings.
+A segment's supervector (`gmm.block_supervectors`) flattens its centered
+first-order statistics, normalized by the posterior counts. A small
+feed-forward network is trained to call the segment speech or non-speech;
+its first hidden layer, not its output, is the representation used for
+scoring, compared by cosine against per-class mean embeddings.
 
 The network is plain numpy on purpose: a few dense layers, ReLU, softmax
 cross-entropy, minibatch SGD. Determinism given a seed is a contract here,
@@ -20,25 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gmm import BaumWelchStats
-
-# zero-order counts are floored here before dividing the first-order stats
-COUNT_FLOOR = 1e-3
-
 
 class MlpTrainingError(RuntimeError):
     """Training could not proceed (bad data or diverged loss)."""
-
-
-def make_supervector(stats: BaumWelchStats) -> np.ndarray:
-    """Count-normalized centered first-order stats, flattened component-major.
-
-    One segment's stats give a (C*D,) vector, a block's give (S, C*D).
-    """
-    counts = np.maximum(stats.zero_order, COUNT_FLOOR)
-    normalized = stats.first_order_centered / counts[..., np.newaxis]
-    n_components, dim = normalized.shape[-2:]
-    return normalized.reshape(*counts.shape[:-1], n_components * dim)
 
 
 @dataclass(frozen=True)
@@ -111,12 +95,8 @@ def embed_batch(supervectors: np.ndarray, layers) -> np.ndarray:
 
 
 def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
-    """Class logits for (n, in_dim) inputs or a single vector."""
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    h = embed_batch(x[np.newaxis, :] if single else x, model.hidden_layers)
-    logits = h @ model.weights[-1] + model.biases[-1]
-    return logits[0] if single else logits
+    """Class logits for (n, in_dim) inputs."""
+    return embed_batch(x, model.hidden_layers) @ model.weights[-1] + model.biases[-1]
 
 
 def _mean_nll(probs: np.ndarray, labels: np.ndarray) -> float:

@@ -18,10 +18,10 @@ model vectors stay fixed.
 
 So everything but the count-vector cosines, the threshold test and the
 buffer update is independent of earlier decisions. `score_segments` takes
-every ready segment of a push as one (S, n, D) block: the statistics, count
-vectors, supervectors, embeddings and the embedding scores' products come
-from stacked, batch-invariant kernels, and only the decision-dependent part
-runs per segment. `process_segment` is its S = 1 call.
+every ready segment of a push as one (S, n, D) block: the count vectors,
+supervectors, embeddings and the embedding scores' products come from
+stacked, batch-invariant kernels, and only the decision-dependent part runs
+per segment. One segment is the block of S = 1.
 
 Decisions depend only on frame values, never on how samples were chunked,
 so feeding a file sample-by-sample or whole produces bit-identical traces.
@@ -34,16 +34,16 @@ import math
 import struct
 import zlib
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
 from .audio_io import NONSPEECH, SPEECH, AudioStream, SegmentLabel
 from .context_transform import LDA_CONTEXT, PCA_CONTEXT, LinearTransform, context_window
-from .embeddings import embed_batch, make_supervector
+from .embeddings import embed_batch
 from .features import BLOCK_FRAMES, FeatureConfig, FeatureExtractor
-from .gmm import Gmm, block_counts, block_stats
+from .gmm import Gmm, block_counts, block_supervectors
 
 SEGMENT_FRAMES = 10
 # a trailing partial segment is decided on its own if it has at least this
@@ -86,7 +86,7 @@ class SmoothingConfig:
     min_speech: float = 0.2
 
     def __post_init__(self):
-        if self.min_gap < 0 or self.min_speech < 0:
+        if not (self.min_gap >= 0 and self.min_speech >= 0):  # NaN fails too
             raise ValueError("smoothing durations must be non-negative")
 
 
@@ -319,7 +319,7 @@ def score_segments(
     counts = block_counts(segments, model.counts_ubm)
     counts_vecs = counts / np.add.reduce(counts, axis=-1, keepdims=True)
     counts_norms = np.sqrt(_row_dots(counts_vecs, counts_vecs)).tolist()
-    supervectors = make_supervector(block_stats(segments, model.supervector_ubm))
+    supervectors = block_supervectors(segments, model.supervector_ubm)
     layer = (model.embedding_weight, model.embedding_bias)
     embeddings = embed_batch(supervectors[:, np.newaxis, :], (layer,))[:, 0]
     emb_norms = np.sqrt(_row_dots(embeddings, embeddings)).tolist()
@@ -368,23 +368,6 @@ def score_segments(
             _refresh(state, model, cfg, speech=label == SPEECH)
         out.append(decision)
     return out
-
-
-def process_segment(
-    frames: np.ndarray,
-    model: SadModel,
-    state: AdaptState,
-    cfg: AdaptationConfig,
-    index: int = 0,
-) -> Decision:
-    """Score one segment (nominally 10 transformed frames), decide, adapt.
-
-    The S = 1 call of score_segments.
-    """
-    frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 2:
-        raise ValueError(f"expected (n, {model.pca.output_dim}) transformed frames")
-    return score_segments(frames[np.newaxis], model, state, cfg, index)[0]
 
 
 class StreamingDetector:
@@ -597,6 +580,11 @@ _CRC = struct.Struct("<I")
 _TRANSFORM_PARTS, _GMM_PARTS = ("matrix", "mean_offset"), ("weights", "means", "variances")
 _PARTS = {"lda": _TRANSFORM_PARTS, "pca": _TRANSFORM_PARTS,
           "counts_ubm": _GMM_PARTS, "supervector_ubm": _GMM_PARTS}
+# the header's integer fields, each with whether it may be null; JSON keeps
+# 12.0 a float, which would load and then fail inside the front end
+_INTEGER_FIELDS = {"sample_rate": False} | {
+    f.name: f.type == "int | None" for f in fields(FeatureConfig) if f.type in ("int", "int | None")
+}
 
 
 def _bundle_arrays(model: SadModel) -> dict:
@@ -639,10 +627,15 @@ def _parse_bundle(header, payload: bytes) -> SadModel:
         offset += size
     if offset != len(payload):
         raise ValueError("payload is longer than its array shapes")
+    feature_cfg = FeatureConfig(**header["feature_cfg"])
+    given = {**asdict(feature_cfg), "sample_rate": header["sample_rate"]}
+    for name, nullable in _INTEGER_FIELDS.items():
+        if type(given[name]) is not int and not (nullable and given[name] is None):
+            raise ValueError(f"{name} must be a JSON integer, got {given[name]!r}")
     groups = {name: [arrays[f"{name}.{part}"] for part in parts] for name, parts in _PARTS.items()}
     model = SadModel(
-        feature_cfg=FeatureConfig(**header["feature_cfg"]),
-        sample_rate=int(header["sample_rate"]),
+        feature_cfg=feature_cfg,
+        sample_rate=given["sample_rate"],
         lda=LinearTransform(*groups["lda"]),
         pca=LinearTransform(*groups["pca"]),
         counts_ubm=Gmm(*groups["counts_ubm"]),

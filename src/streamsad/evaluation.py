@@ -31,7 +31,7 @@ class EvalConfig:
     collar: float = 0.25
 
     def __post_init__(self):
-        if self.collar < 0:
+        if not (self.collar >= 0):  # NaN fails too
             raise ValueError("collar must be non-negative")
 
 
@@ -185,18 +185,11 @@ def score(
     )
 
 
-def aggregate(reports) -> EvalReport:
-    """Pool per-file reports into a corpus report (time-weighted).
-
-    Accepts a dict keyed by file name (kept as the per_file breakdown) or a
-    plain list.
-    """
-    if isinstance(reports, dict):
-        named = dict(reports)
-        items = list(named.values())
-    else:
-        items = list(reports)
-        named = {str(i): r for i, r in enumerate(items)}
+def aggregate(reports: dict) -> EvalReport:
+    """Pool per-file reports, keyed by file name, into a corpus report
+    (time-weighted); the names key its per_file breakdown."""
+    named = dict(reports)
+    items = list(named.values())
     if not items:
         raise EvaluationError("nothing to aggregate")
     return EvalReport(

@@ -8,10 +8,11 @@ then regression deltas and delta-deltas are appended.
 
 Frame sequences are plain (T, D) float64 arrays; row t is the frame starting
 at t * hop seconds. Every step after the statics is a CausalWindow: output t
-reads input frames t - lookback .. t + lookahead, edges replicated. The
-batch functions (apply_cmn, append_deltas, extract_features) push the whole
-sequence through the same stages as the incremental FeatureExtractor and
-then flush, so a stream produces the same bits as a whole-file pass.
+reads input frames t - lookback .. t + lookahead, edges replicated.
+extract_features pushes a whole file through the incremental
+FeatureExtractor and flushes it, and a stage used alone (cmn_window,
+delta_window) does the same with flush(frames), so a stream produces the
+same bits as a whole-file pass.
 
 A stage runs every frame that is ready after a push as one block, and where
 the blocks split depends on how the samples were chunked. Every kernel
@@ -290,25 +291,20 @@ def extract_mfcc(audio, cfg: FeatureConfig | None = None) -> np.ndarray:
     return static.compute_block(static.windows(audio.samples))
 
 
-def apply_cmn(frames: np.ndarray, cfg: FeatureConfig | None = None) -> np.ndarray:
-    """Causal sliding-window CMN over a frame sequence."""
-    return cmn_window(cfg or FeatureConfig()).flush(frames)
-
-
-def append_deltas(frames: np.ndarray, cfg: FeatureConfig | None = None) -> np.ndarray:
-    """Append regression deltas and delta-deltas: (T, D) -> (T, 3D)."""
-    cfg = cfg or FeatureConfig()
-    frames = np.asarray(frames, dtype=np.float64)
-    if len(frames) == 0:
-        raise ValueError("empty frame sequence")
-    dim = frames.shape[1]
-    with_deltas = delta_window(dim, cfg.delta_window).flush(frames)
-    return delta_window(dim, cfg.delta_window).flush(with_deltas)
-
-
 def extract_features(audio, cfg: FeatureConfig | None = None) -> np.ndarray:
-    """Full front end for a whole file: statics -> CMN -> +deltas, (T, 36)."""
-    return FeatureExtractor(cfg or FeatureConfig(), audio.sample_rate).process(audio.samples)
+    """Full front end for a whole file: statics -> CMN -> +deltas, (T, 36).
+
+    The whole file is one push and a flush of a FeatureExtractor, the path
+    detection streams through.
+    """
+    cfg = cfg or FeatureConfig()
+    extractor = FeatureExtractor(cfg, audio.sample_rate)
+    frames = np.concatenate([extractor.push(audio.samples), extractor.flush()])
+    if len(frames) == 0:
+        raise ValueError(
+            f"audio shorter than one analysis window ({cfg.window_length * 1000:.0f} ms)"
+        )
+    return frames
 
 
 class FeatureExtractor:
@@ -317,7 +313,7 @@ class FeatureExtractor:
     Statics pass through three stages: CMN (lookback only), deltas and
     delta-deltas (delta_window frames each way), so push() holds back the
     last 2 * delta_window frames until more audio arrives; flush() finishes
-    them with the last frame replicated, as the batch functions do.
+    them with the last frame replicated.
     """
 
     def __init__(self, cfg: FeatureConfig, sample_rate: int):
@@ -379,13 +375,4 @@ class FeatureExtractor:
         frames = np.empty((0, self.cfg.n_mfcc))
         for stage in self.stages:
             frames = stage.flush(frames)
-        return frames
-
-    def process(self, samples) -> np.ndarray:
-        """push + flush convenience; returns all frames as one (T, 36) array."""
-        frames = np.concatenate([self.push(samples), self.flush()])
-        if len(frames) == 0:
-            raise ValueError(
-                f"audio shorter than one analysis window ({self.cfg.window_length * 1000:.0f} ms)"
-            )
         return frames

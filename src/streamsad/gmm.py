@@ -1,10 +1,12 @@
-"""Diagonal-covariance Gaussian mixtures: EM training, merging, statistics.
+"""Diagonal-covariance Gaussian mixtures: EM training, merging, segment statistics.
 
 Three mixtures drive the detector. A small one clusters raw features into
 acoustic classes for LDA supervision, a large merged speech/non-speech one
-produces per-segment posterior count vectors, and another small one feeds
-the supervector stage. All posterior math runs in the log domain; 24-d
-Gaussian likelihoods underflow hopelessly in linear space.
+produces per-segment posterior count vectors (`block_counts`), and another
+small one gives each segment its supervector (`block_supervectors`). Both
+take a block of S segments as one (S, n, D) array; training and detection
+call them alike. All posterior math runs in the log domain; 24-d Gaussian
+likelihoods underflow hopelessly in linear space.
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ _LOG_2PI = np.log(2.0 * np.pi)
 # components whose summed responsibility falls below this keep their old
 # parameters for the iteration instead of dividing by almost-zero
 _DEAD_COMPONENT = 1e-10
+
+# zero-order counts are floored here before dividing the first-order stats
+COUNT_FLOOR = 1e-3
 
 
 @dataclass(frozen=True)
@@ -70,18 +75,12 @@ class Gmm:
         return constant, (self.means * precision).T, precision.T
 
 
-def _as_frames(x: np.ndarray, dim: int) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[np.newaxis, :]
-    if x.ndim != 2 or x.shape[1] != dim:
-        raise ValueError(f"expected vectors of dim {dim}, got shape {x.shape}")
-    return x
-
-
 def log_likelihoods(frames: np.ndarray, gmm: Gmm) -> np.ndarray:
-    """log(w_c * N(x_t; m_c, v_c)) for every frame/component pair, (T, C)."""
-    return _component_logliks(_as_frames(frames, gmm.dim), gmm)
+    """log(w_c * N(x_t; m_c, v_c)) for every frame/component pair of (T, D) frames, (T, C)."""
+    x = np.asarray(frames, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != gmm.dim:
+        raise ValueError(f"expected (T, {gmm.dim}) frames, got shape {x.shape}")
+    return _component_logliks(x, gmm)
 
 
 def _component_logliks(x: np.ndarray, gmm: Gmm) -> np.ndarray:
@@ -108,11 +107,6 @@ def _shifted_logsumexp(a: np.ndarray, peak: np.ndarray, axis: int, keepdims: boo
     return out if keepdims else np.squeeze(out, axis=axis)
 
 
-def loglik(frames: np.ndarray, gmm: Gmm) -> float:
-    """Total log-likelihood of the frames under the mixture."""
-    return float(logsumexp(log_likelihoods(frames, gmm), axis=1).sum())
-
-
 def posterior_matrix(frames: np.ndarray, gmm: Gmm) -> np.ndarray:
     """Component responsibilities per frame, rows summing to 1, (T, C)."""
     return _responsibilities(log_likelihoods(frames, gmm))
@@ -120,11 +114,6 @@ def posterior_matrix(frames: np.ndarray, gmm: Gmm) -> np.ndarray:
 
 def _responsibilities(ll: np.ndarray) -> np.ndarray:
     return np.exp(ll - logsumexp(ll, axis=-1, keepdims=True))
-
-
-def posteriors(x: np.ndarray, gmm: Gmm) -> np.ndarray:
-    """Responsibility vector for a single frame."""
-    return posterior_matrix(np.asarray(x)[np.newaxis, :], gmm)[0]
 
 
 def _kmeans_plus_plus(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -204,24 +193,6 @@ def merge_gmms(speech: Gmm, nonspeech: Gmm) -> Gmm:
     )
 
 
-@dataclass(frozen=True)
-class BaumWelchStats:
-    """Zero-order counts and centered first-order sums under a UBM.
-
-    One segment holds (C,) counts and (C, D) sums; a block of S segments
-    holds (S, C) and (S, C, D), each segment frame_count frames long.
-    """
-
-    zero_order: np.ndarray
-    first_order_centered: np.ndarray
-    frame_count: int
-
-    def __post_init__(self):
-        if self.zero_order.shape != self.first_order_centered.shape[:-1]:
-            raise ValueError("zero/first order component counts differ")
-        _check_counts(self.zero_order, self.frame_count)
-
-
 def _check_counts(counts: np.ndarray, frame_count: int) -> None:
     """Zero-order counts are non-negative and each segment's sum to its
     frame count: one vectorized test each for a whole block. fmin and fmax
@@ -234,8 +205,9 @@ def _check_counts(counts: np.ndarray, frame_count: int) -> None:
         raise ValueError("zero-order stats must sum to the frame count")
 
 
-def _block_responsibilities(segments: np.ndarray, ubm: Gmm) -> tuple:
-    """(frames, responsibilities) of S segments of n frames, (S, n, D) and (S, n, C).
+def _block_posteriors(segments: np.ndarray, ubm: Gmm) -> tuple:
+    """(frames, responsibilities, zero-order counts) of S segments of n frames,
+    (S, n, D), (S, n, C) and (S, C), the counts checked once for the block.
 
     np.matmul on the stacked arrays issues, per segment, the BLAS call that
     the segment's own 2-D product issues, so each segment's bits are the
@@ -246,31 +218,25 @@ def _block_responsibilities(segments: np.ndarray, ubm: Gmm) -> tuple:
         raise ValueError(f"expected (S, n, {ubm.dim}) segments, got shape {x.shape}")
     if x.shape[1] == 0:
         raise ValueError("empty frame sequence")
-    return x, _responsibilities(_component_logliks(x, ubm))
+    resp = _responsibilities(_component_logliks(x, ubm))
+    counts = np.add.reduce(resp, axis=1)
+    _check_counts(counts, x.shape[1])
+    return x, resp, counts
 
 
 def block_counts(segments: np.ndarray, ubm: Gmm) -> np.ndarray:
-    """Zero-order counts alone of S segments given as one (S, n, D) array, (S, C).
+    """Zero-order counts of S segments given as one (S, n, D) array, (S, C)."""
+    return _block_posteriors(segments, ubm)[2]
 
-    The bits of block_stats(segments, ubm).zero_order, under the same
-    checks, without computing the first-order sums.
+
+def block_supervectors(segments: np.ndarray, ubm: Gmm) -> np.ndarray:
+    """Supervectors of S segments given as one (S, n, D) array, (S, C*D).
+
+    A segment's supervector is its centered first-order statistics
+    sum_t gamma_c(t) (x_t - m_c), divided per component by the zero-order
+    count (floored at COUNT_FLOOR) and flattened component-major.
     """
-    x, resp = _block_responsibilities(segments, ubm)
-    counts = np.add.reduce(resp, axis=1)
-    _check_counts(counts, x.shape[1])
-    return counts
-
-
-def block_stats(segments: np.ndarray, ubm: Gmm) -> BaumWelchStats:
-    """Statistics of S segments of n frames each, given as one (S, n, D) array."""
-    x, resp = _block_responsibilities(segments, ubm)
-    counts = np.add.reduce(resp, axis=1)
+    x, resp, counts = _block_posteriors(segments, ubm)
     first = resp.transpose(0, 2, 1) @ x - counts[:, :, np.newaxis] * ubm.means
-    return BaumWelchStats(zero_order=counts, first_order_centered=first, frame_count=x.shape[1])
-
-
-def accumulate_stats(frames: np.ndarray, ubm: Gmm) -> BaumWelchStats:
-    """Sufficient statistics of a frame sequence; additive over concatenation."""
-    x = _as_frames(frames, ubm.dim)
-    stats = block_stats(x[np.newaxis], ubm)
-    return BaumWelchStats(stats.zero_order[0], stats.first_order_centered[0], stats.frame_count)
+    normalized = first / np.maximum(counts, COUNT_FLOOR)[:, :, np.newaxis]
+    return normalized.reshape(len(x), ubm.means.size)

@@ -32,12 +32,11 @@ from .context_transform import (
     PcaMoments,
     acoustic_labels,
     context_window,
-    stack_context_all,
 )
-from .embeddings import class_embeddings, make_supervector, train_mlp
+from .embeddings import class_embeddings, train_mlp
 from .engine import SEGMENT_FRAMES, SadModel, save_model
 from .features import FeatureConfig, extract_features
-from .gmm import accumulate_stats, block_stats, merge_gmms, train_gmm
+from .gmm import block_counts, block_supervectors, merge_gmms, train_gmm
 
 logger = logging.getLogger(__name__)
 
@@ -170,7 +169,7 @@ def _cut_segments(frames24: np.ndarray, mask: np.ndarray, ubm) -> tuple[np.ndarr
     windows = mask[:n_frames].reshape(n_segments, SEGMENT_FRAMES)
     pure = windows.all(axis=1) | ~windows.any(axis=1)
     segments = frames24[:n_frames].reshape(n_segments, SEGMENT_FRAMES, frames24.shape[1])[pure]
-    supervectors = make_supervector(block_stats(segments, ubm))
+    supervectors = block_supervectors(segments, ubm)
     return supervectors, windows[pure, 0], n_segments, int(n_segments - pure.sum())
 
 
@@ -206,14 +205,14 @@ def train(cfg: TrainConfig, out_path=None) -> SadModel:
     with _stage("lda"):
         scatter = LdaScatter(LDA_CONTEXT.size * feat_cfg.output_dim)
         for frames, ids in zip(features, class_ids):
-            scatter.add(stack_context_all(frames, LDA_CONTEXT), ids)
+            scatter.add(context_window(LDA_CONTEXT).flush(frames), ids)
         lda = scatter.finalize(cfg.lda_dim)
 
     with _stage("pca"):
         reduced = [context_window(LDA_CONTEXT, lda).flush(f) for f in features]
         moments = PcaMoments(PCA_CONTEXT.size * cfg.lda_dim)
         for frames in reduced:
-            moments.add(stack_context_all(frames, PCA_CONTEXT))
+            moments.add(context_window(PCA_CONTEXT).flush(frames))
         pca = moments.finalize(cfg.pca_dim)
 
     with _stage("transform"):
@@ -236,8 +235,9 @@ def train(cfg: TrainConfig, out_path=None) -> SadModel:
         counts_ubm = merge_gmms(speech_gmm, nonspeech_gmm)
 
     with _stage("count-vectors"):
-        speech_stats = sum(accumulate_stats(f, counts_ubm).zero_order for f in speech_frames)
-        nonspeech_stats = sum(accumulate_stats(f, counts_ubm).zero_order for f in nonspeech_frames)
+        # each file's class frames as one segment, through the detector's counts-only pass
+        speech_stats = sum(block_counts(f[np.newaxis], counts_ubm)[0] for f in speech_frames)
+        nonspeech_stats = sum(block_counts(f[np.newaxis], counts_ubm)[0] for f in nonspeech_frames)
         speech_counts = speech_stats / speech_stats.sum()
         nonspeech_counts = nonspeech_stats / nonspeech_stats.sum()
 

@@ -268,6 +268,16 @@ class TestScore:
         assert rc == 0
         assert "dcf=0.125000" in capsys.readouterr().out
 
+    def test_nan_collar_is_a_data_error(self, tmp_path, capsys):
+        # a NaN collar used to be scored as if it were 0
+        ref_dir, hyp_dir = self.write_fixture(tmp_path)
+        rc = main(["score", "--ref-dir", str(ref_dir), "--hyp-dir", str(hyp_dir),
+                   "--collar", "nan"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "collar must be non-negative" in captured.err
+        assert "dcf=" not in captured.out
+
     def test_unmatched_stems(self, tmp_path, capsys):
         ref_dir, hyp_dir = self.write_fixture(tmp_path)
         write_labels(hyp_dir / "extra.lab", [SegmentLabel(0.0, 1.0, NONSPEECH)])

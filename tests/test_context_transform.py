@@ -13,12 +13,23 @@ from streamsad.context_transform import (
     acoustic_labels,
     apply_transform,
     context_window,
-    stack_context_all,
-    train_lda,
-    train_pca,
 )
 from streamsad.gmm import Gmm
 from oracles import lda_two_class_direction, naive_posteriors
+
+
+def fit_lda(vectors, class_ids, out_dim):
+    """LDA of an in-memory dataset: one LdaScatter.add, then finalize."""
+    scatter = LdaScatter(vectors.shape[1])
+    scatter.add(vectors, class_ids)
+    return scatter.finalize(out_dim)
+
+
+def fit_pca(vectors, out_dim):
+    """PCA of an in-memory dataset: one PcaMoments.add, then finalize."""
+    moments = PcaMoments(vectors.shape[1])
+    moments.add(vectors)
+    return moments.finalize(out_dim)
 
 
 class TestContextStacking:
@@ -30,18 +41,18 @@ class TestContextStacking:
 
     def test_stacked_dims(self):
         frames36 = np.zeros((60, 36))
-        assert stack_context_all(frames36, LDA_CONTEXT).shape == (60, 396)
+        assert context_window(LDA_CONTEXT).flush(frames36).shape == (60, 396)
         frames12 = np.zeros((60, 12))
-        assert stack_context_all(frames12, PCA_CONTEXT).shape == (60, 84)
+        assert context_window(PCA_CONTEXT).flush(frames12).shape == (60, 84)
 
     def test_interior_frame_uses_exact_offsets(self):
         frames = np.arange(50.0).reshape(-1, 1)
-        got = stack_context_all(frames, LDA_CONTEXT)[25]
+        got = context_window(LDA_CONTEXT).flush(frames)[25]
         np.testing.assert_array_equal(got, 25.0 + np.arange(-10, 11, 2))
 
     def test_edges_replicate(self):
         frames = np.arange(50.0).reshape(-1, 1)
-        stacked = stack_context_all(frames, LDA_CONTEXT)
+        stacked = context_window(LDA_CONTEXT).flush(frames)
         # offsets -10..0 all clip to frame 0
         np.testing.assert_array_equal(stacked[0, :6], 0.0)
         last = stacked[49]
@@ -49,14 +60,14 @@ class TestContextStacking:
 
     def test_single_frame_sequence(self):
         frames = np.array([[7.0, 8.0]])
-        got = stack_context_all(frames, PCA_CONTEXT)
+        got = context_window(PCA_CONTEXT).flush(frames)
         np.testing.assert_array_equal(got, np.tile([7.0, 8.0], (1, 7)))
 
     def test_batch_matches_per_frame(self):
         # each row straight from the definition: frames[clip(t + offset)]
         rng = np.random.default_rng(0)
         frames = rng.standard_normal((40, 5))
-        batch = stack_context_all(frames, LDA_CONTEXT)
+        batch = context_window(LDA_CONTEXT).flush(frames)
         for t in range(40):
             idx = np.clip(t + np.asarray(LDA_CONTEXT.offsets), 0, 39)
             np.testing.assert_array_equal(batch[t], frames[idx].ravel())
@@ -64,9 +75,9 @@ class TestContextStacking:
     def test_bad_index_and_empty(self):
         frames = np.zeros((5, 2))
         with pytest.raises(IndexError):
-            stack_context_all(frames, PCA_CONTEXT)[5]
-        with pytest.raises(ValueError):
-            stack_context_all(np.zeros((0, 2)), PCA_CONTEXT)
+            context_window(PCA_CONTEXT).flush(frames)[5]
+        # no frames in, an empty block of the stacked width out
+        assert context_window(PCA_CONTEXT).flush(np.zeros((0, 2))).shape == (0, 14)
 
     def test_spec_must_include_zero_and_increase(self):
         with pytest.raises(ValueError):
@@ -130,7 +141,7 @@ class TestLda:
         a, b = self.two_gaussians()
         vectors = np.vstack([a, b])
         ids = np.array([0] * len(a) + [1] * len(b))
-        lda = train_lda(vectors, ids, 1)
+        lda = fit_lda(vectors, ids, 1)
         want = lda_two_class_direction(a, b)
         got = lda.matrix[0] / np.linalg.norm(lda.matrix[0])
         # same line, up to sign and the small ridge term
@@ -141,7 +152,7 @@ class TestLda:
         a, b = self.two_gaussians(seed=3)
         vectors = np.vstack([a, b])
         ids = np.array([0] * len(a) + [1] * len(b))
-        lda = train_lda(vectors, ids, 1)
+        lda = fit_lda(vectors, ids, 1)
         pa = apply_transform(a, lda).ravel()
         pb = apply_transform(b, lda).ravel()
         gap = abs(pa.mean() - pb.mean())
@@ -152,9 +163,9 @@ class TestLda:
         a, b = self.two_gaussians(seed=4, n=100)
         vectors = np.vstack([a, b])
         ids = np.array([0] * 100 + [1] * 100)
-        lda1 = train_lda(vectors, ids, 1)
+        lda1 = fit_lda(vectors, ids, 1)
         perm = np.random.default_rng(5).permutation(len(vectors))
-        lda2 = train_lda(vectors[perm], ids[perm], 1)
+        lda2 = fit_lda(vectors[perm], ids[perm], 1)
         np.testing.assert_allclose(lda2.matrix, lda1.matrix, atol=1e-8)
         np.testing.assert_allclose(lda2.mean_offset, lda1.mean_offset, atol=1e-12)
 
@@ -162,9 +173,9 @@ class TestLda:
         a, b = self.two_gaussians(seed=6, n=50)
         vectors = np.vstack([a, b])
         ids = np.array([0] * 50 + [1] * 50)
-        base = train_lda(vectors, ids, 1)
+        base = fit_lda(vectors, ids, 1)
         lone = np.array([[100.0, -40.0]])
-        with_lone = train_lda(
+        with_lone = fit_lda(
             np.vstack([vectors, lone]), np.concatenate([ids, [7]]), 1
         )
         np.testing.assert_allclose(with_lone.matrix, base.matrix, atol=1e-12)
@@ -173,25 +184,25 @@ class TestLda:
     def test_needs_two_usable_classes(self):
         vectors = np.random.default_rng(7).standard_normal((10, 3))
         with pytest.raises(ValueError, match="2 classes"):
-            train_lda(vectors, np.zeros(10, dtype=int), 1)
+            fit_lda(vectors, np.zeros(10, dtype=int), 1)
         # second class present but only as a singleton
         ids = np.array([0] * 9 + [1])
         with pytest.raises(ValueError, match="2 classes"):
-            train_lda(vectors, ids, 1)
+            fit_lda(vectors, ids, 1)
 
     def test_out_dim_bounded_by_classes(self):
         rng = np.random.default_rng(8)
         vectors = rng.standard_normal((60, 5))
         ids = np.repeat([0, 1, 2], 20)
         with pytest.raises(ValueError, match="out_dim"):
-            train_lda(vectors, ids, 3)  # 3 classes allow at most 2 dims
-        assert train_lda(vectors, ids, 2).output_dim == 2
+            fit_lda(vectors, ids, 3)  # 3 classes allow at most 2 dims
+        assert fit_lda(vectors, ids, 2).output_dim == 2
 
     def test_chunked_accumulation_equals_one_shot(self):
         rng = np.random.default_rng(9)
         vectors = rng.standard_normal((90, 4))
         ids = rng.integers(0, 3, 90)
-        one = train_lda(vectors, ids, 2)
+        one = fit_lda(vectors, ids, 2)
         scatter = LdaScatter(4)
         for lo in range(0, 90, 13):
             scatter.add(vectors[lo : lo + 13], ids[lo : lo + 13])
@@ -204,7 +215,7 @@ class TestLda:
         means = rng.standard_normal((6, 8)) * 2.5
         vectors = np.vstack([m + rng.standard_normal((40, 8)) for m in means])
         ids = np.repeat(np.arange(6), 40)
-        lda = train_lda(vectors, ids, 1)
+        lda = fit_lda(vectors, ids, 1)
 
         def fisher(direction):
             proj = vectors @ direction
@@ -226,13 +237,13 @@ class TestPca:
         direction = np.array([3.0, 4.0]) / 5.0
         data = np.outer(rng.standard_normal(300) * 5, direction)
         data += rng.standard_normal((300, 2)) * 0.01
-        pca = train_pca(data, 1)
+        pca = fit_pca(data, 1)
         assert abs(float(pca.matrix[0] @ direction)) > 0.999
 
     def test_matches_direct_eigendecomposition(self):
         rng = np.random.default_rng(12)
         data = rng.standard_normal((200, 6)) @ rng.standard_normal((6, 6))
-        pca = train_pca(data, 3)
+        pca = fit_pca(data, 3)
         cov = np.cov(data, rowvar=False)
         values, vectors = np.linalg.eigh(cov)
         want = vectors[:, np.argsort(-values)[:3]].T
@@ -243,27 +254,27 @@ class TestPca:
     def test_mean_projects_to_zero(self):
         rng = np.random.default_rng(13)
         data = rng.standard_normal((50, 4)) + 10.0
-        pca = train_pca(data, 2)
+        pca = fit_pca(data, 2)
         np.testing.assert_allclose(
             apply_transform(data.mean(axis=0), pca), 0.0, atol=1e-9
         )
 
     def test_rows_orthonormal(self):
         rng = np.random.default_rng(14)
-        pca = train_pca(rng.standard_normal((100, 5)), 4)
+        pca = fit_pca(rng.standard_normal((100, 5)), 4)
         np.testing.assert_allclose(pca.matrix @ pca.matrix.T, np.eye(4), atol=1e-10)
 
     def test_projection_variances_sorted(self):
         rng = np.random.default_rng(15)
         data = rng.standard_normal((500, 5)) * np.array([5.0, 3.0, 2.0, 1.0, 0.5])
-        pca = train_pca(data, 5)
+        pca = fit_pca(data, 5)
         variances = apply_transform(data, pca).var(axis=0)
         assert np.all(np.diff(variances) <= 1e-9)
 
     def test_chunked_accumulation_equals_one_shot(self):
         rng = np.random.default_rng(16)
         data = rng.standard_normal((120, 4))
-        one = train_pca(data, 2)
+        one = fit_pca(data, 2)
         moments = PcaMoments(4)
         for lo in range(0, 120, 17):
             moments.add(data[lo : lo + 17])
@@ -272,12 +283,12 @@ class TestPca:
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError, match="2 samples"):
-            train_pca(np.ones((1, 3)), 1)
+            fit_pca(np.ones((1, 3)), 1)
 
 
 class TestStreamingCascade:
     """The detector's LDA -> PCA stages, pushed in any chunking, equal the
-    training path (stack_context_all plus apply_transform) bit for bit."""
+    stacking alone followed by apply_transform, one flush each, bit for bit."""
 
     def test_chunked_stages_equal_batch_bits(self):
         rng = np.random.default_rng(40)
@@ -285,9 +296,9 @@ class TestStreamingCascade:
         lda = LinearTransform(
             matrix=rng.standard_normal((12, 396)), mean_offset=rng.standard_normal(396)
         )
-        pca = train_pca(rng.standard_normal((200, 84)), 24)
-        reduced = apply_transform(stack_context_all(frames, LDA_CONTEXT), lda)
-        want = apply_transform(stack_context_all(reduced, PCA_CONTEXT), pca)
+        pca = fit_pca(rng.standard_normal((200, 84)), 24)
+        reduced = apply_transform(context_window(LDA_CONTEXT).flush(frames), lda)
+        want = apply_transform(context_window(PCA_CONTEXT).flush(reduced), pca)
         for sizes in ([1300], [1] * 30 + [1270], list(rng.integers(1, 120, 40))):
             stages = (context_window(LDA_CONTEXT, lda), context_window(PCA_CONTEXT, pca))
             cuts = np.cumsum(sizes)[:-1]
@@ -307,7 +318,7 @@ class TestStreamingCascade:
         frames = rng.standard_normal((3, 4))
         stage = context_window(LDA_CONTEXT)
         assert stage.push(frames).shape == (0, 44)
-        np.testing.assert_array_equal(stage.flush(frames[:0]), stack_context_all(frames, LDA_CONTEXT))
+        np.testing.assert_array_equal(stage.flush(frames[:0]), context_window(LDA_CONTEXT).flush(frames))
 
 
 class TestApplyTransform:
@@ -322,7 +333,7 @@ class TestApplyTransform:
 
     def test_single_vector_and_batch_agree(self):
         rng = np.random.default_rng(18)
-        transform = train_pca(rng.standard_normal((50, 4)), 2)
+        transform = fit_pca(rng.standard_normal((50, 4)), 2)
         x = rng.standard_normal((6, 4))
         batch = apply_transform(x, transform)
         for i in range(6):
@@ -345,7 +356,7 @@ class TestApplyTransform:
     @given(seed=st.integers(0, 10_000))
     def test_projection_is_affine(self, seed):
         rng = np.random.default_rng(seed)
-        transform = train_pca(rng.standard_normal((30, 3)), 2)
+        transform = fit_pca(rng.standard_normal((30, 3)), 2)
         x, y = rng.standard_normal((2, 3))
         lhs = apply_transform(x + y, transform)
         rhs = apply_transform(x, transform) + apply_transform(y, transform) \

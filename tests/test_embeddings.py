@@ -14,12 +14,11 @@ from streamsad.embeddings import (
     forward,
     init_mlp,
     loss_and_grads,
-    make_supervector,
     softmax,
     train_mlp,
 )
-from streamsad.gmm import BaumWelchStats, Gmm, accumulate_stats
-from oracles import finite_difference_grads, supervector_oracle
+from streamsad.gmm import Gmm, block_supervectors
+from oracles import finite_difference_grads, naive_posteriors, supervector_oracle
 
 
 def blobs(rng, n_per_class=120, dim=10, gap=2.0):
@@ -33,11 +32,12 @@ def blobs(rng, n_per_class=120, dim=10, gap=2.0):
 
 
 class TestSupervector:
+    """gmm.block_supervectors, the supervector stage that feeds the MLP, on blocks of S = 1."""
+
     def test_single_component_is_centered_mean(self):
         ubm = Gmm(np.array([1.0]), np.array([[1.0, -1.0]]), np.ones((1, 2)))
         frames = np.array([[2.0, 3.0], [4.0, 1.0]])
-        stats = accumulate_stats(frames, ubm)
-        got = make_supervector(stats)
+        got = block_supervectors(frames[np.newaxis], ubm)[0]
         np.testing.assert_allclose(got, frames.mean(axis=0) - ubm.means[0], atol=1e-12)
 
     def test_matches_two_pass_oracle(self):
@@ -48,28 +48,34 @@ class TestSupervector:
             variances=rng.uniform(0.3, 1.5, (3, 2)),
         )
         frames = rng.standard_normal((10, 2))
-        got = make_supervector(accumulate_stats(frames, ubm))
+        got = block_supervectors(frames[np.newaxis], ubm)[0]
         want = supervector_oracle(frames, ubm.weights, ubm.means, ubm.variances)
         np.testing.assert_allclose(got, want, atol=1e-10)
 
     def test_empty_components_stay_small(self):
-        # the count floor keeps unvisited components from blowing up
-        stats = BaumWelchStats(
-            zero_order=np.array([3.0, 0.0]),
-            first_order_centered=np.array([[6.0, 6.0], [1e-5, 0.0]]),
-            frame_count=3,
-        )
-        vec = make_supervector(stats)
-        np.testing.assert_allclose(vec[:2], [2.0, 2.0], atol=1e-12)
-        np.testing.assert_allclose(vec[2], 1e-5 / 1e-3, atol=1e-12)
+        # the count floor keeps unvisited components from blowing up: frames
+        # at component 0 leave component 1 a count far below the floor, so
+        # its centered sum, about -6 times that count, is divided by the
+        # floor and stays near 0 instead of becoming a mean offset of -6
+        ubm = Gmm(np.array([0.5, 0.5]), np.array([[0.0, 0.0], [6.0, 6.0]]), np.ones((2, 2)))
+        frames = np.array([[0.0, 0.0], [0.1, -0.1], [-0.1, 0.1]])
+        vec = block_supervectors(frames[np.newaxis], ubm)[0]
+        want = supervector_oracle(frames, ubm.weights, ubm.means, ubm.variances)
+        np.testing.assert_allclose(vec, want, rtol=1e-9, atol=1e-300)
+        np.testing.assert_allclose(vec[:2], frames.mean(axis=0), atol=1e-12)
+        assert 0.0 < np.max(np.abs(vec[2:])) < 1e-9
 
     def test_layout_is_component_major(self):
-        stats = BaumWelchStats(
-            zero_order=np.array([1.0, 1.0]),
-            first_order_centered=np.array([[1.0, 2.0], [3.0, 4.0]]),
-            frame_count=2,
-        )
-        np.testing.assert_array_equal(make_supervector(stats), [1.0, 2.0, 3.0, 4.0])
+        # component c's normalized sums fill columns c*D .. (c+1)*D - 1
+        rng = np.random.default_rng(1)
+        ubm = Gmm(np.full(3, 1.0 / 3.0), rng.standard_normal((3, 2)), np.full((3, 2), 0.7))
+        frames = rng.standard_normal((10, 2))
+        vec = block_supervectors(frames[np.newaxis], ubm)[0]
+        assert vec.shape == (6,)
+        for c in range(3):
+            gammas = [naive_posteriors(x, ubm.weights, ubm.means, ubm.variances)[c] for x in frames]
+            want = sum(g * (x - ubm.means[c]) for g, x in zip(gammas, frames)) / max(sum(gammas), 1e-3)
+            np.testing.assert_allclose(vec[2 * c : 2 * c + 2], want, atol=1e-10)
 
 
 class TestModelBasics:
@@ -96,16 +102,16 @@ class TestModelBasics:
             )
 
     def test_forward_single_and_batch_agree(self):
+        # one input is a (1, in_dim) batch of its own
         m = init_mlp([6, 4, 2], seed=0)
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal((5, 6))
+        x = np.random.default_rng(1).standard_normal((5, 6))
         batch = forward(m, x)
         for i in range(5):
-            np.testing.assert_allclose(forward(m, x[i]), batch[i], atol=1e-12)
+            np.testing.assert_allclose(forward(m, x[i : i + 1])[0], batch[i], atol=1e-12)
 
     def test_forward_matches_manual_composition(self):
         m = init_mlp([3, 4, 2], seed=5)
-        x = np.array([0.5, -1.0, 2.0])
+        x = np.array([[0.5, -1.0, 2.0]])
         h = np.maximum(x @ m.weights[0] + m.biases[0], 0.0)
         want = h @ m.weights[1] + m.biases[1]
         np.testing.assert_allclose(forward(m, x), want, atol=1e-12)
@@ -119,7 +125,10 @@ class TestModelBasics:
     def test_input_dim_check(self):
         m = init_mlp([6, 4, 2])
         with pytest.raises(ValueError, match=r"expected \(n, 6\)"):
-            forward(m, np.zeros(5))
+            forward(m, np.zeros((1, 5)))
+        # one input is a (1, in_dim) batch; a bare vector is refused
+        with pytest.raises(ValueError, match=r"expected \(n, 6\)"):
+            forward(m, np.zeros(6))
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000), scale=st.floats(0.1, 500))

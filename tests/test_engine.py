@@ -29,8 +29,8 @@ from streamsad.engine import (
     format_trace,
     load_model,
     merge_decisions,
-    process_segment,
     save_model,
+    score_segments,
     score_vector,
     smooth_segments,
     stream_detect,
@@ -83,6 +83,11 @@ def mini_model(base_threshold=0.0, seed=0):
     )
 
 
+def decide_one(frames, model, state, cfg, index=0):
+    """Score, decide and adapt one segment: the scorer's block of S = 1."""
+    return score_segments(frames[np.newaxis], model, state, cfg, first_index=index)[0]
+
+
 def cos_oracle(a, b):
     num = sum(x * y for x, y in zip(a, b))
     den = math.sqrt(sum(x * x for x in a)) * math.sqrt(sum(y * y for y in b))
@@ -120,8 +125,8 @@ class TestScoring:
         dead = replace(live, embedding_weight=np.zeros((4, 3)), embedding_bias=np.full(3, -1.0))
         cfg = AdaptationConfig()
         frames = np.random.default_rng(1).standard_normal((10, 2))
-        d = process_segment(frames, dead, AdaptState(dead, cfg), cfg)
-        want = process_segment(frames, live, AdaptState(live, cfg), cfg)
+        d = decide_one(frames, dead, AdaptState(dead, cfg), cfg)
+        want = decide_one(frames, live, AdaptState(live, cfg), cfg)
         assert d.emb_score == 0.0
         assert d.zero_score == want.zero_score
         assert d.fused_score == d.zero_score / 2.0
@@ -191,7 +196,7 @@ class TestAdaptation:
         rng = np.random.default_rng(2)
         for _ in range(50):
             frames = rng.standard_normal((10, 2))
-            process_segment(frames, model, state, cfg)
+            decide_one(frames, model, state, cfg)
             assert len(state.speech_buffer) <= 3
             assert len(state.speech_scores) <= 3
             assert len(state.nonspeech_buffer) <= 2
@@ -206,6 +211,8 @@ class TestAdaptation:
 
 
 class TestProcessSegment:
+    """Processing one segment at a time, each a block of S = 1 (`decide_one`)."""
+
     def test_hand_stepped_twenty_segment_trace(self):
         """Replay 20 segments against a from-scratch reimplementation."""
         # threshold sits at the median fused score so both labels occur
@@ -268,7 +275,7 @@ class TestProcessSegment:
                 if score_buf else model.base_threshold
             )
 
-            got = process_segment(frames, model, state, cfg, index=index)
+            got = decide_one(frames, model, state, cfg, index=index)
             assert got.label == want_label, f"segment {index}"
             assert got.threshold == pytest.approx(want_threshold, abs=1e-12)
             assert got.zero_score == pytest.approx(zero_score, abs=1e-10)
@@ -286,10 +293,10 @@ class TestProcessSegment:
         cfg = AdaptationConfig()
         rng = np.random.default_rng(4)
         frames = rng.standard_normal((10, 2))
-        probe = process_segment(frames, model, AdaptState(model, cfg), cfg)
+        probe = decide_one(frames, model, AdaptState(model, cfg), cfg)
         # rebuild the model with the threshold exactly at the fused score
         tied = mini_model(base_threshold=probe.fused_score)
-        got = process_segment(frames, tied, AdaptState(tied, cfg), cfg)
+        got = decide_one(frames, tied, AdaptState(tied, cfg), cfg)
         assert got.fused_score == got.threshold
         assert got.label == NONSPEECH
 
@@ -299,7 +306,7 @@ class TestProcessSegment:
         state = AdaptState(model, cfg)
         rng = np.random.default_rng(5)
         for i in range(10):
-            process_segment(rng.standard_normal((10, 2)), model, state, cfg, index=i)
+            decide_one(rng.standard_normal((10, 2)), model, state, cfg, index=i)
             assert not state.speech_buffer and not state.nonspeech_buffer
             np.testing.assert_array_equal(state.adapted_speech_counts, model.speech_counts)
             assert state.adapted_threshold == model.base_threshold
@@ -313,8 +320,8 @@ class TestProcessSegment:
         off_state = AdaptState(model, off_cfg)
         zero_state = AdaptState(model, zero_cfg)
         for i, frames in enumerate(segments):
-            d_off = process_segment(frames, model, off_state, off_cfg, index=i)
-            d_zero = process_segment(frames, model, zero_state, zero_cfg, index=i)
+            d_off = decide_one(frames, model, off_state, off_cfg, index=i)
+            d_zero = decide_one(frames, model, zero_state, zero_cfg, index=i)
             assert d_off == d_zero
 
     def test_score_range_is_enforced(self):
@@ -322,7 +329,7 @@ class TestProcessSegment:
         cfg = AdaptationConfig()
         rng = np.random.default_rng(7)
         for scale in (0.01, 1.0, 100.0):
-            d = process_segment(
+            d = decide_one(
                 rng.standard_normal((10, 2)) * scale, model, AdaptState(model, cfg), cfg
             )
             assert -2.0 <= d.zero_score <= 2.0
@@ -334,9 +341,12 @@ class TestProcessSegment:
         cfg = AdaptationConfig()
         state = AdaptState(model, cfg)
         with pytest.raises(ValueError, match="empty segment"):
-            process_segment(np.zeros((0, 2)), model, state, cfg)
-        with pytest.raises(ValueError, match="transformed frames"):
-            process_segment(np.zeros((10, 3)), model, state, cfg)
+            score_segments(np.zeros((1, 0, 2)), model, state, cfg)
+        with pytest.raises(ValueError, match=r"expected \(S, n, 2\) transformed frames"):
+            score_segments(np.zeros((1, 10, 3)), model, state, cfg)
+        # one segment is a block of S = 1; a bare (n, D) segment is refused
+        with pytest.raises(ValueError, match=r"got shape \(10, 2\)"):
+            score_segments(np.zeros((10, 2)), model, state, cfg)
 
     def test_segment_times_sit_on_frame_grid(self):
         model = mini_model()
@@ -345,7 +355,7 @@ class TestProcessSegment:
         rng = np.random.default_rng(8)
         prev_end = 0.0
         for i in range(7):
-            d = process_segment(rng.standard_normal((10, 2)), model, state, cfg, index=i)
+            d = decide_one(rng.standard_normal((10, 2)), model, state, cfg, index=i)
             assert d.start == prev_end  # bit-identical, not just close
             prev_end = d.end
 
@@ -425,6 +435,14 @@ class TestMergeAndSmooth:
         ]
         out = smooth_segments(segments, SmoothingConfig(enabled=False))
         assert out == segments
+
+    def test_config_validation(self):
+        for bad in (-0.1, float("nan")):
+            with pytest.raises(ValueError, match="non-negative"):
+                SmoothingConfig(min_gap=bad)
+            with pytest.raises(ValueError, match="non-negative"):
+                SmoothingConfig(min_speech=bad)
+        assert SmoothingConfig(min_gap=0.0, min_speech=0.0).min_gap == 0.0
 
     def test_exact_threshold_durations_survive(self):
         # a gap of exactly min_gap is not "shorter than", so it stays
@@ -745,6 +763,10 @@ def _with_shape(name, shape):
     return lambda h: {**h, "arrays": [[n, shape if n == name else s] for n, s in h["arrays"]]}
 
 
+def _with_feature(name, value):
+    return lambda h: {**h, "feature_cfg": {**h["feature_cfg"], name: value}}
+
+
 @pytest.fixture(scope="module")
 def tiny_bundle(tiny_model, tmp_path_factory):
     path = tmp_path_factory.mktemp("bundle") / "model.sadb"
@@ -826,15 +848,37 @@ class TestModelBundle:
             (_with_shape("speech_counts", [1]), "longer than its array shapes"),
             (_with_shape("pca.mean_offset", [-8]), "bad array entry"),
             (lambda h: {**h, "arrays": h["arrays"][1:] + h["arrays"][:1]}, "malformed bundle"),
+            # JSON keeps 12.0 a float: integer fields must be JSON integers
+            (_with_feature("n_mfcc", 12.0), "n_mfcc must be a JSON integer, got 12.0"),
+            (_with_feature("n_fft", 256.5), "n_fft must be a JSON integer, got 256.5"),
+            (_with_feature("delta_window", 2.0), "delta_window must be a JSON integer"),
+            (_with_feature("n_mel_filters", 23.0), "n_mel_filters must be a JSON integer"),
+            (_with_feature("n_mfcc", True), "n_mfcc must be a JSON integer, got True"),
+            (lambda h: {**h, "sample_rate": 8000.7}, "sample_rate must be a JSON integer, got 8000.7"),
+            (lambda h: {**h, "sample_rate": 8000.0}, "sample_rate must be a JSON integer"),
         ],
         ids=["unknown-feature-key", "missing-key", "header-not-object", "nan-threshold", "shapes-overrun",
-             "payload-too-long", "negative-dim", "arrays-out-of-order"],
+             "payload-too-long", "negative-dim", "arrays-out-of-order", "float-n_mfcc", "float-n_fft",
+             "float-delta_window", "float-n_mel_filters", "bool-n_mfcc", "fractional-sample_rate",
+             "float-sample_rate"],
     )
     def test_malformed_header_is_a_value_error(self, tiny_bundle, tmp_path, edit, match):
         path = tmp_path / "bad.sadb"
         path.write_bytes(reframe(tiny_bundle, edit))
         with pytest.raises(ValueError, match=match):
             load_model(path)
+
+    def test_float_integer_field_exits_2(self, tiny_bundle, tiny_corpus, tmp_path, capsys):
+        # it used to load and then fail inside the front end with a TypeError (exit 3)
+        from streamsad.cli import main
+
+        path = tmp_path / "float.sadb"
+        path.write_bytes(reframe(tiny_bundle, _with_feature("n_mfcc", 12.0)))
+        rc = main(["detect", "--model", str(path), "--out-dir", str(tmp_path / "hyp"),
+                   str(tiny_corpus["entries"][5][0])])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{path}: malformed bundle" in err and "n_mfcc must be a JSON integer" in err
 
     def test_unknown_feature_key_exits_2(self, tiny_bundle, tiny_corpus, tmp_path, capsys):
         from streamsad.cli import main

@@ -226,6 +226,8 @@ class TestScore:
     def test_config_validation(self):
         with pytest.raises(ValueError, match="collar"):
             EvalConfig(collar=-0.1)
+        with pytest.raises(ValueError, match="collar"):
+            EvalConfig(collar=float("nan"))
 
 
 class TestAggregate:
@@ -236,13 +238,13 @@ class TestAggregate:
 
     def test_single_report_unchanged(self):
         one = self.r(3.0, 6.0, 0.3, 0.6)
-        pooled = aggregate([one])
+        pooled = aggregate({"one": one})
         assert pooled.dcf == one.dcf
         assert pooled.scored_speech == one.scored_speech
 
     def test_two_identical_files_keep_the_dcf(self):
         one = self.r(3.0, 6.0, 0.3, 0.6)
-        pooled = aggregate([one, one])
+        pooled = aggregate({"a": one, "b": one})
         assert pooled.dcf == pytest.approx(one.dcf, abs=1e-15)
         assert pooled.scored_speech == 6.0
 
@@ -256,7 +258,7 @@ class TestAggregate:
         ref1, hyp1 = random_speech(rng, d1, margin=0.5), random_speech(rng, d1, margin=0.5)
         ref2, hyp2 = random_speech(rng, d2, margin=0.5), random_speech(rng, d2, margin=0.5)
         pooled = aggregate(
-            [score(ref1, hyp1, file_duration=d1), score(ref2, hyp2, file_duration=d2)]
+            {"1": score(ref1, hyp1, file_duration=d1), "2": score(ref2, hyp2, file_duration=d2)}
         )
 
         def shift(segments, by):
@@ -275,7 +277,7 @@ class TestAggregate:
 
     def test_errors(self):
         with pytest.raises(EvaluationError, match="nothing"):
-            aggregate([])
+            aggregate({})
 
 
 class TestFormatting:

@@ -9,14 +9,13 @@ from hypothesis import strategies as st
 import streamsad.gmm as gmm_module
 from streamsad.audio_io import NONSPEECH, SPEECH, AudioStream, read_wav
 from streamsad.context_transform import LDA_CONTEXT, PCA_CONTEXT, LinearTransform, context_window
-from streamsad.embeddings import COUNT_FLOOR, embed_batch, make_supervector
+from streamsad.embeddings import embed_batch
 from streamsad.engine import (
     AdaptationConfig,
     AdaptState,
     RingBuffer,
     StreamingDetector,
     format_trace,
-    process_segment,
     score_segments,
 )
 from streamsad.features import (
@@ -24,8 +23,6 @@ from streamsad.features import (
     FeatureConfig,
     FeatureExtractor,
     StaticMfcc,
-    append_deltas,
-    apply_cmn,
     cmn_window,
     dct_matrix,
     delta_window,
@@ -36,11 +33,22 @@ from streamsad.features import (
     mel_filterbank,
     mel_to_hz,
 )
-from streamsad.gmm import Gmm, block_counts, block_stats, log_likelihoods, logsumexp
+from streamsad.gmm import COUNT_FLOOR, Gmm, block_counts, block_supervectors, log_likelihoods, logsumexp
 from oracles import delta_oracle, mfcc_oracle, trailing_mean_oracle
 
 
 CFG = FeatureConfig()
+
+
+def cmn(frames):
+    """The CMN stage alone over a whole frame sequence: one flush."""
+    return cmn_window(CFG).flush(frames)
+
+
+def with_deltas(frames):
+    """Deltas, then delta-deltas, appended as the front end does: (T, D) -> (T, 3D)."""
+    dim = frames.shape[1]
+    return delta_window(dim, CFG.delta_window).flush(delta_window(dim, CFG.delta_window).flush(frames))
 
 
 # pushes that are not 1-D real samples, each with the text its error names
@@ -146,20 +154,20 @@ class TestStaticMfcc:
 class TestCmn:
     def test_constant_input_zeroes_out(self):
         frames = np.tile([3.0, -1.5, 2.0], (50, 1))
-        np.testing.assert_allclose(apply_cmn(frames), 0.0, atol=1e-12)
+        np.testing.assert_allclose(cmn(frames), 0.0, atol=1e-12)
 
     def test_matches_trailing_mean_oracle(self):
         rng = np.random.default_rng(7)
         frames = rng.standard_normal((240, 12))
         np.testing.assert_allclose(
-            apply_cmn(frames), trailing_mean_oracle(frames, 100), atol=1e-10
+            cmn(frames), trailing_mean_oracle(frames, 100), atol=1e-10
         )
 
     def test_recovers_after_level_step(self):
         # the shift washes out once the window holds only post-step frames
         frames = np.zeros((260, 2))
         frames[60:] = 5.0
-        out = apply_cmn(frames)
+        out = cmn(frames)
         np.testing.assert_allclose(out[160:], 0.0, atol=1e-12)
         assert np.abs(out[60:159]).max() > 0.01
 
@@ -169,21 +177,21 @@ class TestCmn:
         stage = cmn_window(CFG)
         streamed = [stage.push(frame[np.newaxis]) for frame in frames]
         streamed.append(stage.flush(np.empty((0, 12))))
-        np.testing.assert_array_equal(np.concatenate(streamed), apply_cmn(frames))
+        np.testing.assert_array_equal(np.concatenate(streamed), cmn(frames))
 
     def test_empty_input(self):
-        assert apply_cmn(np.zeros((0, 12))).shape == (0, 12)
+        assert cmn(np.zeros((0, 12))).shape == (0, 12)
 
 
 class TestDeltas:
     def test_constant_frames_give_zero_deltas(self):
         frames = np.tile([1.0, 2.0], (20, 1))
-        out = append_deltas(frames)
+        out = with_deltas(frames)
         np.testing.assert_allclose(out[:, 2:], 0.0, atol=1e-12)
 
     def test_linear_ramp_has_unit_slope_interior(self):
         frames = np.arange(30.0).reshape(-1, 1)
-        out = append_deltas(frames)
+        out = with_deltas(frames)
         # interior deltas of a unit-slope ramp equal the slope
         np.testing.assert_allclose(out[2:-2, 1], 1.0, atol=1e-12)
         np.testing.assert_allclose(out[4:-4, 2], 0.0, atol=1e-12)
@@ -191,18 +199,17 @@ class TestDeltas:
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(3)
         frames = rng.standard_normal((10, 4))
-        out = append_deltas(frames)
+        out = with_deltas(frames)
         d1 = delta_oracle(frames)
         d2 = delta_oracle(d1)
         np.testing.assert_allclose(out[:, 4:8], d1, atol=1e-12)
         np.testing.assert_allclose(out[:, 8:], d2, atol=1e-12)
 
     def test_output_width(self):
-        assert append_deltas(np.zeros((5, 12))).shape == (5, 36)
+        assert with_deltas(np.zeros((5, 12))).shape == (5, 36)
 
-    def test_empty_raises(self):
-        with pytest.raises(ValueError, match="empty"):
-            append_deltas(np.zeros((0, 12)))
+    def test_empty_input(self):
+        assert with_deltas(np.zeros((0, 12))).shape == (0, 36)
 
 
 class TestStreamingExtractor:
@@ -304,9 +311,9 @@ class TestStreamingExtractor:
         got += [ext.push(samples[fed:]), ext.flush()]
         np.testing.assert_array_equal(np.concatenate(got), extract_features(stream(samples)))
 
-    def test_process_too_short_raises(self):
+    def test_whole_file_too_short_raises(self):
         with pytest.raises(ValueError, match="shorter than one analysis window"):
-            FeatureExtractor(CFG, 8000).process(np.zeros(50))
+            extract_features(stream(np.zeros(50)))
 
 
 BLOCK_SIZES = [1, 2, 7, 10, 64, 1000]
@@ -381,7 +388,7 @@ class TestBatchInvariance:
     @pytest.mark.parametrize("size", BLOCK_SIZES)
     def test_cmn_window_sum(self, size):
         x = np.random.default_rng(30).standard_normal((1500, 12))
-        np.testing.assert_array_equal(streamed(cmn_window(CFG), x, size), apply_cmn(x))
+        np.testing.assert_array_equal(streamed(cmn_window(CFG), x, size), cmn(x))
 
     @pytest.mark.parametrize("size", BLOCK_SIZES)
     @pytest.mark.parametrize("dim", [1, 12])
@@ -498,21 +505,20 @@ class TestSegmentBatchInvariance:
     that gets its own decision (5-9).
     """
 
-    @pytest.mark.parametrize("size", BLOCK_SIZES)
+    @pytest.mark.parametrize("size", [0] + BLOCK_SIZES)
     @pytest.mark.parametrize("n_frames", [5, 6, 7, 8, 9, 10])
     def test_block_stats_and_supervectors(self, size, n_frames):
         # the counts UBM (2 x 64 components) and the supervector UBM (32) over 24-d frames
         rng = np.random.default_rng(size * 100 + n_frames)
         segments = rng.standard_normal((size, n_frames, 24)) * 2.0
         for ubm in (random_ubm(rng, 128, 24), random_ubm(rng, 32, 24)):
-            stats = block_stats(segments, ubm)
-            supervectors = make_supervector(stats)
-            for segment, counts, first, sv in zip(
-                segments, stats.zero_order, stats.first_order_centered, supervectors
-            ):
+            counts = block_counts(segments, ubm)
+            supervectors = block_supervectors(segments, ubm)
+            assert counts.shape == (size, ubm.n_components)
+            assert supervectors.shape == (size, ubm.n_components * 24)
+            for segment, segment_counts, sv in zip(segments, counts, supervectors):
                 want_counts, want_first = stats_reference(segment, ubm)
-                np.testing.assert_array_equal(counts, want_counts)
-                np.testing.assert_array_equal(first, want_first)
+                np.testing.assert_array_equal(segment_counts, want_counts)
                 want_sv = (want_first / np.maximum(want_counts, COUNT_FLOOR)[:, None]).ravel()
                 np.testing.assert_array_equal(sv, want_sv)
 
@@ -537,13 +543,21 @@ class TestSegmentBatchInvariance:
 
     @pytest.mark.parametrize("size", [0, 1, 2, 7, 50, 1000])
     @pytest.mark.parametrize("n_frames", [5, 10])
-    def test_counts_only_pass_equals_block_stats_counts(self, size, n_frames):
+    def test_counts_only_pass_equals_block_stats_counts(self, monkeypatch, size, n_frames):
+        # the counts-only pass and the statistics pass behind the supervectors
+        # each check their counts once per block, and the two are the same bits
+        checked = []
+        check_counts = gmm_module._check_counts
+        monkeypatch.setattr(gmm_module, "_check_counts", lambda c, n: checked.append(c) or check_counts(c, n))
         rng = np.random.default_rng(size * 10 + n_frames)
         segments = rng.standard_normal((size, n_frames, 24)) * 2.0
         for ubm in (random_ubm(rng, 128, 24), random_ubm(rng, 32, 24)):
+            checked.clear()
             counts = block_counts(segments, ubm)
-            assert counts.shape == (size, ubm.n_components)
-            np.testing.assert_array_equal(counts, block_stats(segments, ubm).zero_order)
+            block_supervectors(segments, ubm)
+            assert len(checked) == 2
+            assert checked[0] is counts
+            np.testing.assert_array_equal(checked[1], counts)
 
     @pytest.mark.parametrize(
         "shift,match",
@@ -558,7 +572,7 @@ class TestSegmentBatchInvariance:
         with pytest.raises(ValueError, match=match):
             block_counts(segments, ubm)
         with pytest.raises(ValueError, match=match):
-            block_stats(segments, ubm)
+            block_supervectors(segments, ubm)
 
     @pytest.mark.parametrize("size", BLOCK_SIZES)
     @pytest.mark.parametrize("in_dim,out_dim", [(768, 256), (96, 32), (4, 3)])
@@ -596,9 +610,12 @@ class TestSegmentBatchInvariance:
         want = scores_reference(segments, tiny_model, cfg)
         assert [(d.zero_score, d.emb_score, d.fused_score, d.threshold, d.label) for d in got] == want
         assert [d.index for d in got] == list(range(5, 5 + size))
-        # and process_segment, the S = 1 call, one segment at a time
+        # and one segment at a time, each a block of S = 1
         state = AdaptState(tiny_model, cfg)
-        assert [process_segment(seg, tiny_model, state, cfg, index=5 + i) for i, seg in enumerate(segments)] == got
+        assert [
+            score_segments(seg[np.newaxis], tiny_model, state, cfg, first_index=5 + i)[0]
+            for i, seg in enumerate(segments)
+        ] == got
 
     @settings(max_examples=25, deadline=None)
     @given(sizes=st.lists(st.integers(1, 12000), min_size=1, max_size=40))

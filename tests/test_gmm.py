@@ -4,18 +4,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamsad.gmm import (
-    BaumWelchStats,
+    COUNT_FLOOR,
     Gmm,
-    accumulate_stats,
+    _check_counts,
+    block_counts,
+    block_supervectors,
     log_likelihoods,
-    loglik,
     logsumexp,
     merge_gmms,
     posterior_matrix,
-    posteriors,
     train_gmm,
 )
 from oracles import naive_posteriors
+
+
+def total_loglik(frames, gmm):
+    """Total log-likelihood of the frames under the mixture."""
+    return float(logsumexp(log_likelihoods(frames, gmm), axis=1).sum())
 
 
 def random_gmm(rng, n_components, dim, spread=3.0):
@@ -66,7 +71,7 @@ class TestLikelihoodsAndPosteriors:
 
     def test_single_component_posterior_is_one(self):
         gmm = Gmm(np.array([1.0]), np.zeros((1, 2)), np.ones((1, 2)))
-        np.testing.assert_array_equal(posteriors(np.array([9.0, -9.0]), gmm), [1.0])
+        np.testing.assert_array_equal(posterior_matrix(np.array([[9.0, -9.0]]), gmm), [[1.0]])
 
     def test_frame_at_isolated_mean_dominates(self):
         gmm = Gmm(
@@ -74,7 +79,7 @@ class TestLikelihoodsAndPosteriors:
             np.array([[0.0, 0.0], [8.0, 8.0]]),
             np.ones((2, 2)),
         )
-        gamma = posteriors(np.array([8.0, 8.0]), gmm)
+        gamma = posterior_matrix(np.array([[8.0, 8.0]]), gmm)[0]
         assert gamma[1] > 0.99
 
     @settings(max_examples=40, deadline=None)
@@ -94,12 +99,15 @@ class TestLikelihoodsAndPosteriors:
         resp = posterior_matrix(frames, gmm)
         assert np.all(np.isfinite(resp))
         np.testing.assert_allclose(resp.sum(axis=1), 1.0, atol=1e-12)
-        assert np.isfinite(loglik(frames, gmm))
+        assert np.isfinite(total_loglik(frames, gmm))
 
     def test_dim_mismatch(self):
         gmm = random_gmm(np.random.default_rng(3), 2, 3)
-        with pytest.raises(ValueError, match="dim"):
-            posteriors(np.zeros(4), gmm)
+        with pytest.raises(ValueError, match=r"expected \(T, 3\) frames, got shape \(1, 4\)"):
+            posterior_matrix(np.zeros((1, 4)), gmm)
+        # a single frame is a (1, D) block; a bare vector is refused
+        with pytest.raises(ValueError, match=r"got shape \(3,\)"):
+            posterior_matrix(np.zeros(3), gmm)
 
 
 class TestTraining:
@@ -140,7 +148,7 @@ class TestTraining:
         history = []
         gmm = train_gmm(data, 6, n_iters=15, seed=3,
                         callback=lambda i, ll: history.append(ll))
-        history.append(loglik(data, gmm))
+        history.append(total_loglik(data, gmm))
         assert len(history) == 16
         diffs = np.diff(history)
         floor = -1e-8 * np.abs(history[:-1])
@@ -254,39 +262,39 @@ class TestLogsumexp:
 
 
 class TestBaumWelchStats:
+    """Zero-order counts and supervectors (count-normalized centered
+    first-order sums) of one segment, given as a block of S = 1."""
+
     def test_single_frame_counts_sum_to_one(self):
         rng = np.random.default_rng(16)
         ubm = random_gmm(rng, 3, 2)
-        stats = accumulate_stats(rng.standard_normal((1, 2)), ubm)
-        assert stats.frame_count == 1
-        assert stats.zero_order.sum() == pytest.approx(1.0, abs=1e-12)
+        counts = block_counts(rng.standard_normal((1, 1, 2)), ubm)
+        assert counts.shape == (1, 3)
+        assert counts.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_direct_formula(self):
         rng = np.random.default_rng(17)
         ubm = random_gmm(rng, 3, 2)
         frames = rng.standard_normal((12, 2))
-        stats = accumulate_stats(frames, ubm)
         want_n = np.zeros(3)
         want_f = np.zeros((3, 2))
         for x in frames:
             gamma = naive_posteriors(x, ubm.weights, ubm.means, ubm.variances)
             want_n += gamma
             want_f += gamma[:, None] * (x - ubm.means)
-        np.testing.assert_allclose(stats.zero_order, want_n, atol=1e-10)
-        np.testing.assert_allclose(stats.first_order_centered, want_f, atol=1e-10)
+        np.testing.assert_allclose(block_counts(frames[np.newaxis], ubm)[0], want_n, atol=1e-10)
+        want_sv = (want_f / np.maximum(want_n, COUNT_FLOOR)[:, None]).ravel()
+        np.testing.assert_allclose(block_supervectors(frames[np.newaxis], ubm)[0], want_sv, atol=1e-10)
 
     def test_additive_over_concatenation(self):
+        # the trainer sums per-file counts into one class count vector
         rng = np.random.default_rng(18)
         ubm = random_gmm(rng, 4, 3)
         a = rng.standard_normal((20, 3))
         b = rng.standard_normal((30, 3))
-        whole = accumulate_stats(np.vstack([a, b]), ubm)
-        sa, sb = accumulate_stats(a, ubm), accumulate_stats(b, ubm)
-        assert sa.frame_count + sb.frame_count == whole.frame_count
-        np.testing.assert_allclose(sa.zero_order + sb.zero_order, whole.zero_order, atol=1e-9)
-        np.testing.assert_allclose(
-            sa.first_order_centered + sb.first_order_centered, whole.first_order_centered, atol=1e-9
-        )
+        whole = block_counts(np.vstack([a, b])[np.newaxis], ubm)[0]
+        sa, sb = block_counts(a[np.newaxis], ubm)[0], block_counts(b[np.newaxis], ubm)[0]
+        np.testing.assert_allclose(sa + sb, whole, atol=1e-9)
 
     def test_frames_at_a_mean_center_to_zero(self):
         ubm = Gmm(
@@ -294,24 +302,26 @@ class TestBaumWelchStats:
             np.array([[0.0, 0.0], [9.0, 9.0]]),
             np.ones((2, 2)),
         )
-        frames = np.tile([9.0, 9.0], (5, 1))
-        stats = accumulate_stats(frames, ubm)
-        np.testing.assert_allclose(stats.first_order_centered[1], 0.0, atol=1e-8)
-        assert stats.zero_order[1] == pytest.approx(5.0, abs=1e-6)
+        frames = np.tile([9.0, 9.0], (1, 5, 1))
+        np.testing.assert_allclose(block_supervectors(frames, ubm)[0, 2:], 0.0, atol=1e-8)
+        assert block_counts(frames, ubm)[0, 1] == pytest.approx(5.0, abs=1e-6)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="sum to the frame count"):
-            BaumWelchStats(np.array([0.5, 0.4]), np.zeros((2, 3)), 1)
+            _check_counts(np.array([[0.5, 0.4]]), 1)
         with pytest.raises(ValueError, match="non-negative"):
-            BaumWelchStats(np.array([-0.5, 1.5]), np.zeros((2, 3)), 1)
+            _check_counts(np.array([[-0.5, 1.5]]), 1)
         rng = np.random.default_rng(19)
-        with pytest.raises(ValueError, match="empty"):
-            accumulate_stats(np.zeros((0, 2)), random_gmm(rng, 2, 2))
+        for kernel in (block_counts, block_supervectors):
+            with pytest.raises(ValueError, match="empty"):
+                kernel(np.zeros((1, 0, 2)), random_gmm(rng, 2, 2))
+            with pytest.raises(ValueError, match=r"expected \(S, n, 2\) segments"):
+                kernel(np.zeros((5, 2)), random_gmm(rng, 2, 2))
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 40))
     def test_counts_always_sum_to_frame_count(self, seed, n):
         rng = np.random.default_rng(seed)
         ubm = random_gmm(rng, 3, 2)
-        stats = accumulate_stats(rng.standard_normal((n, 2)) * 5, ubm)
-        assert stats.zero_order.sum() == pytest.approx(n, abs=1e-6)
+        counts = block_counts(rng.standard_normal((1, n, 2)) * 5, ubm)
+        assert counts.sum() == pytest.approx(n, abs=1e-6)

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from streamsad.audio_io import NONSPEECH, SPEECH, SegmentLabel, write_labels, write_wav
-from streamsad.embeddings import make_supervector
 from streamsad.engine import load_model, save_model, stream_detect
 from streamsad.features import FeatureConfig
-from streamsad.gmm import Gmm, accumulate_stats
+from streamsad.gmm import Gmm, block_supervectors
 from streamsad.synth import make_corpus
 from streamsad.trainer import (
     TrainConfig,
@@ -142,9 +141,9 @@ class TestCutSegments:
         assert (candidates, dropped) == (2, 0)
         assert labels.tolist() == [True, False]
         assert svs.shape == (2, 4)
-        # the block gives each segment the bits of its own accumulate_stats
+        # the block gives each segment the bits of its own block of S = 1
         for sv, start in zip(svs, (0, 10)):
-            want = make_supervector(accumulate_stats(frames[start : start + 10], self.UBM))
+            want = block_supervectors(frames[np.newaxis, start : start + 10], self.UBM)[0]
             np.testing.assert_array_equal(sv, want)
 
     def test_straddling_segment_dropped(self):
