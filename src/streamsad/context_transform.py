@@ -11,7 +11,9 @@ stage, so training (push a whole file, then flush) and detection (push as
 audio arrives) share one implementation and give the same bits.
 
 Both trainers accumulate scatter/moment statistics incrementally, so a
-corpus never has to be stacked in memory at once.
+corpus never has to be stacked in memory at once: training feeds them one
+CausalWindow block at a time. LDA's generalized symmetric eigenproblem is
+solved with numpy alone (Cholesky whitening, then `eigh`).
 """
 
 from __future__ import annotations
@@ -82,14 +84,15 @@ class LinearTransform:
 
 
 def apply_transform(x: np.ndarray, transform: LinearTransform) -> np.ndarray:
-    """Project a single vector or a (T, in_dim) batch.
+    """Project a (T, in_dim) block.
 
     einsum rather than a BLAS matmul: each row's bits must not depend on how
     many rows share the call (see the features module docstring).
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != transform.input_dim:
-        raise ValueError(f"input dim {x.shape[-1]} != transform dim {transform.input_dim}")
+    if x.ndim != 2 or x.shape[1] != transform.input_dim:
+        raise ValueError(f"expected a (T, {transform.input_dim}) block for a transform of input dim "
+                         f"{transform.input_dim}, got shape {x.shape}")
     return np.einsum("...j,kj->...k", x - transform.mean_offset, transform.matrix)
 
 
@@ -188,9 +191,13 @@ class LdaScatter:
         between = (between + between.T) / 2.0
         within[np.diag_indices_from(within)] += LDA_RIDGE * np.trace(within) / self.dim
 
-        import scipy.linalg  # training only; keeps scipy off the detection import path
-
-        values, vectors = scipy.linalg.eigh(between, within)
+        # between v = lambda within v, whitened by within = L L^T: the
+        # eigenvectors y of L^-1 between L^-T give v = L^-T y, with
+        # v^T within v = I
+        inverse = np.linalg.inv(np.linalg.cholesky(within))
+        whitened = inverse @ between @ inverse.T
+        values, vectors = np.linalg.eigh((whitened + whitened.T) / 2.0)
+        vectors = inverse.T @ vectors
         order = np.argsort(-values, kind="stable")[:out_dim]
         rows = _fix_signs(np.ascontiguousarray(vectors[:, order].T))
         return LinearTransform(matrix=rows, mean_offset=mean)

@@ -9,6 +9,9 @@ scoring, compared by cosine against per-class mean embeddings.
 The network is plain numpy on purpose: a few dense layers, ReLU, softmax
 cross-entropy, minibatch SGD. Determinism given a seed is a contract here,
 the loss is logged per epoch, and the selected epoch is a config value.
+Training reads its supervectors from a row source, so a corpus's
+supervectors can stay on disk: minibatches read their rows, and the losses
+and class embeddings run in fixed-size chunks.
 Training and detection run the same ReLU layer pass (`layer_outputs`).
 Detection keeps only the first hidden layer's (weight, bias) pair; the
 layers after it exist to train it.
@@ -19,6 +22,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .rowsource import as_rows
+
+# rows per chunk of the per-epoch losses and the class embeddings: the
+# chunk's activations, not the corpus's, are held at once
+CHUNK_ROWS = 512
 
 
 class MlpTrainingError(RuntimeError):
@@ -104,9 +113,16 @@ def _mean_nll(probs: np.ndarray, labels: np.ndarray) -> float:
     return float(-np.mean(np.log(np.maximum(picked, 1e-300))))
 
 
-def cross_entropy(model: MlpModel, x: np.ndarray, labels: np.ndarray) -> float:
-    """Mean softmax cross-entropy; labels are class indices."""
-    return _mean_nll(softmax(forward(model, x)), labels)
+def cross_entropy(model: MlpModel, x, labels: np.ndarray) -> float:
+    """Mean softmax cross-entropy of an (n, in_dim) array or row source,
+    CHUNK_ROWS rows at a time; labels are class indices."""
+    source, labels = as_rows(x), np.asarray(labels)
+    total = 0.0
+    for k, block in enumerate(source.blocks(CHUNK_ROWS)):
+        probs = softmax(forward(model, block))
+        picked = probs[np.arange(len(block)), labels[k * CHUNK_ROWS : k * CHUNK_ROWS + len(block)]]
+        total += float(np.add.reduce(np.log(np.maximum(picked, 1e-300))))
+    return -total / len(source)
 
 
 def loss_and_grads(model: MlpModel, x: np.ndarray, labels: np.ndarray):
@@ -168,13 +184,19 @@ def train_mlp(
 ) -> MlpTrainResult:
     """Minibatch SGD on softmax cross-entropy; deterministic per seed.
 
+    supervectors (and the monitor's) are an (n, in_dim) array or a row
+    source (`rowsource`): each minibatch reads its rows in the seeded
+    order, and the per-epoch losses run CHUNK_ROWS rows at a time.
     monitor, when given, is a (supervectors, speech_mask) pair evaluated
     after every epoch purely for logging; it never changes the result.
     select_epoch picks the epoch whose network is returned (default: the last).
     """
-    x = np.asarray(supervectors, dtype=np.float64)
+    try:
+        x = as_rows(supervectors)
+    except ValueError:
+        raise MlpTrainingError("supervectors and labels do not align") from None
     mask = np.asarray(speech_mask, dtype=bool)
-    if x.ndim != 2 or len(x) != len(mask):
+    if len(x) != len(mask):
         raise MlpTrainingError("supervectors and labels do not align")
     if mask.all() or not mask.any():
         raise MlpTrainingError("training data contains a single class")
@@ -186,9 +208,9 @@ def train_mlp(
         raise MlpTrainingError(f"select_epoch {select_epoch} outside 0..{epochs}")
 
     rng = np.random.default_rng(seed)
-    model = init_mlp([x.shape[1], *hidden_dims, 2], seed=seed)
+    model = init_mlp([x.dim, *hidden_dims, 2], seed=seed)
     if monitor is not None:
-        mon_x, mon_labels = np.asarray(monitor[0]), np.asarray(monitor[1], dtype=bool).astype(int)
+        mon_x, mon_labels = monitor[0], np.asarray(monitor[1], dtype=bool).astype(int)
 
     train_losses, monitor_losses = [], []
     for epoch in range(epochs + 1):
@@ -196,7 +218,7 @@ def train_mlp(
             order = rng.permutation(len(x))
             for batch_start in range(0, len(x), batch_size):
                 batch = order[batch_start : batch_start + batch_size]
-                loss, grad_w, grad_b = loss_and_grads(model, x[batch], labels[batch])
+                loss, grad_w, grad_b = loss_and_grads(model, x.rows(batch), labels[batch])
                 if not np.isfinite(loss):
                     raise MlpTrainingError(
                         f"non-finite loss at epoch {epoch}, batch {batch_start // batch_size}"
@@ -212,10 +234,19 @@ def train_mlp(
     return MlpTrainResult(model=selected, train_losses=train_losses, monitor_losses=monitor_losses)
 
 
-def class_embeddings(supervectors: np.ndarray, speech_mask: np.ndarray, layers):
-    """Mean embedding per class under the given layers: (speech_mean, nonspeech_mean)."""
-    mask = np.asarray(speech_mask, dtype=bool)
+def class_embeddings(supervectors, speech_mask: np.ndarray, layers):
+    """Mean embedding per class under the given layers: (speech_mean, nonspeech_mean).
+
+    supervectors are an (n, in_dim) array or a row source, embedded
+    CHUNK_ROWS rows at a time.
+    """
+    source, mask = as_rows(supervectors), np.asarray(speech_mask, dtype=bool)
     if not mask.any() or mask.all():
         raise ValueError("both classes must be present to form class embeddings")
-    embedded = embed_batch(supervectors, layers)
-    return embedded[mask].mean(axis=0), embedded[~mask].mean(axis=0)
+    speech = nonspeech = 0.0
+    for k, block in enumerate(source.blocks(CHUNK_ROWS)):
+        embedded = embed_batch(block, layers)
+        chunk = mask[k * CHUNK_ROWS : k * CHUNK_ROWS + len(block)]
+        speech = speech + np.add.reduce(embedded[chunk], axis=0)
+        nonspeech = nonspeech + np.add.reduce(embedded[~chunk], axis=0)
+    return speech / np.count_nonzero(mask), nonspeech / np.count_nonzero(~mask)

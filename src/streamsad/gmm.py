@@ -7,6 +7,12 @@ small one gives each segment its supervector (`block_supervectors`). Both
 take a block of S segments as one (S, n, D) array; training and detection
 call them alike. All posterior math runs in the log domain; 24-d Gaussian
 likelihoods underflow hopelessly in linear space.
+
+`train_gmm` fits a mixture by EM on a row source (`rowsource`): an
+in-memory array, whose blocks are slices, or frames spilled to disk. Each
+pass, k-means++ initialization included, reads the source in blocks of
+EM_BLOCK_FRAMES and sums counts and first- and second-order statistics
+over them in order, so a corpus of any length trains in the same memory.
 """
 
 from __future__ import annotations
@@ -15,6 +21,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from .rowsource import as_rows
 
 VARIANCE_FLOOR_FRACTION = 1e-3
 _LOG_2PI = np.log(2.0 * np.pi)
@@ -25,6 +33,10 @@ _DEAD_COMPONENT = 1e-10
 
 # zero-order counts are floored here before dividing the first-order stats
 COUNT_FLOOR = 1e-3
+
+# frames per EM block: the (block, C) likelihood and responsibility
+# temporaries stay a few MB however long the corpus is
+EM_BLOCK_FRAMES = 2048
 
 
 @dataclass(frozen=True)
@@ -116,23 +128,41 @@ def _responsibilities(ll: np.ndarray) -> np.ndarray:
     return np.exp(ll - logsumexp(ll, axis=-1, keepdims=True))
 
 
-def _kmeans_plus_plus(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _squared_distances(source, center: np.ndarray) -> np.ndarray:
+    """Squared distance of every row of source to center, (N,).
+
+    Each row is summed alone along its own axis, so its bits do not depend
+    on the block it is read in.
+    """
+    blocks = source.blocks(EM_BLOCK_FRAMES)
+    return np.concatenate([np.sum((block - center) ** 2, axis=1) for block in blocks])
+
+
+def _kmeans_plus_plus(source, k: int, rng: np.random.Generator) -> np.ndarray:
     """Spread-out initial means: each next center drawn ∝ squared distance."""
-    centers = np.empty((k, data.shape[1]))
-    centers[0] = data[rng.integers(len(data))]
-    dist2 = np.sum((data - centers[0]) ** 2, axis=1)
+    n = len(source)
+    centers = np.empty((k, source.dim))
+    centers[0] = source.rows([rng.integers(n)])[0]
+    dist2 = _squared_distances(source, centers[0])
     for i in range(1, k):
         total = dist2.sum()
         if total <= 0.0:
-            centers[i:] = data[rng.integers(len(data), size=k - i)]
+            centers[i:] = source.rows(rng.integers(n, size=k - i))
             break
-        centers[i] = data[rng.choice(len(data), p=dist2 / total)]
-        dist2 = np.minimum(dist2, np.sum((data - centers[i]) ** 2, axis=1))
+        centers[i] = source.rows([rng.choice(n, p=dist2 / total)])[0]
+        dist2 = np.minimum(dist2, _squared_distances(source, centers[i]))
     return centers
 
 
+def _variance(source) -> np.ndarray:
+    """Per-dimension variance of source's rows: a pass for the mean, one for the spread."""
+    mean = sum(np.add.reduce(block, axis=0) for block in source.blocks(EM_BLOCK_FRAMES)) / len(source)
+    spread = sum(np.add.reduce((block - mean) ** 2, axis=0) for block in source.blocks(EM_BLOCK_FRAMES))
+    return spread / len(source)
+
+
 def train_gmm(
-    data: np.ndarray,
+    data,
     n_components: int,
     n_iters: int = 20,
     seed: int = 0,
@@ -140,43 +170,55 @@ def train_gmm(
 ) -> Gmm:
     """Fit a diagonal GMM by EM from a k-means++ style initialization.
 
+    data is an (n, D) array or a row source (`rowsource`). Every pass
+    reads it in blocks of EM_BLOCK_FRAMES and sums counts and first- and
+    second-order statistics over the blocks in order, so memory does not
+    grow with n beyond one distance per row for the initialization.
     Deterministic given (data, seed). callback, when given, receives
     (iteration, total_log_likelihood) with the likelihood of the parameters
     entering that iteration; the sequence is non-decreasing.
     """
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2 or len(data) == 0:
+    source = as_rows(data)
+    if len(source) == 0:
         raise ValueError("data must be a non-empty (n, D) array")
-    if len(data) < n_components:
-        raise ValueError(f"{len(data)} samples cannot support {n_components} components")
+    if len(source) < n_components:
+        raise ValueError(f"{len(source)} samples cannot support {n_components} components")
 
-    global_variance = data.var(axis=0)
+    global_variance = _variance(source)
     if np.all(global_variance <= 0.0):
         raise ValueError("zero global variance: all samples identical")
     floor = np.maximum(VARIANCE_FLOOR_FRACTION * global_variance, 1e-10)
 
     rng = np.random.default_rng(seed)
-    means = _kmeans_plus_plus(data, n_components, rng)
+    means = _kmeans_plus_plus(source, n_components, rng)
     weights = np.full(n_components, 1.0 / n_components)
     variances = np.tile(np.maximum(global_variance, floor), (n_components, 1))
     gmm = Gmm(weights=weights, means=means, variances=variances)
 
     for iteration in range(n_iters):
-        ll = log_likelihoods(data, gmm)
-        norm = logsumexp(ll, axis=1, keepdims=True)
+        total = 0.0
+        counts = np.zeros(n_components)
+        first = np.zeros((n_components, source.dim))
+        second = np.zeros((n_components, source.dim))
+        for block in source.blocks(EM_BLOCK_FRAMES):
+            ll = _component_logliks(block, gmm)
+            norm = logsumexp(ll, axis=1, keepdims=True)
+            total += float(np.add.reduce(norm, axis=None))
+            resp = np.exp(np.subtract(ll, norm, out=ll), out=ll)
+            counts += np.add.reduce(resp, axis=0)
+            first += resp.T @ block
+            second += resp.T @ block**2
         if callback is not None:
-            callback(iteration, float(norm.sum()))
-        resp = np.exp(ll - norm)
+            callback(iteration, total)
 
-        counts = resp.sum(axis=0)
-        weights = counts / len(data)
         means = gmm.means.copy()
         variances = gmm.variances.copy()
         alive = counts > _DEAD_COMPONENT
         if np.any(alive):
-            means[alive] = (resp.T[alive] @ data) / counts[alive, None]
-            variances[alive] = (resp.T[alive] @ data**2) / counts[alive, None] - means[alive] ** 2
+            means[alive] = first[alive] / counts[alive, None]
+            variances[alive] = second[alive] / counts[alive, None] - means[alive] ** 2
             variances[alive] = np.maximum(variances[alive], floor)
+        weights = counts / len(source)
         gmm = Gmm(weights=weights / weights.sum(), means=means, variances=variances)
 
     return gmm

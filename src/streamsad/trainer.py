@@ -12,11 +12,22 @@ stage it happened in.
 
 Per-stage seeds are derived from the config seed, so the pipeline is
 deterministic end to end.
+
+Memory does not grow with the corpus. Each file's 36-d features, its LDA
+outputs and 24-d frames, and the kept segments' supervectors are written
+as raw float64 files to a scratch directory (made by `tempfile` in its
+default location, removed when `train` returns or raises), and every stage
+reads them back in fixed-size blocks (`rowsource`): EM, the LDA scatter and
+PCA moments (one CausalWindow block at a time), the count vectors, the
+segments and the MLP. Only per-frame scalars (the speech mask, the
+acoustic class ids, k-means++ distances), per-segment labels and the one
+file being read are held whole.
 """
 
 from __future__ import annotations
 
 import logging
+import tempfile
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -35,8 +46,9 @@ from .context_transform import (
 )
 from .embeddings import class_embeddings, train_mlp
 from .engine import SEGMENT_FRAMES, SadModel, save_model
-from .features import FeatureConfig, extract_features
+from .features import BLOCK_FRAMES, FeatureConfig, extract_features
 from .gmm import block_counts, block_supervectors, merge_gmms, train_gmm
+from .rowsource import SpilledRows
 
 logger = logging.getLogger(__name__)
 
@@ -91,6 +103,16 @@ class TrainConfig:
             raise ValueError("lda_dim must be <= 2*labeling_ubm_size - 1 (class-count rank bound)")
         if self.pca_dim > self.lda_dim * PCA_CONTEXT.size:
             raise ValueError("pca_dim exceeds stacked LDA dimension")
+        if not (
+            isinstance(self.hidden_dims, tuple)
+            and self.hidden_dims
+            and all(isinstance(d, int) and not isinstance(d, bool) and d > 0 for d in self.hidden_dims)
+        ):
+            raise ValueError(
+                f"hidden_dims must be a non-empty tuple of positive ints, got {self.hidden_dims!r}"
+            )
+        if self.select_epoch is not None and not (0 <= self.select_epoch <= self.mlp_epochs):
+            raise ValueError(f"select_epoch must be None or in 0..{self.mlp_epochs}, got {self.select_epoch}")
 
 
 def load_manifest(path) -> list:
@@ -173,13 +195,41 @@ def _cut_segments(frames24: np.ndarray, mask: np.ndarray, ubm) -> tuple[np.ndarr
     return supervectors, windows[pure, 0], n_segments, int(n_segments - pure.sum())
 
 
+def _windowed(blocks, window):
+    """Push blocks (at least one) through a CausalWindow stage, then flush
+    it: yields the non-empty outputs, one kernel call's worth at a time."""
+    for last in blocks:
+        out = window.push(last)
+        if len(out):
+            yield out
+    out = window.flush(last[:0])
+    if len(out):
+        yield out
+
+
+def _tee(blocks, store: SpilledRows):
+    """Yield blocks unchanged, appending each to store on the way."""
+    for block in blocks:
+        store.append(block)
+        yield block
+
+
 def train(cfg: TrainConfig, out_path=None) -> SadModel:
-    """Run the full pipeline; optionally serialize the bundle to out_path."""
+    """Run the full pipeline; optionally serialize the bundle to out_path.
+
+    The corpus's frames and supervectors live in a scratch directory for
+    the call, removed when it returns or raises.
+    """
     if not cfg.entries:
         raise TrainingError("manifest", "no training entries")
+    with tempfile.TemporaryDirectory(prefix="streamsad-train-") as scratch:
+        return _train(cfg, Path(scratch), out_path)
+
+
+def _train(cfg: TrainConfig, scratch: Path, out_path) -> SadModel:
     feat_cfg = cfg.feature_cfg
 
-    features: list[np.ndarray] = []
+    features = SpilledRows(scratch / "features.f64", feat_cfg.output_dim)
     masks: list[np.ndarray] = []
     sample_rate = None
     with _stage("features"):
@@ -187,71 +237,95 @@ def train(cfg: TrainConfig, out_path=None) -> SadModel:
             frames, mask, sample_rate = _read_entry(audio_path, label_path, feat_cfg, sample_rate)
             features.append(frames)
             masks.append(mask)
-        n_frames = sum(len(f) for f in features)
-        n_speech = int(sum(m.sum() for m in masks))
+        # every later per-frame store keeps these per-file row ranges
+        ends = np.cumsum([len(m) for m in masks]).tolist()
+        spans = list(zip([0] + ends[:-1], ends))
+        speech_mask = np.concatenate(masks)
+        del masks, frames, mask  # the last file's frames are on disk now
+        n_frames = len(speech_mask)
         logger.info(
             "corpus: %d files, %d frames, %.1f%% speech",
-            len(features), n_frames, 100.0 * n_speech / max(n_frames, 1),
+            len(spans), n_frames, 100.0 * np.count_nonzero(speech_mask) / max(n_frames, 1),
         )
 
     with _stage("labeling-ubm"):
-        labeling_ubm = train_gmm(
-            np.concatenate(features), cfg.labeling_ubm_size, cfg.gmm_iters, seed=cfg.seed
-        )
+        labeling_ubm = train_gmm(features, cfg.labeling_ubm_size, cfg.gmm_iters, seed=cfg.seed)
 
     with _stage("acoustic-labels"):
-        class_ids = [acoustic_labels(f, labeling_ubm, m) for f, m in zip(features, masks)]
+        class_ids = np.concatenate([
+            acoustic_labels(block, labeling_ubm, speech_mask[first : first + len(block)])
+            for first, block in zip(range(0, n_frames, BLOCK_FRAMES), features.blocks(BLOCK_FRAMES))
+        ])
 
     with _stage("lda"):
         scatter = LdaScatter(LDA_CONTEXT.size * feat_cfg.output_dim)
-        for frames, ids in zip(features, class_ids):
-            scatter.add(context_window(LDA_CONTEXT).flush(frames), ids)
+        for start, stop in spans:
+            pos = start
+            for stacked in _windowed(features.blocks(BLOCK_FRAMES, start, stop), context_window(LDA_CONTEXT)):
+                scatter.add(stacked, class_ids[pos : pos + len(stacked)])
+                pos += len(stacked)
         lda = scatter.finalize(cfg.lda_dim)
+        del class_ids
 
+    reduced = SpilledRows(scratch / "lda.f64", cfg.lda_dim)
     with _stage("pca"):
-        reduced = [context_window(LDA_CONTEXT, lda).flush(f) for f in features]
         moments = PcaMoments(PCA_CONTEXT.size * cfg.lda_dim)
-        for frames in reduced:
-            moments.add(context_window(PCA_CONTEXT).flush(frames))
+        for start, stop in spans:
+            frames12 = _windowed(features.blocks(BLOCK_FRAMES, start, stop), context_window(LDA_CONTEXT, lda))
+            for stacked in _windowed(_tee(frames12, reduced), context_window(PCA_CONTEXT)):
+                moments.add(stacked)
         pca = moments.finalize(cfg.pca_dim)
 
+    transformed = SpilledRows(scratch / "frames.f64", cfg.pca_dim)
+    speech = SpilledRows(scratch / "speech.f64", cfg.pca_dim)
+    nonspeech = SpilledRows(scratch / "nonspeech.f64", cfg.pca_dim)
     with _stage("transform"):
-        transformed = [context_window(PCA_CONTEXT, pca).flush(f) for f in reduced]
-        del reduced
+        for start, stop in spans:
+            pos = start
+            frames12 = reduced.blocks(BLOCK_FRAMES, start, stop)
+            for frames24 in _windowed(frames12, context_window(PCA_CONTEXT, pca)):
+                is_speech = speech_mask[pos : pos + len(frames24)]
+                transformed.append(frames24)
+                speech.append(frames24[is_speech])
+                nonspeech.append(frames24[~is_speech])
+                pos += len(frames24)
 
     with _stage("counts-ubm"):
-        speech_frames = [f[m] for f, m in zip(transformed, masks) if m.any()]
-        nonspeech_frames = [f[~m] for f, m in zip(transformed, masks) if not m.all()]
-        if not speech_frames:
+        if not len(speech):
             raise TrainingError("counts-ubm", "speech class absent from corpus")
-        if not nonspeech_frames:
+        if not len(nonspeech):
             raise TrainingError("counts-ubm", "non-speech class absent from corpus")
-        speech_gmm = train_gmm(
-            np.concatenate(speech_frames), cfg.counts_ubm_per_class, cfg.gmm_iters, seed=cfg.seed + 1
-        )
-        nonspeech_gmm = train_gmm(
-            np.concatenate(nonspeech_frames), cfg.counts_ubm_per_class, cfg.gmm_iters, seed=cfg.seed + 2
-        )
+        speech_gmm = train_gmm(speech, cfg.counts_ubm_per_class, cfg.gmm_iters, seed=cfg.seed + 1)
+        nonspeech_gmm = train_gmm(nonspeech, cfg.counts_ubm_per_class, cfg.gmm_iters, seed=cfg.seed + 2)
         counts_ubm = merge_gmms(speech_gmm, nonspeech_gmm)
 
     with _stage("count-vectors"):
-        # each file's class frames as one segment, through the detector's counts-only pass
-        speech_stats = sum(block_counts(f[np.newaxis], counts_ubm)[0] for f in speech_frames)
-        nonspeech_stats = sum(block_counts(f[np.newaxis], counts_ubm)[0] for f in nonspeech_frames)
+        # each block of class frames as one segment, through the detector's counts-only pass
+        speech_stats, nonspeech_stats = (
+            sum(block_counts(block[np.newaxis], counts_ubm)[0] for block in store.blocks(BLOCK_FRAMES))
+            for store in (speech, nonspeech)
+        )
         speech_counts = speech_stats / speech_stats.sum()
         nonspeech_counts = nonspeech_stats / nonspeech_stats.sum()
 
     with _stage("supervector-ubm"):
-        supervector_ubm = train_gmm(
-            np.concatenate(transformed), cfg.supervector_ubm_size, cfg.gmm_iters, seed=cfg.seed + 3
-        )
+        supervector_ubm = train_gmm(transformed, cfg.supervector_ubm_size, cfg.gmm_iters, seed=cfg.seed + 3)
 
+    supervectors = SpilledRows(scratch / "supervectors.f64", supervector_ubm.means.size)
     with _stage("segments"):
-        svs, labels, candidates, dropped = zip(
-            *(_cut_segments(frames, mask, supervector_ubm) for frames, mask in zip(transformed, masks))
-        )
-        supervectors, seg_labels = np.concatenate(svs), np.concatenate(labels)
-        candidates, dropped = sum(candidates), sum(dropped)
+        labels, candidates, dropped = [], 0, 0
+        for start, stop in spans:
+            # BLOCK_FRAMES is a multiple of SEGMENT_FRAMES, so every block
+            # starts on a segment boundary of its file
+            firsts = range(start, stop, BLOCK_FRAMES)
+            for first, frames24 in zip(firsts, transformed.blocks(BLOCK_FRAMES, start, stop)):
+                svs, labs, n, n_dropped = _cut_segments(
+                    frames24, speech_mask[first : first + len(frames24)], supervector_ubm
+                )
+                supervectors.append(svs)
+                labels.append(labs)
+                candidates, dropped = candidates + n, dropped + n_dropped
+        seg_labels = np.concatenate(labels)
         fraction = dropped / max(candidates, 1)
         message = (
             f"segments: {candidates - dropped} kept, {dropped} dropped "
@@ -265,18 +339,17 @@ def train(cfg: TrainConfig, out_path=None) -> SadModel:
     monitor = None
     if cfg.monitor_entries:
         with _stage("monitor-set"):
-            mon_svs: list[np.ndarray] = []
+            mon_svs = SpilledRows(scratch / "monitor.f64", supervector_ubm.means.size)
             mon_labels: list[np.ndarray] = []
             for audio_path, label_path in cfg.monitor_entries:
                 frames, mask, _ = _read_entry(audio_path, label_path, feat_cfg, sample_rate)
-                reduced = context_window(LDA_CONTEXT, lda).flush(frames)
-                frames24 = context_window(PCA_CONTEXT, pca).flush(reduced)
+                frames12 = context_window(LDA_CONTEXT, lda).flush(frames)
+                frames24 = context_window(PCA_CONTEXT, pca).flush(frames12)
                 svs, labs, _, _ = _cut_segments(frames24, mask, supervector_ubm)
                 mon_svs.append(svs)
                 mon_labels.append(labs)
-            mon_x = np.concatenate(mon_svs)
-            if len(mon_x):
-                monitor = (mon_x, np.concatenate(mon_labels))
+            if len(mon_svs):
+                monitor = (mon_svs, np.concatenate(mon_labels))
 
     with _stage("mlp"):
         result = train_mlp(

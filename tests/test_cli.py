@@ -128,6 +128,23 @@ class TestTrain:
         assert "labeling_ubm_size" in capsys.readouterr().err
         assert not (tmp_path / "m.sadb").exists()
 
+    def test_bad_hidden_dims_exit_2_before_any_audio_is_read(
+        self, cli_workspace, tmp_path, capsys, monkeypatch
+    ):
+        import streamsad.trainer
+
+        def no_audio(path):
+            raise AssertionError(f"{path} read before the config was checked")
+
+        monkeypatch.setattr(streamsad.trainer, "read_wav", no_audio)
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text("hidden_dims = 0\n")
+        rc = main(["train", "--manifest", str(cli_workspace["manifest"]),
+                   "--out", str(tmp_path / "m.sadb"), "--config", str(cfg)])
+        assert rc == 2
+        assert "hidden_dims must be a non-empty tuple of positive ints" in capsys.readouterr().err
+        assert not (tmp_path / "m.sadb").exists()
+
     def test_seed_repeat_is_byte_identical(self, cli_workspace, tmp_path):
         digests = []
         for i in range(2):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from streamsad.context_transform import (
     LDA_CONTEXT,
+    LDA_RIDGE,
     PCA_CONTEXT,
     ContextSpec,
     LdaScatter,
@@ -159,6 +160,30 @@ class TestLda:
         spread = np.sqrt((pa.var() + pb.var()) / 2)
         assert gap / spread > 2.0
 
+    def test_numpy_solver_matches_scipy_generalized_eigh(self):
+        # scatter matrices from their definitions, solved by scipy's
+        # generalized eigh: the same directions, scaled so v^T within v = 1
+        from scipy.linalg import eigh
+
+        rng = np.random.default_rng(21)
+        ids = rng.integers(0, 6, 900)
+        vectors = rng.standard_normal((900, 7)) @ rng.standard_normal((7, 7)) \
+            + rng.standard_normal((6, 7))[ids] * 2.0
+        lda = fit_lda(vectors, ids, 4)
+        mean = vectors.mean(axis=0)
+        within, between = np.zeros((7, 7)), np.zeros((7, 7))
+        for cid in range(6):
+            members = vectors[ids == cid]
+            centered = members - members.mean(axis=0)
+            within += centered.T @ centered
+            between += len(members) * np.outer(members.mean(axis=0) - mean, members.mean(axis=0) - mean)
+        within += LDA_RIDGE * np.trace(within) / 7 * np.eye(7)
+        values, vecs = eigh(between, within)
+        want = vecs[:, np.argsort(-values)[:4]].T
+        want *= np.sign(want[np.arange(4), np.argmax(np.abs(want), axis=1)])[:, None]
+        np.testing.assert_allclose(lda.matrix, want, rtol=1e-7, atol=1e-9 * np.abs(want).max())
+        np.testing.assert_allclose(lda.mean_offset, mean, rtol=1e-12)
+
     def test_sample_order_invariance(self):
         a, b = self.two_gaussians(seed=4, n=100)
         vectors = np.vstack([a, b])
@@ -256,7 +281,7 @@ class TestPca:
         data = rng.standard_normal((50, 4)) + 10.0
         pca = fit_pca(data, 2)
         np.testing.assert_allclose(
-            apply_transform(data.mean(axis=0), pca), 0.0, atol=1e-9
+            apply_transform(data.mean(axis=0, keepdims=True), pca), 0.0, atol=1e-9
         )
 
     def test_rows_orthonormal(self):
@@ -332,14 +357,13 @@ class TestApplyTransform:
         np.testing.assert_allclose(apply_transform(x, transform), want, atol=1e-12)
 
     def test_single_vector_and_batch_agree(self):
+        # one row as a (1, in_dim) block gets the bits it has in a larger block
         rng = np.random.default_rng(18)
         transform = fit_pca(rng.standard_normal((50, 4)), 2)
         x = rng.standard_normal((6, 4))
         batch = apply_transform(x, transform)
         for i in range(6):
-            np.testing.assert_allclose(
-                apply_transform(x[i], transform), batch[i], atol=1e-12
-            )
+            np.testing.assert_array_equal(apply_transform(x[i : i + 1], transform), batch[i : i + 1])
 
     def test_dim_mismatch(self):
         transform = LinearTransform(
@@ -347,6 +371,11 @@ class TestApplyTransform:
         )
         with pytest.raises(ValueError, match="dim"):
             apply_transform(np.zeros(3), transform)
+        with pytest.raises(ValueError, match="dim"):
+            apply_transform(np.zeros((1, 3)), transform)
+        # a single vector is refused: the input is a (T, in_dim) block
+        with pytest.raises(ValueError, match=r"\(T, 2\) block"):
+            apply_transform(np.zeros(2), transform)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="exceed input"):
@@ -357,8 +386,8 @@ class TestApplyTransform:
     def test_projection_is_affine(self, seed):
         rng = np.random.default_rng(seed)
         transform = fit_pca(rng.standard_normal((30, 3)), 2)
-        x, y = rng.standard_normal((2, 3))
+        x, y = rng.standard_normal((2, 1, 3))
         lhs = apply_transform(x + y, transform)
         rhs = apply_transform(x, transform) + apply_transform(y, transform) \
-            + apply_transform(np.zeros(3), transform) * -1.0
+            + apply_transform(np.zeros((1, 3)), transform) * -1.0
         np.testing.assert_allclose(lhs, rhs, atol=1e-9)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamsad.embeddings import (
+    CHUNK_ROWS,
     MlpModel,
     MlpTrainingError,
     class_embeddings,
@@ -18,6 +19,7 @@ from streamsad.embeddings import (
     train_mlp,
 )
 from streamsad.gmm import Gmm, block_supervectors
+from streamsad.rowsource import SpilledRows
 from oracles import finite_difference_grads, naive_posteriors, supervector_oracle
 
 
@@ -178,6 +180,24 @@ class TestEmbeddings:
         np.testing.assert_allclose(sp, embedded[mask].mean(axis=0), atol=1e-12)
         np.testing.assert_allclose(nsp, embedded[~mask].mean(axis=0), atol=1e-12)
 
+    def test_chunked_loss_and_class_embeddings_match_whole_array(self, tmp_path):
+        # more rows than one chunk holds; a file source reads the same chunks
+        rng = np.random.default_rng(27)
+        m = init_mlp([6, 5, 3, 2], seed=27)
+        x, mask = blobs(rng, n_per_class=CHUNK_ROWS + 150, dim=6)
+        labels = mask.astype(int)
+        probs = softmax(forward(m, x))
+        want_loss = -np.mean(np.log(probs[np.arange(len(x)), labels]))
+        embedded = embed_batch(x, m.hidden_layers[:1])
+        spilled = SpilledRows(tmp_path / "sv.f64", 6)
+        spilled.append(x)
+        for source in (x, spilled):
+            assert cross_entropy(m, source, labels) == pytest.approx(want_loss, rel=1e-12)
+            sp, nsp = class_embeddings(source, mask, m.hidden_layers[:1])
+            np.testing.assert_allclose(sp, embedded[mask].mean(axis=0), rtol=1e-12)
+            np.testing.assert_allclose(nsp, embedded[~mask].mean(axis=0), rtol=1e-12)
+        assert cross_entropy(m, spilled, labels) == cross_entropy(m, x, labels)
+
     def test_class_embeddings_need_both_classes(self):
         m = init_mlp([4, 3, 2], seed=15)
         with pytest.raises(ValueError, match="both classes"):
@@ -274,6 +294,22 @@ class TestTraining:
         r1 = train_mlp(x, mask, epochs=4, seed=23, hidden_dims=(8, 4))
         r2 = train_mlp(x, mask, epochs=4, seed=23, hidden_dims=(8, 4))
         for w1, w2 in zip(r1.model.weights, r2.model.weights):
+            np.testing.assert_array_equal(w1, w2)
+
+    def test_spilled_rows_train_the_same_network(self, tmp_path):
+        # minibatches read from a file in the seeded order give the bits of
+        # the in-memory rows
+        rng = np.random.default_rng(28)
+        x, mask = blobs(rng, n_per_class=50, dim=6)
+        mon_x, mon_mask = blobs(rng, n_per_class=20, dim=6)
+        spilled, mon_spilled = SpilledRows(tmp_path / "x.f64", 6), SpilledRows(tmp_path / "m.f64", 6)
+        spilled.append(x)
+        mon_spilled.append(mon_x)
+        config = dict(epochs=3, seed=28, hidden_dims=(8, 4), batch_size=16)
+        r1 = train_mlp(x, mask, monitor=(mon_x, mon_mask), **config)
+        r2 = train_mlp(spilled, mask, monitor=(mon_spilled, mon_mask), **config)
+        assert (r1.train_losses, r1.monitor_losses) == (r2.train_losses, r2.monitor_losses)
+        for w1, w2 in zip(r1.model.weights + r1.model.biases, r2.model.weights + r2.model.biases):
             np.testing.assert_array_equal(w1, w2)
 
     def test_monitor_is_logged_but_inert(self):

@@ -707,6 +707,30 @@ class TestStreamingDetector:
         )
         assert out.stdout.strip() == "[]"
 
+    def test_training_runs_without_scipy(self, tiny_corpus, tiny_model, tmp_path):
+        # scipy made unimportable: training the tiny config still works and
+        # writes the bundle of the tiny_model fixture
+        import streamsad
+        from conftest import TINY
+
+        entries = [(str(wav), str(lab)) for wav, lab in tiny_corpus["entries"][:4]]
+        code = (
+            "import sys; sys.modules['scipy'] = None\n"
+            "from streamsad.trainer import TrainConfig, train\n"
+            f"cfg = TrainConfig(entries={entries!r}, seed=99, **{TINY!r})\n"
+            f"train(cfg, out_path={str(tmp_path / 'm.sadb')!r})\n"
+        )
+        src = str(Path(streamsad.__file__).resolve().parents[1])
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        save_model(tiny_model, tmp_path / "want.sadb")
+        assert (tmp_path / "m.sadb").read_bytes() == (tmp_path / "want.sadb").read_bytes()
+
     def test_raising_threshold_reduces_speech(self, tiny_corpus, tiny_model):
         from dataclasses import replace
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from streamsad.gmm import (
     COUNT_FLOOR,
+    EM_BLOCK_FRAMES,
     Gmm,
     _check_counts,
     block_counts,
@@ -15,12 +16,39 @@ from streamsad.gmm import (
     posterior_matrix,
     train_gmm,
 )
+from streamsad.rowsource import SpilledRows
 from oracles import naive_posteriors
 
 
 def total_loglik(frames, gmm):
     """Total log-likelihood of the frames under the mixture."""
     return float(logsumexp(log_likelihoods(frames, gmm), axis=1).sum())
+
+
+def whole_array_em(data, n_components, n_iters, seed, callback=None):
+    """EM with every pass over the whole (n, D) array at once: the same
+    k-means++ draws, np.var, one (n, C) responsibility matrix per pass."""
+    rng = np.random.default_rng(seed)
+    centers = np.empty((n_components, data.shape[1]))
+    centers[0] = data[rng.integers(len(data))]
+    dist2 = np.sum((data - centers[0]) ** 2, axis=1)
+    for i in range(1, n_components):
+        centers[i] = data[rng.choice(len(data), p=dist2 / dist2.sum())]
+        dist2 = np.minimum(dist2, np.sum((data - centers[i]) ** 2, axis=1))
+    floor = np.maximum(1e-3 * data.var(axis=0), 1e-10)
+    gmm = Gmm(np.full(n_components, 1.0 / n_components), centers,
+              np.tile(np.maximum(data.var(axis=0), floor), (n_components, 1)))
+    for iteration in range(n_iters):
+        ll = log_likelihoods(data, gmm)
+        norm = logsumexp(ll, axis=1, keepdims=True)
+        if callback is not None:
+            callback(iteration, float(norm.sum()))
+        resp = np.exp(ll - norm)
+        counts = resp.sum(axis=0)
+        means = (resp.T @ data) / counts[:, None]
+        variances = np.maximum((resp.T @ data**2) / counts[:, None] - means**2, floor)
+        gmm = Gmm(counts / counts.sum(), means, variances)
+    return gmm
 
 
 def random_gmm(rng, n_components, dim, spread=3.0):
@@ -153,6 +181,42 @@ class TestTraining:
         diffs = np.diff(history)
         floor = -1e-8 * np.abs(history[:-1])
         assert np.all(diffs >= floor)
+
+    def test_block_em_matches_whole_array_em(self, tmp_path):
+        # several EM blocks and a short last one; a file source reads the
+        # same blocks as the array, so it gives the same bits
+        rng = np.random.default_rng(12)
+        data = np.vstack([
+            rng.standard_normal((3000, 4)) * 0.5 + 2.0,
+            rng.standard_normal((2500, 4)) * [1.0, 2.0, 0.5, 1.5] - 1.0,
+        ])[rng.permutation(5500)]
+        assert len(data) > 2 * EM_BLOCK_FRAMES
+        spilled = SpilledRows(tmp_path / "frames.f64", 4)
+        for piece in np.array_split(data, 7):
+            spilled.append(piece)
+        history, want_history = [], []
+        got = train_gmm(data, 5, n_iters=12, seed=6, callback=lambda i, ll: history.append(ll))
+        want = whole_array_em(data, 5, 12, seed=6, callback=lambda i, ll: want_history.append(ll))
+        for field in ("weights", "means", "variances"):
+            np.testing.assert_allclose(getattr(got, field), getattr(want, field), rtol=1e-9, atol=0)
+        np.testing.assert_allclose(history, want_history, rtol=1e-9)
+        from_file = train_gmm(spilled, 5, n_iters=12, seed=6)
+        for field in ("weights", "means", "variances"):
+            np.testing.assert_array_equal(getattr(from_file, field), getattr(got, field))
+
+    def test_block_loglik_never_decreases(self, tmp_path):
+        rng = np.random.default_rng(13)
+        data = np.vstack([
+            rng.standard_normal((2500, 3)) + 2,
+            rng.standard_normal((2500, 3)) * 2 - 1,
+        ])
+        spilled = SpilledRows(tmp_path / "frames.f64", 3)
+        spilled.append(data)
+        history = []
+        gmm = train_gmm(spilled, 6, n_iters=15, seed=4, callback=lambda i, ll: history.append(ll))
+        history.append(total_loglik(data, gmm))
+        diffs = np.diff(history)
+        assert np.all(diffs >= -1e-8 * np.abs(history[:-1]))
 
     def test_same_seed_is_bit_identical(self):
         rng = np.random.default_rng(8)

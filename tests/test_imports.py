@@ -1,8 +1,9 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package uses each name it imports, and none imports scipy.
 
 The repository runs no linter, so an import left behind when the code that
 used it goes is caught here. A name listed in a module's `__all__` counts as
-used: that is how the package re-exports its API.
+used: that is how the package re-exports its API. scipy is a test-only
+dependency (the tests' oracles use it); the package runs on numpy alone.
 """
 
 import ast
@@ -38,3 +39,25 @@ def test_guard_finds_an_unused_import():
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_module_uses_every_import(module):
     assert unused_imports((PACKAGE / module).read_text(encoding="utf-8")) == []
+
+
+def imported_modules(source: str) -> set:
+    """Top-level names of the modules the source imports, at any depth."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_guard_finds_a_scipy_import():
+    source = "import numpy as np\ndef f():\n    from scipy.linalg import eigh\n    import scipy.special\n" \
+             "from . import gmm\n"
+    assert imported_modules(source) == {"numpy", "scipy"}
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_module_does_not_import_scipy(module):
+    assert "scipy" not in imported_modules((PACKAGE / module).read_text(encoding="utf-8"))

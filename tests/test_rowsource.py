@@ -1,0 +1,98 @@
+import mmap
+
+import numpy as np
+import pytest
+
+from streamsad.rowsource import ArrayRows, SpilledRows, as_rows
+
+
+@pytest.fixture
+def data():
+    return np.random.default_rng(3).standard_normal((23, 5))
+
+
+@pytest.fixture
+def spilled(tmp_path, data):
+    store = SpilledRows(tmp_path / "rows.f64", 5)
+    for piece in (data[:1], data[1:1], data[1:9], data[9:]):
+        store.append(piece)
+    return store
+
+
+class TestArrayRows:
+    def test_blocks_are_slices_in_order(self, data):
+        rows = ArrayRows(data)
+        blocks = list(rows.blocks(7))
+        assert [len(b) for b in blocks] == [7, 7, 7, 2]
+        assert all(np.shares_memory(b, data) for b in blocks)
+        np.testing.assert_array_equal(np.concatenate(blocks), data)
+
+    def test_range_and_rows(self, data):
+        rows = ArrayRows(data)
+        assert [len(b) for b in rows.blocks(4, 3, 12)] == [4, 4, 1]
+        np.testing.assert_array_equal(np.concatenate(list(rows.blocks(4, 3, 12))), data[3:12])
+        np.testing.assert_array_equal(rows.rows([5, 0, 5]), data[[5, 0, 5]])
+        assert (len(rows), rows.dim) == (23, 5)
+
+    def test_rejects_non_matrix(self):
+        with pytest.raises(ValueError, match=r"\(n, D\)"):
+            ArrayRows(np.zeros(4))
+
+    def test_as_rows_passes_sources_through(self, data, spilled):
+        rows = ArrayRows(data)
+        assert as_rows(rows) is rows and as_rows(spilled) is spilled
+        assert isinstance(as_rows(data), ArrayRows)
+
+
+class TestSpilledRows:
+    def test_file_holds_raw_float64_rows(self, spilled, data):
+        assert (len(spilled), spilled.dim) == (23, 5)
+        assert spilled.path.read_bytes() == data.astype("<f8").tobytes()
+
+    @pytest.mark.parametrize("size", [1, 4, 23, 100])
+    def test_blocks_equal_the_array_blocks(self, spilled, data, size):
+        for start, stop in [(0, None), (3, 12), (22, 23), (5, 5)]:
+            got = list(spilled.blocks(size, start, stop))
+            want = list(ArrayRows(data).blocks(size, start, stop))
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
+
+    def test_rows_in_any_order(self, spilled, data):
+        index = [22, 0, 7, 7, 13]
+        np.testing.assert_array_equal(spilled.rows(index), data[index])
+        assert spilled.rows([]).shape == (0, 5)
+        with pytest.raises(IndexError):
+            spilled.rows([23])
+        with pytest.raises(IndexError):
+            spilled.rows([-1])
+
+    def test_append_checks_width(self, spilled):
+        with pytest.raises(ValueError, match=r"\(n, 5\)"):
+            spilled.append(np.zeros((2, 4)))
+        with pytest.raises(ValueError, match=r"\(n, 5\)"):
+            spilled.append(np.zeros(5))
+        assert len(spilled) == 23
+
+    def test_any_input_layout_is_stored_as_float64(self, tmp_path, data):
+        store = SpilledRows(tmp_path / "rows.f64", 5)
+        store.append(np.asfortranarray(data[::2]).astype(np.float32))
+        np.testing.assert_array_equal(store.rows(range(12)), data[::2].astype(np.float32))
+
+    def test_reads_are_plain_file_reads(self, spilled, data, monkeypatch):
+        # mapped pages count toward the resident size once touched
+        def refuse(*args, **kwargs):
+            raise AssertionError("the store must not map its file")
+
+        monkeypatch.setattr(mmap, "mmap", refuse)
+        monkeypatch.setattr(np, "memmap", refuse)
+        np.testing.assert_array_equal(np.concatenate(list(spilled.blocks(6))), data)
+        np.testing.assert_array_equal(spilled.rows([4, 2]), data[[4, 2]])
+
+    def test_truncated_file_is_an_error(self, spilled):
+        with open(spilled.path, "r+b") as fh:
+            fh.truncate(8 * 5 * 20)
+        with pytest.raises(EOFError, match="fewer rows"):
+            list(spilled.blocks(10))
+        with pytest.raises(EOFError, match="fewer rows"):
+            spilled.rows([21])

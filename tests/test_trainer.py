@@ -1,4 +1,6 @@
 import logging
+import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from streamsad.engine import load_model, save_model, stream_detect
 from streamsad.features import FeatureConfig
 from streamsad.gmm import Gmm, block_supervectors
 from streamsad.synth import make_corpus
+from streamsad import trainer
 from streamsad.trainer import (
     TrainConfig,
     TrainingError,
@@ -113,6 +116,23 @@ class TestTrainConfig:
     def test_positive_sizes(self):
         with pytest.raises(ValueError, match="positive"):
             TrainConfig(entries=[("a", "b")], gmm_iters=0)
+
+    @pytest.mark.parametrize("hidden_dims", [(), (0,), (16, -8), (16.0,), (True,), [16, 8], 16])
+    def test_hidden_dims_are_positive_ints(self, hidden_dims):
+        # (0,) used to reach init_mlp and fail there with ZeroDivisionError,
+        # after all the EM work
+        with pytest.raises(ValueError, match="hidden_dims"):
+            TrainConfig(entries=[("a", "b")], hidden_dims=hidden_dims)
+
+    @pytest.mark.parametrize("select_epoch", [99, 31, -1])
+    def test_select_epoch_within_the_epochs(self, select_epoch):
+        with pytest.raises(ValueError, match="select_epoch"):
+            TrainConfig(entries=[("a", "b")], select_epoch=select_epoch)
+
+    def test_select_epoch_bounds_accepted(self):
+        for select_epoch in (None, 0, 17, 30):
+            assert TrainConfig(entries=[("a", "b")], select_epoch=select_epoch).select_epoch == select_epoch
+        assert TrainConfig(entries=[("a", "b")], hidden_dims=(1,)).hidden_dims == (1,)
 
     def test_default_threshold_is_zero(self):
         # 0.25 missed most speech (held-out DCF 0.30-0.49); 0.0 is the
@@ -282,3 +302,58 @@ class TestTrainRuns:
         cfg = TrainConfig(entries=micro_corpus, seed=19, monitor_entries=[(short, lab)], **MICRO)
         with pytest.raises(TrainingError, match=r"\[monitor-set\].*short\.wav: audio shorter"):
             train(cfg)
+
+
+class TestBoundedMemory:
+    """Training keeps its corpus in a scratch directory, not in memory."""
+
+    @pytest.fixture
+    def scratch_root(self, tmp_path, monkeypatch):
+        root = tmp_path / "tmp"
+        root.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(root))
+        return root
+
+    def spy_mlp(self, monkeypatch, root, seen, fail=False):
+        real = trainer.train_mlp
+
+        def spy(*args, **kwargs):
+            seen.extend(sorted(p.name for p in root.rglob("*.f64")))
+            if fail:
+                raise RuntimeError("boom")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "train_mlp", spy)
+
+    def test_scratch_removed_after_success(self, micro_corpus, scratch_root, monkeypatch):
+        seen = []
+        self.spy_mlp(monkeypatch, scratch_root, seen)
+        train(TrainConfig(entries=micro_corpus, seed=20, **MICRO))
+        assert {"features.f64", "frames.f64", "supervectors.f64"} <= set(seen)
+        assert list(scratch_root.iterdir()) == []
+
+    def test_scratch_removed_after_a_stage_raises(self, micro_corpus, scratch_root, monkeypatch):
+        seen = []
+        self.spy_mlp(monkeypatch, scratch_root, seen, fail=True)
+        with pytest.raises(TrainingError, match=r"\[mlp\] boom"):
+            train(TrainConfig(entries=micro_corpus, seed=21, **MICRO))
+        assert "supervectors.f64" in seen
+        assert list(scratch_root.iterdir()) == []
+
+    def test_peak_memory_does_not_grow_with_the_corpus(self, tmp_path):
+        # what may grow: one mask bit, class id and k-means++ distance per
+        # frame, one label per segment; the frames themselves stay on disk
+        # at these sizes whole-corpus frame arrays would outweigh the fixed
+        # LDA scatter work: holding them traces 12.0 MB at 1x, 25.6 MB at 4x
+        small = make_corpus(tmp_path / "small", n_files=8, duration=8.0, seed=31)
+        large = small + make_corpus(tmp_path / "more", n_files=24, duration=8.0, seed=32)
+        train(TrainConfig(entries=small[:2], seed=22, **MICRO))  # first-call caches are not the corpus's
+        peaks = []
+        for entries in (small, large):
+            tracemalloc.start()
+            try:
+                train(TrainConfig(entries=entries, seed=22, **MICRO))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], f"peak traced memory {peaks[0]} B at 1x, {peaks[1]} B at 4x"
