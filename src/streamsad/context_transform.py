@@ -8,7 +8,8 @@ keeps directions that tell those apart.
 
 Stacking, with or without the projection, is a features.CausalWindow
 stage, so training (push a whole file, then flush) and detection (push as
-audio arrives) share one implementation and give the same bits.
+audio arrives) share one implementation and give the same bits. The
+projection is `features.row_products`, the one batch-invariant product.
 
 Both trainers accumulate scatter/moment statistics incrementally, so a
 corpus never has to be stacked in memory at once: training feeds them one
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import BLOCK_FRAMES, CausalWindow
+from .features import BLOCK_FRAMES, CausalWindow, row_products
 from .gmm import Gmm, posterior_matrix
 
 # within-class scatter gets this fraction of trace/dim added to its diagonal;
@@ -84,16 +85,13 @@ class LinearTransform:
 
 
 def apply_transform(x: np.ndarray, transform: LinearTransform) -> np.ndarray:
-    """Project a (T, in_dim) block.
-
-    einsum rather than a BLAS matmul: each row's bits must not depend on how
-    many rows share the call (see the features module docstring).
-    """
+    """Project a (T, in_dim) block, each row by `features.row_products`, so
+    its bits do not depend on how many rows share the call."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != transform.input_dim:
         raise ValueError(f"expected a (T, {transform.input_dim}) block for a transform of input dim "
                          f"{transform.input_dim}, got shape {x.shape}")
-    return np.einsum("...j,kj->...k", x - transform.mean_offset, transform.matrix)
+    return row_products(x - transform.mean_offset, transform.matrix.T)
 
 
 def context_window(spec: ContextSpec, transform: LinearTransform | None = None) -> CausalWindow:
@@ -118,7 +116,7 @@ def acoustic_labels(frames: np.ndarray, ubm: Gmm, speech_mask: np.ndarray) -> np
     speech_mask = np.asarray(speech_mask, dtype=bool)
     if len(frames) != len(speech_mask):
         raise ValueError("frames and speech_mask lengths differ")
-    component = np.argmax(posterior_matrix(frames, ubm), axis=1)
+    component = np.argmax(posterior_matrix(frames, ubm)[0], axis=1)
     return component * 2 + np.where(speech_mask, 0, 1)
 
 

@@ -93,8 +93,8 @@ def layer_outputs(x: np.ndarray, layers) -> list:
 def embed_batch(supervectors: np.ndarray, layers) -> np.ndarray:
     """Run (n, in_dim) supervectors through (weight, bias) ReLU layers.
 
-    An (S, 1, in_dim) stack runs each row as its own (1, in_dim) product,
-    the call a single supervector gets, so a row's bits do not depend on S.
+    An (S, 1, in_dim) stack runs each row as its own (1, in_dim) product, the call a single
+    supervector gets, so a row's bits do not depend on S (the rule of `features.row_products`).
     """
     h = np.asarray(supervectors, dtype=np.float64)
     in_dim = layers[0][0].shape[0]

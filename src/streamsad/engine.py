@@ -20,8 +20,9 @@ So everything but the count-vector cosines, the threshold test and the
 buffer update is independent of earlier decisions. `score_segments` takes
 every ready segment of a push as one (S, n, D) block: the count vectors,
 supervectors, embeddings and the embedding scores' products come from
-stacked, batch-invariant kernels, and only the decision-dependent part runs
-per segment. One segment is the block of S = 1.
+batch-invariant kernels (one BLAS call per row or segment, as
+`features.row_products`), and only the decision-dependent part runs per
+segment. One segment is the block of S = 1.
 
 Decisions depend only on frame values, never on how samples were chunked,
 so feeding a file sample-by-sample or whole produces bit-identical traces.
@@ -42,7 +43,7 @@ import numpy as np
 from .audio_io import NONSPEECH, SPEECH, AudioStream, SegmentLabel
 from .context_transform import LDA_CONTEXT, PCA_CONTEXT, LinearTransform, context_window
 from .embeddings import embed_batch
-from .features import BLOCK_FRAMES, FeatureConfig, FeatureExtractor
+from .features import BLOCK_FRAMES, FeatureConfig, FeatureExtractor, row_products
 from .gmm import Gmm, block_counts, block_supervectors
 
 SEGMENT_FRAMES = 10
@@ -241,14 +242,13 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return _cosine(np.dot(a, b), float(np.linalg.norm(a)), float(np.linalg.norm(b)))
 
 
-def _row_dots(rows: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """np.dot of each row with its row of other (S, k), or with one (k,) vector.
+def _row_dots(rows: np.ndarray) -> np.ndarray:
+    """np.dot of each row of an (S, k) block with itself.
 
     A stacked (1, k) @ (k, 1) product issues, per row, the BLAS dot that
-    np.dot (and so np.linalg.norm) issues for one pair of vectors.
+    np.dot (and so np.linalg.norm) issues for one vector.
     """
-    column = other[..., np.newaxis]
-    return (rows[:, np.newaxis, :] @ column)[:, 0, 0]
+    return (rows[:, np.newaxis, :] @ rows[:, :, np.newaxis])[:, 0, 0]
 
 
 def score_vector(w_test: np.ndarray, w_speech: np.ndarray, w_nonspeech: np.ndarray) -> float:
@@ -318,13 +318,13 @@ def score_segments(
     # independent of earlier decisions: computed for the whole block
     counts = block_counts(segments, model.counts_ubm)
     counts_vecs = counts / np.add.reduce(counts, axis=-1, keepdims=True)
-    counts_norms = np.sqrt(_row_dots(counts_vecs, counts_vecs)).tolist()
+    counts_norms = np.sqrt(_row_dots(counts_vecs)).tolist()
     supervectors = block_supervectors(segments, model.supervector_ubm)
     layer = (model.embedding_weight, model.embedding_bias)
     embeddings = embed_batch(supervectors[:, np.newaxis, :], (layer,))[:, 0]
-    emb_norms = np.sqrt(_row_dots(embeddings, embeddings)).tolist()
-    speech_dots = _row_dots(embeddings, model.speech_embedding).tolist()
-    nonspeech_dots = _row_dots(embeddings, model.nonspeech_embedding).tolist()
+    emb_norms = np.sqrt(_row_dots(embeddings)).tolist()
+    speech_dots = row_products(embeddings, model.speech_embedding).tolist()
+    nonspeech_dots = row_products(embeddings, model.nonspeech_embedding).tolist()
     speech_norm, nonspeech_norm = model.embedding_norms
 
     # times come straight off the integer frame grid so decision i's end is
@@ -433,8 +433,8 @@ class StreamingDetector:
 
         Samples are a 1-D sequence of real numbers, as FeatureExtractor.push
         takes them: an array of any integer or float dtype and any strides,
-        or a list. Any other shape or dtype, and NaN or Inf samples, raise
-        ValueError with the detector's state untouched.
+        or a list. Any other shape or dtype, and NaN, Inf or overflowing
+        samples, raise ValueError with the detector's state untouched.
         """
         if self.finished:
             raise RuntimeError("push after flush")

@@ -17,8 +17,8 @@ same bits as a whole-file pass.
 A stage runs every frame that is ready after a push as one block, and where
 the blocks split depends on how the samples were chunked. Every kernel
 therefore gives each row the same bits whatever block it is in ("batch
-invariance"): projections use np.einsum without optimize on contiguous
-inputs (a BLAS matmul changes some rows' bits with the batch shape), the FFT
+invariance"): every product of rows goes through `row_products` (a BLAS
+matmul of a whole block changes some rows' bits with its shape), the FFT
 runs row by row along axis 1, and sums run elementwise in a fixed order.
 """
 
@@ -93,6 +93,13 @@ def frame_count(n_samples: int, cfg: FeatureConfig, sample_rate: int) -> int:
     return (n_samples - win) // hop + 1
 
 
+def row_products(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """rows @ table for (T, k) rows and a (k, m) or (k,) table (a matrix's .T view is not copied), one
+    BLAS call per C-contiguous row, so a row gets the bits it gets alone in a block of any size."""
+    rows = np.ascontiguousarray(rows)
+    return (rows[:, np.newaxis, :] @ table)[:, 0]
+
+
 def hz_to_mel(f):
     return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
 
@@ -140,6 +147,9 @@ class StaticMfcc:
         self.window = np.hamming(self.win)
         self.filterbank = mel_filterbank(sample_rate, self.n_fft, cfg.n_mel_filters, cfg.mel_low, f_high)
         self.dct = dct_matrix(cfg.n_mfcc, cfg.n_mel_filters)
+        # largest sample magnitude with finite mel energies: pre-emphasis gains at most 1 + pre_emphasis,
+        # a bin sums win windowed samples (window <= 1), an energy n_fft // 2 + 1 bins (weights <= 1)
+        self.max_sample = np.finfo(float).max / ((1 + cfg.pre_emphasis) * self.win * (self.n_fft // 2 + 1))
 
     def windows(self, samples: np.ndarray) -> np.ndarray:
         """Every complete analysis window of 1-D samples as one (T, window_samples)
@@ -164,9 +174,9 @@ class StaticMfcc:
         np.subtract(frames[:, 1:], emphasized[:, 1:], out=emphasized[:, 1:])
         emphasized *= self.window
         spectrum = np.abs(np.fft.rfft(emphasized, n=self.n_fft, axis=1))
-        energies = np.einsum("tj,kj->tk", spectrum, self.filterbank)
+        energies = row_products(spectrum, self.filterbank.T)
         log_energies = np.log(np.maximum(energies, LOG_FLOOR, out=energies), out=energies)
-        return np.einsum("tj,kj->tk", log_energies, self.dct)
+        return row_products(log_energies, self.dct.T)
 
 
 class CausalWindow:
@@ -333,8 +343,8 @@ class FeatureExtractor:
 
         Samples are a 1-D sequence of real numbers: an array of any integer
         or float dtype and any strides, or a list. Any other shape or dtype
-        (complex, bool, object, text) and NaN or Inf samples raise
-        ValueError before any state changes.
+        (complex, bool, object, text) and NaN, Inf or overflowing samples
+        (StaticMfcc.max_sample) raise ValueError before any state changes.
         """
         if self.finished:
             raise RuntimeError("push after flush")
@@ -344,8 +354,8 @@ class FeatureExtractor:
                 f"samples must be 1-D real numbers, got shape {samples.shape} of dtype {samples.dtype}"
             )
         samples = np.ascontiguousarray(samples, dtype=np.float64)
-        if not np.isfinite(samples).all():
-            raise ValueError("samples contain NaN or Inf")
+        if not np.abs(samples).max(initial=0.0) <= self.static.max_sample:  # NaN fails too
+            raise ValueError(f"samples contain NaN or Inf, or magnitudes above {self.static.max_sample:.3g}")
         if len(self.pending):
             samples = np.concatenate([self.pending, samples])
         windows = self.static.windows(samples)

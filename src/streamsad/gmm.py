@@ -6,7 +6,10 @@ produces per-segment posterior count vectors (`block_counts`), and another
 small one gives each segment its supervector (`block_supervectors`). Both
 take a block of S segments as one (S, n, D) array; training and detection
 call them alike. All posterior math runs in the log domain; 24-d Gaussian
-likelihoods underflow hopelessly in linear space.
+likelihoods underflow hopelessly in linear space. One posterior step,
+`posterior_matrix`, serves EM, the LDA class labels and the segments, whose
+products keep the features module's batch-invariance rule per segment: a
+stack of 2-D products, one BLAS call per segment whatever S is.
 
 `train_gmm` fits a mixture by EM on a row source (`rowsource`): an
 in-memory array, whose blocks are slices, or frames spilled to disk. Each
@@ -88,15 +91,11 @@ class Gmm:
 
 
 def log_likelihoods(frames: np.ndarray, gmm: Gmm) -> np.ndarray:
-    """log(w_c * N(x_t; m_c, v_c)) for every frame/component pair of (T, D) frames, (T, C)."""
+    """log(w_c * N(x_t; m_c, v_c)) for every frame/component pair of (..., T, D)
+    frames, (..., T, C): one matrix product per (T, D) slice."""
     x = np.asarray(frames, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != gmm.dim:
+    if x.ndim < 2 or x.shape[-1] != gmm.dim:
         raise ValueError(f"expected (T, {gmm.dim}) frames, got shape {x.shape}")
-    return _component_logliks(x, gmm)
-
-
-def _component_logliks(x: np.ndarray, gmm: Gmm) -> np.ndarray:
-    """log_likelihoods of (..., T, D) frames, one matrix product per (T, D) slice."""
     constant, scaled_means, precision = gmm.scoring_tables
     # quadratic term expanded so the whole thing is two matrix products
     return constant + x @ scaled_means - 0.5 * (x**2) @ precision
@@ -119,13 +118,12 @@ def _shifted_logsumexp(a: np.ndarray, peak: np.ndarray, axis: int, keepdims: boo
     return out if keepdims else np.squeeze(out, axis=axis)
 
 
-def posterior_matrix(frames: np.ndarray, gmm: Gmm) -> np.ndarray:
-    """Component responsibilities per frame, rows summing to 1, (T, C)."""
-    return _responsibilities(log_likelihoods(frames, gmm))
-
-
-def _responsibilities(ll: np.ndarray) -> np.ndarray:
-    return np.exp(ll - logsumexp(ll, axis=-1, keepdims=True))
+def posterior_matrix(frames: np.ndarray, gmm: Gmm) -> tuple:
+    """Responsibilities of (..., T, D) frames, each frame's summing to 1, and
+    each frame's log-normalizer log p(x_t): (..., T, C) and (..., T, 1)."""
+    ll = log_likelihoods(frames, gmm)
+    norm = logsumexp(ll, axis=-1, keepdims=True)
+    return np.exp(np.subtract(ll, norm, out=ll), out=ll), norm
 
 
 def _squared_distances(source, center: np.ndarray) -> np.ndarray:
@@ -201,10 +199,8 @@ def train_gmm(
         first = np.zeros((n_components, source.dim))
         second = np.zeros((n_components, source.dim))
         for block in source.blocks(EM_BLOCK_FRAMES):
-            ll = _component_logliks(block, gmm)
-            norm = logsumexp(ll, axis=1, keepdims=True)
+            resp, norm = posterior_matrix(block, gmm)
             total += float(np.add.reduce(norm, axis=None))
-            resp = np.exp(np.subtract(ll, norm, out=ll), out=ll)
             counts += np.add.reduce(resp, axis=0)
             first += resp.T @ block
             second += resp.T @ block**2
@@ -249,18 +245,13 @@ def _check_counts(counts: np.ndarray, frame_count: int) -> None:
 
 def _block_posteriors(segments: np.ndarray, ubm: Gmm) -> tuple:
     """(frames, responsibilities, zero-order counts) of S segments of n frames,
-    (S, n, D), (S, n, C) and (S, C), the counts checked once for the block.
-
-    np.matmul on the stacked arrays issues, per segment, the BLAS call that
-    the segment's own 2-D product issues, so each segment's bits are the
-    same in a block of any size.
-    """
+    (S, n, D), (S, n, C) and (S, C), the counts checked once for the block."""
     x = np.asarray(segments, dtype=np.float64)
     if x.ndim != 3 or x.shape[2] != ubm.dim:
         raise ValueError(f"expected (S, n, {ubm.dim}) segments, got shape {x.shape}")
     if x.shape[1] == 0:
         raise ValueError("empty frame sequence")
-    resp = _responsibilities(_component_logliks(x, ubm))
+    resp = posterior_matrix(x, ubm)[0]
     counts = np.add.reduce(resp, axis=1)
     _check_counts(counts, x.shape[1])
     return x, resp, counts

@@ -1,24 +1,25 @@
 """Row sources: (N, D) float64 data that training reads in fixed-size blocks.
 
-Training sums its statistics block by block (EM counts and moments, LDA
-scatter, PCA moments, MLP losses and class embeddings), so what a stage
-holds at once does not grow with the corpus. A row source has len(), a row
-width `dim`, `blocks(size, start, stop)` (rows start..stop-1 in order, as
-blocks of `size` rows, the last one shorter) and `rows(index)` (the given
-rows, in the given order). Two kinds exist:
+Training sums its statistics block by block (EM counts and moments, LDA scatter, PCA moments,
+MLP losses and class embeddings), so what a stage holds at once does not grow with the corpus.
+A row source has len(), a row width `dim`, `blocks(size, start, stop)` (rows start..stop-1 in
+order, as blocks of `size` rows, the last one shorter) and `rows(index)` (the given rows, in
+the given order). Two kinds exist:
 
 - `ArrayRows` wraps an in-memory array; its blocks are slices;
-- `SpilledRows` appends rows to a raw float64 file and reads them back
-  with plain file reads. It never maps the file: mapped pages count toward
-  the resident size once touched, so a mapped corpus would grow the
-  process's peak memory with the corpus again.
+- `SpilledRows` appends rows to a raw float64 file and reads them back with plain file reads
+  (`rows`: one `os.preadv` per run of consecutive rows). It never maps the file: mapped pages
+  count toward the resident size once touched, so a mapped corpus would grow peak memory again.
 """
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
+
+MAX_RUN_ROWS = 1024  # the most buffers one os.preadv takes: IOV_MAX on Linux, macOS and the BSDs
 
 
 class ArrayRows:
@@ -70,26 +71,26 @@ class SpilledRows:
         with open(self.path, "rb") as fh:
             fh.seek(start * self.dim * 8)
             for i in range(start, stop, size):
-                yield self._read(fh, min(size, stop - i))
+                block = np.empty((min(size, stop - i), self.dim))
+                if fh.readinto(block) != block.nbytes:
+                    raise EOFError(f"{self.path}: fewer rows than written")
+                yield block
 
     def rows(self, index) -> np.ndarray:
+        """The given rows in the given order, read straight into the rows returned."""
         index = np.asarray(index, dtype=np.intp)
         if index.size and not (0 <= index.min() and index.max() < len(self)):
             raise IndexError(f"row index out of range for {len(self)} rows")
-        out = np.empty((len(index), self.dim))
-        width = self.dim * 8
+        out, order = np.empty((len(index), self.dim)), np.argsort(index)
+        wanted, targets = index[order], [out[k] for k in order.tolist()]
+        cuts = (np.diff(wanted, prepend=-2) != 1) | (np.arange(len(index)) % MAX_RUN_ROWS == 0)
+        starts, width = np.flatnonzero(cuts).tolist(), self.dim * 8
         with open(self.path, "rb", buffering=0) as fh:
-            for k, i in enumerate(index.tolist()):
-                fh.seek(i * width)
-                if fh.readinto(out[k]) != width:
+            for start, stop in zip(starts, starts[1:] + [len(index)]):
+                got = os.preadv(fh.fileno(), targets[start:stop], int(wanted[start]) * width)
+                if got != (stop - start) * width:
                     raise EOFError(f"{self.path}: fewer rows than written")
         return out
-
-    def _read(self, fh, n: int) -> np.ndarray:
-        block = np.empty((n, self.dim))
-        if fh.readinto(block) != block.nbytes:
-            raise EOFError(f"{self.path}: fewer rows than written")
-        return block
 
 
 def as_rows(data):

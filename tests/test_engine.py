@@ -83,6 +83,32 @@ def mini_model(base_threshold=0.0, seed=0):
     )
 
 
+def default_size_model(seed=0):
+    """Random model with the default trainer's dimensions: projections and
+    products as large as the shipped model's, built without training."""
+    rng = np.random.default_rng(seed)
+
+    def ubm(n_components):
+        return Gmm(rng.dirichlet(np.ones(n_components)), rng.standard_normal((n_components, 24)),
+                   rng.uniform(0.5, 2.0, (n_components, 24)))
+
+    q, _ = np.linalg.qr(rng.standard_normal((84, 24)))
+    return SadModel(
+        feature_cfg=FeatureConfig(),
+        sample_rate=8000,
+        lda=LinearTransform(rng.standard_normal((12, 396)) * 0.1, rng.standard_normal(396)),
+        pca=LinearTransform(q.T, rng.standard_normal(84)),
+        counts_ubm=ubm(128),
+        supervector_ubm=ubm(32),
+        embedding_weight=rng.standard_normal((768, 256)) * np.sqrt(2.0 / 768),
+        embedding_bias=np.abs(rng.standard_normal(256)) * 0.1,
+        speech_counts=rng.dirichlet(np.ones(128)),
+        nonspeech_counts=rng.dirichlet(np.ones(128)),
+        speech_embedding=np.abs(rng.standard_normal(256)),
+        nonspeech_embedding=np.abs(rng.standard_normal(256)),
+    )
+
+
 def decide_one(frames, model, state, cfg, index=0):
     """Score, decide and adapt one segment: the scorer's block of S = 1."""
     return score_segments(frames[np.newaxis], model, state, cfg, first_index=index)[0]
@@ -565,17 +591,21 @@ class TestStreamingDetector:
         assert format_trace(det.decisions) == format_trace(ref.decisions)
 
     @pytest.mark.parametrize(
-        "bad",
-        [np.zeros((1, 800)), np.zeros((2, 800)), np.zeros((800, 2)), 0.5, np.zeros(800, dtype=np.complex128)],
-        ids=["(1, 800)", "(2, 800)", "(800, 2)", "0-d", "complex"],
+        "bad,named",
+        [(np.zeros((1, 800)), "1-D real numbers"), (np.zeros((2, 800)), "1-D real numbers"),
+         (np.zeros((800, 2)), "1-D real numbers"), (0.5, "1-D real numbers"),
+         (np.zeros(800, dtype=np.complex128), "1-D real numbers"),
+         # finite, but its spectrum would overflow and leave NaN in the 1 s CMN window
+         (np.where(np.arange(800) == 400, 1e308, 0.0), "NaN or Inf")],
+        ids=["(1, 800)", "(2, 800)", "(800, 2)", "0-d", "complex", "huge"],
     )
     @pytest.mark.parametrize("fed", [0, 8000], ids=["fresh", "fed"])
-    def test_bad_push_is_rejected_and_stream_continues(self, tiny_corpus, tiny_model, bad, fed):
+    def test_bad_push_is_rejected_and_stream_continues(self, tiny_corpus, tiny_model, bad, named, fed):
         samples = read_wav(tiny_corpus["entries"][4][0]).samples[:20000]
         det, ref = StreamingDetector(tiny_model), StreamingDetector(tiny_model)
         for d in (det, ref):
             d.push(samples[:fed])
-        with pytest.raises(ValueError, match="1-D real numbers"):
+        with pytest.raises(ValueError, match=named):
             det.push(bad)
         for d in (det, ref):
             for pos in range(fed, len(samples), 800):
@@ -706,6 +736,37 @@ class TestStreamingDetector:
             check=True,
         )
         assert out.stdout.strip() == "[]"
+
+    def test_traces_equal_under_one_and_two_blas_threads(self, tiny_corpus, tmp_path):
+        # each BLAS call computes a row or a segment whole, so splitting the
+        # calls over threads must not move a bit; a default-size model makes
+        # the embedding's products large enough for OpenBLAS to split
+        import streamsad
+
+        save_model(default_size_model(), tmp_path / "m.sadb")
+        code = (
+            "import sys\n"
+            "from streamsad.audio_io import read_wav\n"
+            "from streamsad.engine import StreamingDetector, format_trace, load_model\n"
+            "model, samples = load_model(sys.argv[1]), read_wav(sys.argv[2]).samples\n"
+            "for size in (len(samples), 800, 3777):\n"
+            "    det = StreamingDetector(model)\n"
+            "    for pos in range(0, len(samples), size):\n"
+            "        det.push(samples[pos : pos + size])\n"
+            "    det.flush()\n"
+            "    print(format_trace(det.decisions))\n"
+        )
+        src = str(Path(streamsad.__file__).resolve().parents[1])
+        traces = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+            out = subprocess.run(
+                [sys.executable, "-c", code, str(tmp_path / "m.sadb"), str(tiny_corpus["entries"][4][0])],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            traces += out.stdout.split("\n\n")[:3]
+        assert traces[0].count("\n") == 80
+        assert len(set(traces)) == 1
 
     def test_training_runs_without_scipy(self, tiny_corpus, tiny_model, tmp_path):
         # scipy made unimportable: training the tiny config still works and

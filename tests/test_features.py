@@ -32,6 +32,7 @@ from streamsad.features import (
     hz_to_mel,
     mel_filterbank,
     mel_to_hz,
+    row_products,
 )
 from streamsad.gmm import COUNT_FLOOR, Gmm, block_counts, block_supervectors, log_likelihoods, logsumexp
 from oracles import delta_oracle, mfcc_oracle, trailing_mean_oracle
@@ -61,6 +62,8 @@ BAD_PUSHES = [
     (np.zeros(800, dtype=bool), "bool"),
     (np.array(["0.1"] * 800), "<U3"),
     (np.array([0.1, None] * 400, dtype=object), "object"),
+    # finite, but its spectrum would overflow
+    (np.where(np.arange(800) == 123, 1e308, 0.0), "NaN or Inf"),
 ]
 
 
@@ -295,6 +298,18 @@ class TestStreamingExtractor:
         got += [ext.push(samples[3000:]), ext.flush()]
         np.testing.assert_array_equal(np.concatenate(got), extract_features(stream(samples)))
 
+    @pytest.mark.parametrize("sample_rate", [8000, 16000])
+    def test_largest_accepted_samples_give_finite_frames(self, sample_rate):
+        # a full-scale alternating signal at the bound puts its whole energy
+        # in the top bin; a hair above the bound is refused
+        ext = FeatureExtractor(CFG, sample_rate)
+        bound = ext.static.max_sample
+        alternating = bound * np.where(np.arange(sample_rate) % 2, 1.0, -1.0)
+        frames = np.concatenate([ext.push(alternating), ext.push(np.full(4000, bound)), ext.flush()])
+        assert len(frames) > 100 and np.isfinite(frames).all()
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            FeatureExtractor(CFG, sample_rate).push([0.0, np.nextafter(bound, np.inf)])
+
     @pytest.mark.parametrize("bad,named", BAD_PUSHES, ids=[named for _, named in BAD_PUSHES])
     @pytest.mark.parametrize("fed", [0, 3000], ids=["fresh", "fed"])
     def test_bad_push_rejected_before_any_change(self, bad, named, fed):
@@ -355,18 +370,51 @@ class TestBatchInvariance:
     end, so this is what makes streaming equal batch bit for bit.
     """
 
+    # (in, out) of every table the program projects rows by: the filterbank
+    # at 16 and 8 kHz, the DCT, LDA and PCA; out None is a row·vector dot
+    # (embedding scores) at the embedding widths
+    ROW_PRODUCT_SHAPES = [(257, 23), (129, 23), (23, 12), (396, 12), (84, 24), (128, None), (256, None)]
+
+    @staticmethod
+    def _table(rng, in_dim, out_dim):
+        """A (in_dim,) vector, or the .T view of an (out_dim, in_dim) matrix, as the program passes it."""
+        return rng.standard_normal(in_dim) if out_dim is None else rng.standard_normal((out_dim, in_dim)).T
+
     @pytest.mark.parametrize("size", BLOCK_SIZES)
     @pytest.mark.parametrize("in_dim,out_dim", [(257, 23), (129, 23), (23, 12), (396, 12), (84, 24)])
     def test_einsum_projection(self, size, in_dim, out_dim):
-        # filterbank (16 and 8 kHz), DCT, LDA and PCA shapes
+        # the einsum the projections used before row_products, kept as the
+        # reference: the same sums in another order, so each value is within
+        # the float64 dot-product error bound in_dim * eps * sum_j |x_j m_kj|
         rng = np.random.default_rng(in_dim)
         x = rng.standard_normal((1500, in_dim))
         matrix = rng.standard_normal((out_dim, in_dim))
+        got = in_blocks(lambda block: row_products(block, matrix.T), x, size)
+        bound = in_dim * np.finfo(np.float64).eps * (np.abs(x) @ np.abs(matrix).T)
+        assert np.all(np.abs(got - np.einsum("tj,kj->tk", x, matrix)) <= bound)
 
-        def project(block):
-            return np.einsum("tj,kj->tk", block, matrix)
+    @pytest.mark.parametrize("size", [0, 1, 2, 7, 10, 64, 500])
+    @pytest.mark.parametrize("in_dim,out_dim", ROW_PRODUCT_SHAPES)
+    def test_row_products(self, size, in_dim, out_dim):
+        # every row gets the bits of its lone product, matrix @ row or
+        # np.dot(row, vector), in a block of any size
+        rng = np.random.default_rng(in_dim)
+        x = rng.standard_normal((1500, in_dim))
+        table = self._table(rng, in_dim, out_dim)
+        alone = np.array([table.T @ row if out_dim else np.dot(row, table) for row in x])
+        if size == 0:
+            assert row_products(x[:0], table).shape == alone[:0].shape
+        else:
+            np.testing.assert_array_equal(in_blocks(lambda block: row_products(block, table), x, size), alone)
 
-        np.testing.assert_array_equal(in_blocks(project, x, size), project(x))
+    @pytest.mark.parametrize("in_dim,out_dim", ROW_PRODUCT_SHAPES)
+    def test_row_products_of_a_sliced_block(self, in_dim, out_dim):
+        rng = np.random.default_rng(in_dim + 1)
+        wide = rng.standard_normal((200, 2 * in_dim))
+        table = self._table(rng, in_dim, out_dim)
+        sliced = wide[::2, 1::2]  # numpy's own dot loop, not BLAS, takes a strided row
+        assert not sliced.flags.c_contiguous
+        np.testing.assert_array_equal(row_products(sliced, table), row_products(sliced.copy(), table))
 
     @pytest.mark.parametrize("size", BLOCK_SIZES)
     @pytest.mark.parametrize("win,n_fft", [(200, 256), (400, 512)])
@@ -565,8 +613,13 @@ class TestSegmentBatchInvariance:
     )
     def test_counts_only_pass_keeps_the_stats_checks(self, monkeypatch, shift, match):
         # moved responsibilities: a negative count with exact sums, or sums off by 1e-2
-        responsibilities = gmm_module._responsibilities
-        monkeypatch.setattr(gmm_module, "_responsibilities", lambda ll: responsibilities(ll) + np.array(shift))
+        posterior_matrix = gmm_module.posterior_matrix
+
+        def moved(frames, gmm):
+            resp, norm = posterior_matrix(frames, gmm)
+            return resp + np.array(shift), norm
+
+        monkeypatch.setattr(gmm_module, "posterior_matrix", moved)
         ubm = random_ubm(np.random.default_rng(3), 4, 24)
         segments = np.random.default_rng(4).standard_normal((3, 10, 24))
         with pytest.raises(ValueError, match=match):

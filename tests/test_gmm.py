@@ -92,14 +92,16 @@ class TestLikelihoodsAndPosteriors:
         rng = np.random.default_rng(1)
         gmm = random_gmm(rng, 4, 3)
         frames = rng.standard_normal((15, 3)) * 2
-        got = posterior_matrix(frames, gmm)
+        got, norm = posterior_matrix(frames, gmm)
         for t in range(15):
             want = naive_posteriors(frames[t], gmm.weights, gmm.means, gmm.variances)
             np.testing.assert_allclose(got[t], want, atol=1e-10)
+        # the log-normalizer is the frame's total log-likelihood
+        np.testing.assert_array_equal(norm, logsumexp(log_likelihoods(frames, gmm), axis=1, keepdims=True))
 
     def test_single_component_posterior_is_one(self):
         gmm = Gmm(np.array([1.0]), np.zeros((1, 2)), np.ones((1, 2)))
-        np.testing.assert_array_equal(posterior_matrix(np.array([[9.0, -9.0]]), gmm), [[1.0]])
+        np.testing.assert_array_equal(posterior_matrix(np.array([[9.0, -9.0]]), gmm)[0], [[1.0]])
 
     def test_frame_at_isolated_mean_dominates(self):
         gmm = Gmm(
@@ -107,7 +109,7 @@ class TestLikelihoodsAndPosteriors:
             np.array([[0.0, 0.0], [8.0, 8.0]]),
             np.ones((2, 2)),
         )
-        gamma = posterior_matrix(np.array([[8.0, 8.0]]), gmm)[0]
+        gamma = posterior_matrix(np.array([[8.0, 8.0]]), gmm)[0][0]
         assert gamma[1] > 0.99
 
     @settings(max_examples=40, deadline=None)
@@ -116,7 +118,7 @@ class TestLikelihoodsAndPosteriors:
         rng = np.random.default_rng(seed)
         gmm = random_gmm(rng, int(rng.integers(1, 6)), 3)
         frames = rng.standard_normal((8, 3)) * rng.uniform(0.1, 30)
-        resp = posterior_matrix(frames, gmm)
+        resp = posterior_matrix(frames, gmm)[0]
         assert np.all(resp >= 0)
         np.testing.assert_allclose(resp.sum(axis=1), 1.0, atol=1e-12)
 
@@ -124,7 +126,7 @@ class TestLikelihoodsAndPosteriors:
         # far-out frames underflow every component in linear domain
         gmm = random_gmm(np.random.default_rng(2), 3, 4)
         frames = np.full((2, 4), 300.0)
-        resp = posterior_matrix(frames, gmm)
+        resp = posterior_matrix(frames, gmm)[0]
         assert np.all(np.isfinite(resp))
         np.testing.assert_allclose(resp.sum(axis=1), 1.0, atol=1e-12)
         assert np.isfinite(total_loglik(frames, gmm))

@@ -1,9 +1,12 @@
-"""Every module of the package uses each name it imports, and none imports scipy.
+"""Every module of the package uses each name it imports, none imports scipy,
+and none calls einsum.
 
 The repository runs no linter, so an import left behind when the code that
 used it goes is caught here. A name listed in a module's `__all__` counts as
 used: that is how the package re-exports its API. scipy is a test-only
 dependency (the tests' oracles use it); the package runs on numpy alone.
+Projections of rows go through `features.row_products`, the one
+batch-invariant product; einsum would be a second way to write it.
 """
 
 import ast
@@ -61,3 +64,35 @@ def test_guard_finds_a_scipy_import():
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_module_does_not_import_scipy(module):
     assert "scipy" not in imported_modules((PACKAGE / module).read_text(encoding="utf-8"))
+
+
+def einsum_uses(source: str) -> list:
+    """Line numbers where the source names einsum: an attribute, a bare name,
+    an imported name or a string such as getattr's."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.alias):
+            name = node.name.split(".")[-1]
+        elif isinstance(node, ast.Constant):
+            name = node.value
+        else:
+            continue
+        if name == "einsum":
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_guard_finds_einsum():
+    source = "import numpy as np\nfrom numpy import einsum as e\n\ndef f(a, b):\n" \
+             "    return np.einsum('ij,kj->ik', a, b) @ getattr(np, 'einsum')(a, b)\n" \
+             "g = einsum\n# einsum in a comment is fine\nh = 'an einsum in a sentence is fine'\n"
+    assert einsum_uses(source) == [2, 5, 5, 6]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_module_does_not_call_einsum(module):
+    assert einsum_uses((PACKAGE / module).read_text(encoding="utf-8")) == []

@@ -1,8 +1,11 @@
 import mmap
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from streamsad import rowsource
 from streamsad.rowsource import ArrayRows, SpilledRows, as_rows
 
 
@@ -66,6 +69,59 @@ class TestSpilledRows:
             spilled.rows([23])
         with pytest.raises(IndexError):
             spilled.rows([-1])
+
+    @pytest.mark.parametrize("index", [[], [4], [4, 5, 6, 7], [7, 6, 5, 4, 5], [22, 0, 21, 1, 0, 11, 12],
+                                       list(range(23))[::-1], [9, 9, 9]])
+    def test_rows_equal_the_array_rows(self, spilled, data, index):
+        # unsorted, repeated, adjacent and empty requests
+        want = ArrayRows(data).rows(index)
+        got = spilled.rows(np.array(index, dtype=np.intp))
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+    def test_rows_read_each_run_of_consecutive_rows_once(self, spilled, data, monkeypatch):
+        reads = []
+        preadv = os.preadv
+
+        def counted(fd, buffers, offset):
+            reads.append((offset, sum(memoryview(b).nbytes for b in buffers)))
+            return preadv(fd, buffers, offset)
+
+        monkeypatch.setattr(os, "preadv", counted)
+        index = np.random.default_rng(5).permutation(23)[:19]
+        np.testing.assert_array_equal(spilled.rows(index), data[index])
+        runs = np.count_nonzero(np.diff(np.sort(index), prepend=-2) != 1)
+        assert len(reads) == runs < len(index)
+        assert sum(n for _, n in reads) == index.size * 5 * 8
+        assert [offset for offset, _ in reads] == sorted(offset for offset, _ in reads)
+
+    def test_long_runs_are_split_at_max_run_rows(self, spilled, data, monkeypatch):
+        reads = []
+        preadv = os.preadv
+
+        def counted(fd, buffers, offset):
+            reads.append(len(buffers))
+            return preadv(fd, buffers, offset)
+
+        monkeypatch.setattr(os, "preadv", counted)
+        monkeypatch.setattr(rowsource, "MAX_RUN_ROWS", 4)
+        for index in (np.arange(23), np.arange(23)[::-1], np.arange(3, 12)):
+            reads.clear()
+            np.testing.assert_array_equal(spilled.rows(index), data[index])
+            assert reads == [4] * (len(index) // 4) + [len(index) % 4] * (len(index) % 4 > 0)
+
+    def test_rows_hold_nothing_but_the_requested_rows(self, tmp_path):
+        store = SpilledRows(tmp_path / "rows.f64", 256)
+        store.append(np.random.default_rng(6).standard_normal((400, 256)))
+        index = np.random.default_rng(7).permutation(400)[:300]
+        tracemalloc.start()
+        try:
+            rows = store.rows(index)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 600 KB of rows returned, a view per row and the sorted index
+        assert peak < 1.2 * rows.nbytes
 
     def test_append_checks_width(self, spilled):
         with pytest.raises(ValueError, match=r"\(n, 5\)"):
