@@ -162,7 +162,9 @@ def cmd_detect(args) -> int:
             audio = read_wav(audio_path)
             result = stream_detect(audio, model, adaptation, smoothing)
         except (AudioFormatError, ValueError) as exc:
-            print(f"error: {audio_path}: {exc}", file=sys.stderr)
+            # an AudioFormatError's message starts with the path already
+            where = "" if isinstance(exc, AudioFormatError) else f"{audio_path}: "
+            print(f"error: {where}{exc}", file=sys.stderr)
             failures += 1
             continue
         write_labels(out_dir / (audio_path.stem + ".lab"), result.segments)

@@ -10,8 +10,10 @@ The network is plain numpy on purpose: a few dense layers, ReLU, softmax
 cross-entropy, minibatch SGD. Determinism given a seed is a contract here,
 the loss is logged per epoch, and the selected epoch is a config value.
 Training reads its supervectors from a row source, so a corpus's
-supervectors can stay on disk: minibatches read their rows, and the losses
-and class embeddings run in fixed-size chunks.
+supervectors can stay on disk: minibatches read their rows, each epoch's
+training loss comes from those minibatches, and the full-pass losses (the
+initial network's, the monitor set's) and the class embeddings run in
+fixed-size chunks.
 Training and detection run the same ReLU layer pass (`layer_outputs`).
 Detection keeps only the first hidden layer's (weight, bias) pair; the
 layers after it exist to train it.
@@ -25,7 +27,7 @@ import numpy as np
 
 from .rowsource import as_rows
 
-# rows per chunk of the per-epoch losses and the class embeddings: the
+# rows per chunk of the full-pass losses and the class embeddings: the
 # chunk's activations, not the corpus's, are held at once
 CHUNK_ROWS = 512
 
@@ -160,10 +162,14 @@ def _copy_model(model: MlpModel, epoch: int) -> MlpModel:
 
 @dataclass
 class MlpTrainResult:
-    """Selected model plus the per-epoch losses.
+    """Selected model plus the per-epoch losses, epochs + 1 of each.
 
-    train_losses[e] (and monitor_losses[e], when monitored) is the loss
-    after e epochs; index 0 is the initialization.
+    train_losses[0] is the initial network's loss over the training set.
+    For e >= 1, train_losses[e] is epoch e's running loss: the size-weighted
+    mean of its minibatch losses, each taken at the weights that batch saw,
+    so it trails the network after epoch e by that epoch's updates.
+    monitor_losses[e] (when monitored) is the loss of the network after e
+    epochs on the monitor set.
     """
 
     model: MlpModel
@@ -186,9 +192,11 @@ def train_mlp(
 
     supervectors (and the monitor's) are an (n, in_dim) array or a row
     source (`rowsource`): each minibatch reads its rows in the seeded
-    order, and the per-epoch losses run CHUNK_ROWS rows at a time.
+    order. The training rows are read in full once, for the initial loss
+    (CHUNK_ROWS rows at a time); each later epoch's loss is the mean of
+    the losses its minibatches already computed (see `MlpTrainResult`).
     monitor, when given, is a (supervectors, speech_mask) pair evaluated
-    after every epoch purely for logging; it never changes the result.
+    in full after every epoch purely for logging; it never changes the result.
     select_epoch picks the epoch whose network is returned (default: the last).
     """
     try:
@@ -212,10 +220,11 @@ def train_mlp(
     if monitor is not None:
         mon_x, mon_labels = monitor[0], np.asarray(monitor[1], dtype=bool).astype(int)
 
-    train_losses, monitor_losses = [], []
+    train_losses, monitor_losses = [cross_entropy(model, x, labels)], []
     for epoch in range(epochs + 1):
         if epoch:
             order = rng.permutation(len(x))
+            total = 0.0
             for batch_start in range(0, len(x), batch_size):
                 batch = order[batch_start : batch_start + batch_size]
                 loss, grad_w, grad_b = loss_and_grads(model, x.rows(batch), labels[batch])
@@ -223,10 +232,11 @@ def train_mlp(
                     raise MlpTrainingError(
                         f"non-finite loss at epoch {epoch}, batch {batch_start // batch_size}"
                     )
+                total += len(batch) * loss
                 for w, b, gw, gb in zip(model.weights, model.biases, grad_w, grad_b):
                     w -= learning_rate * gw
                     b -= learning_rate * gb
-        train_losses.append(cross_entropy(model, x, labels))
+            train_losses.append(total / len(x))
         if monitor is not None:
             monitor_losses.append(cross_entropy(model, mon_x, mon_labels))
         if epoch == select_epoch:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 import zlib
 from collections import deque
@@ -613,7 +614,7 @@ def save_model(model: SadModel, path) -> None:
         fh.write(body + _CRC.pack(zlib.crc32(body)))
 
 
-def _parse_bundle(header, payload: bytes) -> SadModel:
+def _parse_bundle(header, payload: memoryview) -> SadModel:
     if not isinstance(header, dict):
         raise ValueError("header is not a JSON object")
     arrays, offset = {}, 0
@@ -650,10 +651,25 @@ def _parse_bundle(header, payload: bytes) -> SadModel:
     return model
 
 
+def _read_bundle(path) -> memoryview:
+    """The file's bytes, read once into a buffer placed so that the payload
+    after the header starts on a 64-byte boundary. The loaded arrays view
+    these bytes, uncopied, and each (a multiple of 8 bytes past the
+    payload's start) is aligned: numpy runs products of unaligned float64
+    arrays by another route, with other bits than the saved arrays give."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        prefix = fh.read(_PREFIX.size)
+        header_len = _PREFIX.unpack(prefix)[2] if len(prefix) == _PREFIX.size else 0
+        buf = np.empty(size + 63, dtype=np.uint8)
+        lead = -(buf.ctypes.data + _PREFIX.size + header_len) % 64
+        fh.seek(0)
+        return memoryview(buf)[lead : lead + fh.readinto(buf[lead : lead + size])].toreadonly()
+
+
 def load_model(path) -> SadModel:
     """Read back a bundle written by save_model; any malformed bundle raises ValueError."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    raw = _read_bundle(path)
     if raw[:4] != _MAGIC or len(raw) < _PREFIX.size + _CRC.size:
         raise ValueError(f"{path}: not a model bundle")
     _, version, header_len = _PREFIX.unpack_from(raw)
@@ -664,6 +680,6 @@ def load_model(path) -> SadModel:
         raise ValueError(f"{path}: checksum mismatch: the bundle is damaged or truncated")
     start = _PREFIX.size + header_len
     try:
-        return _parse_bundle(json.loads(body[_PREFIX.size : start]), body[start:])
+        return _parse_bundle(json.loads(bytes(body[_PREFIX.size : start])), body[start:])
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"{path}: malformed bundle: {type(exc).__name__}: {exc}") from exc

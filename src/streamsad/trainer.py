@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import SPEECH, SegmentLabel, read_labels, read_wav
+from .audio_io import SPEECH, AudioFormatError, SegmentLabel, read_labels, read_wav
 from .context_transform import (
     LDA_CONTEXT,
     PCA_CONTEXT,
@@ -113,6 +113,11 @@ class TrainConfig:
             )
         if self.select_epoch is not None and not (0 <= self.select_epoch <= self.mlp_epochs):
             raise ValueError(f"select_epoch must be None or in 0..{self.mlp_epochs}, got {self.select_epoch}")
+        # checked here, not after the EM and LDA stages that run before the MLP and the bundle
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
+        if not np.isfinite(self.base_threshold):
+            raise ValueError(f"base_threshold must be finite, got {self.base_threshold!r}")
 
 
 def load_manifest(path) -> list:
@@ -166,7 +171,7 @@ def _read_entry(audio_path, label_path, feat_cfg: FeatureConfig, sample_rate: in
     """Features, frame speech mask and sample rate of one manifest entry.
 
     sample_rate, when given, is the corpus rate the file must have. Any
-    failure is raised as a ValueError that names the audio file.
+    failure is raised as a ValueError that names the audio file once.
     """
     try:
         audio = read_wav(audio_path)
@@ -174,6 +179,8 @@ def _read_entry(audio_path, label_path, feat_cfg: FeatureConfig, sample_rate: in
             raise ValueError(f"sample rate {audio.sample_rate} differs from corpus rate {sample_rate}")
         frames = extract_features(audio, feat_cfg)
         mask = frame_labels(read_labels(label_path), len(frames), feat_cfg.hop, feat_cfg.window_length)
+    except AudioFormatError:
+        raise  # its message starts with the path already
     except Exception as exc:
         raise ValueError(f"{audio_path}: {exc}") from exc
     return frames, mask, audio.sample_rate

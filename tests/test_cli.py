@@ -128,22 +128,68 @@ class TestTrain:
         assert "labeling_ubm_size" in capsys.readouterr().err
         assert not (tmp_path / "m.sadb").exists()
 
-    def test_bad_hidden_dims_exit_2_before_any_audio_is_read(
-        self, cli_workspace, tmp_path, capsys, monkeypatch
-    ):
+    @staticmethod
+    def _train_refused_before_audio(config_text, cli_workspace, tmp_path, capsys, monkeypatch) -> str:
+        """Train with config_text; assert exit 2 with no audio read and no bundle written; return stderr."""
         import streamsad.trainer
 
         def no_audio(path):
             raise AssertionError(f"{path} read before the config was checked")
 
         monkeypatch.setattr(streamsad.trainer, "read_wav", no_audio)
-        cfg = tmp_path / "zero.cfg"
-        cfg.write_text("hidden_dims = 0\n")
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(config_text)
         rc = main(["train", "--manifest", str(cli_workspace["manifest"]),
                    "--out", str(tmp_path / "m.sadb"), "--config", str(cfg)])
         assert rc == 2
-        assert "hidden_dims must be a non-empty tuple of positive ints" in capsys.readouterr().err
         assert not (tmp_path / "m.sadb").exists()
+        return capsys.readouterr().err
+
+    def test_bad_hidden_dims_exit_2_before_any_audio_is_read(
+        self, cli_workspace, tmp_path, capsys, monkeypatch
+    ):
+        err = self._train_refused_before_audio("hidden_dims = 0\n", cli_workspace, tmp_path, capsys, monkeypatch)
+        assert "hidden_dims must be a non-empty tuple of positive ints" in err
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("learning_rate = nan", "learning_rate must be finite and > 0"),
+            ("learning_rate = -1.0", "learning_rate must be finite and > 0"),
+            ("learning_rate = 0", "learning_rate must be finite and > 0"),
+            ("base_threshold = nan", "base_threshold must be finite"),
+            ("base_threshold = inf", "base_threshold must be finite"),
+        ],
+    )
+    def test_bad_rate_or_threshold_exit_2_before_any_audio_is_read(
+        self, cli_workspace, tmp_path, capsys, monkeypatch, line, message
+    ):
+        err = self._train_refused_before_audio(line + "\n", cli_workspace, tmp_path, capsys, monkeypatch)
+        assert message in err
+
+    def test_wav_format_error_names_the_file_once(self, cli_workspace, tmp_path, capsys):
+        empty = tmp_path / "empty.wav"
+        write_wav(empty, 8000, [])
+        manifest = tmp_path / "train.tsv"
+        manifest.write_text(f"{empty}\t{cli_workspace['entries'][0][1]}\n")
+        rc = main(["train", "--manifest", str(manifest), "--out", str(tmp_path / "m.sadb")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"[features] {empty}: empty data chunk" in err
+        assert err.count(str(empty)) == 1
+
+    def test_sample_rate_error_names_the_file_once(self, cli_workspace, tmp_path, capsys):
+        # this message comes without the path, so the trainer adds it
+        fast = tmp_path / "fast.wav"
+        write_wav(fast, 16000, np.random.default_rng(0).uniform(-0.2, 0.2, 16000))
+        good_wav, good_lab = cli_workspace["entries"][0]
+        manifest = tmp_path / "train.tsv"
+        manifest.write_text(f"{good_wav}\t{good_lab}\n{fast}\t{good_lab}\n")
+        rc = main(["train", "--manifest", str(manifest), "--out", str(tmp_path / "m.sadb")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"[features] {fast}: sample rate 16000 differs from corpus rate 8000" in err
+        assert err.count(str(fast)) == 1
 
     def test_seed_repeat_is_byte_identical(self, cli_workspace, tmp_path):
         digests = []
@@ -239,6 +285,20 @@ class TestDetect:
                    "--out-dir", str(tmp_path / "hyp"), str(wav)])
         assert rc == 2
         assert "sample rate" in capsys.readouterr().err
+
+    def test_errors_name_the_file_once(self, cli_workspace, tmp_path, capsys):
+        # a format error's message starts with the path; a rate mismatch's
+        # does not, so the command adds it
+        bad, fast = tmp_path / "bad.wav", tmp_path / "fast.wav"
+        bad.write_bytes(b"RIFF\x04\x00\x00\x00WAVE")
+        write_wav(fast, 16000, np.random.default_rng(0).uniform(-0.2, 0.2, 16000))
+        rc = main(["detect", "--model", str(cli_workspace["bundle"]),
+                   "--out-dir", str(tmp_path / "hyp"), str(bad), str(fast)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad}: missing fmt chunk" in err
+        assert f"error: {fast}: sample rate mismatch" in err
+        assert err.count(str(bad)) == err.count(str(fast)) == 1
 
 
 class TestScore:

@@ -19,7 +19,7 @@ from streamsad.embeddings import (
     train_mlp,
 )
 from streamsad.gmm import Gmm, block_supervectors
-from streamsad.rowsource import SpilledRows
+from streamsad.rowsource import ArrayRows, SpilledRows
 from oracles import finite_difference_grads, naive_posteriors, supervector_oracle
 
 
@@ -263,19 +263,61 @@ class TestTraining:
         assert result.train_losses[-1] < result.train_losses[0]
 
     def test_checkpoint_history_aligns(self):
-        # train_losses[e] is the loss of the network after e epochs, which is
-        # what select_epoch=e returns
+        # train_losses[0] is the loss of the initial network, which is what
+        # select_epoch=0 returns; train_losses[e] for e >= 1 is epoch e's
+        # running loss, the size-weighted mean of its minibatch losses, each
+        # at the weights that batch saw (batches of 24, 24, 24 and 8 rows)
         rng = np.random.default_rng(21)
         x, mask = blobs(rng, n_per_class=40, dim=6)
-        result = train_mlp(x, mask, epochs=5, seed=21, hidden_dims=(8,))
+        config = dict(epochs=5, seed=21, hidden_dims=(8,), batch_size=24)
+        result = train_mlp(x, mask, **config)
         assert len(result.train_losses) == 6
         for e in range(6):
-            selected = train_mlp(x, mask, epochs=5, seed=21, hidden_dims=(8,), select_epoch=e)
+            selected = train_mlp(x, mask, select_epoch=e, **config)
             assert selected.model.epoch == e
             assert selected.train_losses == result.train_losses
-            assert result.train_losses[e] == pytest.approx(
-                cross_entropy(selected.model, x, mask.astype(int)), abs=1e-12
-            )
+        initial = train_mlp(x, mask, select_epoch=0, **config).model
+        assert result.train_losses[0] == cross_entropy(initial, x, mask.astype(int))
+
+        labels, order_rng, model = mask.astype(int), np.random.default_rng(21), init_mlp([6, 8, 2], seed=21)
+        replay = [cross_entropy(model, x, labels)]
+        for _ in range(5):
+            order, total = order_rng.permutation(len(x)), 0.0
+            for start in range(0, len(x), 24):
+                batch = order[start : start + 24]
+                loss, grad_w, grad_b = loss_and_grads(model, x[batch], labels[batch])
+                total += len(batch) * loss
+                for w, b, gw, gb in zip(model.weights, model.biases, grad_w, grad_b):
+                    w -= 0.01 * gw
+                    b -= 0.01 * gb
+            replay.append(total / len(x))
+        assert result.train_losses == replay
+
+    def test_training_rows_are_read_in_full_once(self):
+        # the initial loss is the one full pass over the training rows; the
+        # epochs read them only as minibatches, and the monitor's full
+        # passes, one per checkpoint, read the monitor rows alone
+        class CountingRows(ArrayRows):
+            def __init__(self, data):
+                super().__init__(data)
+                self.block_rows = self.batch_rows = 0
+
+            def blocks(self, size, start=0, stop=None):
+                for block in super().blocks(size, start, stop):
+                    self.block_rows += len(block)
+                    yield block
+
+            def rows(self, index):
+                self.batch_rows += len(index)
+                return super().rows(index)
+
+        rng = np.random.default_rng(29)
+        x, mask = blobs(rng, n_per_class=400, dim=6)  # 800 rows: two CHUNK_ROWS chunks
+        mon_x, mon_mask = blobs(rng, n_per_class=20, dim=6)
+        source, mon_source = CountingRows(x), CountingRows(mon_x)
+        train_mlp(source, mask, epochs=4, seed=29, hidden_dims=(8,), monitor=(mon_source, mon_mask))
+        assert (source.block_rows, source.batch_rows) == (800, 4 * 800)
+        assert (mon_source.block_rows, mon_source.batch_rows) == (5 * 40, 0)
 
     def test_select_epoch_returns_that_checkpoint(self):
         # the network after 3 of 6 epochs is the one a 3-epoch run ends with

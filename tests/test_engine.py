@@ -885,6 +885,22 @@ class TestModelBundle:
         assert format_trace(a.decisions) == format_trace(b.decisions)
         assert a.segments == b.segments
 
+    def test_load_holds_one_copy_of_the_bundle(self, tmp_path):
+        # the checksum and the arrays read the file's bytes in place; slicing
+        # them as bytes held three copies (a 3.01x peak on a default-size bundle)
+        import tracemalloc
+
+        model, path = default_size_model(), tmp_path / "model.sadb"
+        save_model(model, path)
+        tracemalloc.start()
+        try:
+            loaded = load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * path.stat().st_size
+        assert same_bits(loaded, model)
+
     def test_save_is_deterministic(self, tiny_model, tmp_path):
         p1, p2 = tmp_path / "a.sadb", tmp_path / "b.sadb"
         save_model(tiny_model, p1)

@@ -134,6 +134,24 @@ class TestTrainConfig:
             assert TrainConfig(entries=[("a", "b")], select_epoch=select_epoch).select_epoch == select_epoch
         assert TrainConfig(entries=[("a", "b")], hidden_dims=(1,)).hidden_dims == (1,)
 
+    @pytest.mark.parametrize("learning_rate", [float("nan"), float("inf"), -1.0, 0.0, -0.0])
+    def test_learning_rate_is_finite_and_positive(self, learning_rate):
+        # nan used to fail at the first minibatch, -1.0 to overflow and 0.0 to
+        # train a network that never left its initialization, all after EM and LDA
+        with pytest.raises(ValueError, match="learning_rate must be finite and > 0"):
+            TrainConfig(entries=[("a", "b")], learning_rate=learning_rate)
+
+    @pytest.mark.parametrize("base_threshold", [float("nan"), float("inf"), float("-inf")])
+    def test_base_threshold_is_finite(self, base_threshold):
+        # it used to fail only in the assemble stage, after every other stage
+        with pytest.raises(ValueError, match="base_threshold must be finite"):
+            TrainConfig(entries=[("a", "b")], base_threshold=base_threshold)
+
+    def test_finite_rates_and_thresholds_accepted(self):
+        for learning_rate, base_threshold in ((1e-9, -2.0), (5.0, 0.7), (0.01, 3.0)):
+            cfg = TrainConfig(entries=[("a", "b")], learning_rate=learning_rate, base_threshold=base_threshold)
+            assert (cfg.learning_rate, cfg.base_threshold) == (learning_rate, base_threshold)
+
     def test_default_threshold_is_zero(self):
         # 0.25 missed most speech (held-out DCF 0.30-0.49); 0.0 is the
         # operating point the acceptance gate is met at
