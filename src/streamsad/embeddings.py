@@ -17,10 +17,21 @@ fixed-size chunks.
 Training and detection run the same ReLU layer pass (`layer_outputs`).
 Detection keeps only the first hidden layer's (weight, bias) pair; the
 layers after it exist to train it.
+
+Precision: minibatch SGD runs in float32, which halves the bytes each
+product moves. The network starts as the seeded float64 He initialization
+cast to float32, and each minibatch is cast as it is read, after every
+entry below float32's smallest normal (1.18e-38) is set to 0: supervector
+components with almost no posterior count leave entries as small as 1e-179,
+and a float32 subnormal makes every product that touches it take a slow
+microcode path. Everything else is float64: the returned network (an exact
+upcast of the float32 one), the initial and monitor losses, the class
+embeddings, the bundle and all of detection.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +41,9 @@ from .rowsource import as_rows
 # rows per chunk of the full-pass losses and the class embeddings: the
 # chunk's activations, not the corpus's, are held at once
 CHUNK_ROWS = 512
+
+# float32's smallest normal: a minibatch entry below it in magnitude trains as 0
+_TINY32 = float(np.finfo(np.float32).tiny)
 
 
 class MlpTrainingError(RuntimeError):
@@ -111,7 +125,9 @@ def forward(model: MlpModel, x: np.ndarray) -> np.ndarray:
 
 
 def _mean_nll(probs: np.ndarray, labels: np.ndarray) -> float:
-    picked = probs[np.arange(len(labels)), labels]
+    # taken in float64: a float32 probability that underflows to 0 still
+    # meets a floor above 0, where float32 would round 1e-300 to 0 itself
+    picked = probs[np.arange(len(labels)), labels].astype(np.float64)
     return float(-np.mean(np.log(np.maximum(picked, 1e-300))))
 
 
@@ -128,8 +144,10 @@ def cross_entropy(model: MlpModel, x, labels: np.ndarray) -> float:
 
 
 def loss_and_grads(model: MlpModel, x: np.ndarray, labels: np.ndarray):
-    """Mean cross-entropy plus gradients for every weight and bias."""
-    x = np.asarray(x, dtype=np.float64)
+    """Mean cross-entropy (a float64 number) plus gradients for every weight
+    and bias, computed in the model's dtype: float32 for training SGD,
+    float64 for an exact check."""
+    x = np.asarray(x, dtype=model.weights[0].dtype)
     labels = np.asarray(labels)
 
     # inputs[i] feeds weights[i]; the ReLU derivative of a hidden output h is
@@ -152,12 +170,21 @@ def loss_and_grads(model: MlpModel, x: np.ndarray, labels: np.ndarray):
     return loss, grad_w, grad_b
 
 
-def _copy_model(model: MlpModel, epoch: int) -> MlpModel:
+def _as_dtype(model: MlpModel, dtype, epoch: int = 0) -> MlpModel:
+    """A copy of the network with every weight and bias cast to dtype."""
     return MlpModel(
-        weights=[w.copy() for w in model.weights],
-        biases=[b.copy() for b in model.biases],
+        weights=[w.astype(dtype) for w in model.weights],
+        biases=[b.astype(dtype) for b in model.biases],
         epoch=epoch,
     )
+
+
+def _sgd_rows(rows: np.ndarray) -> np.ndarray:
+    """float64 rows as a float32 minibatch: entries below _TINY32 in magnitude become 0."""
+    small = np.abs(rows) < _TINY32
+    batch = rows.astype(np.float32)
+    batch[small] = 0.0
+    return batch
 
 
 @dataclass
@@ -188,16 +215,19 @@ def train_mlp(
     select_epoch: int | None = None,
     monitor=None,
 ) -> MlpTrainResult:
-    """Minibatch SGD on softmax cross-entropy; deterministic per seed.
+    """Minibatch SGD on softmax cross-entropy, in float32; deterministic per seed.
 
-    supervectors (and the monitor's) are an (n, in_dim) array or a row
-    source (`rowsource`): each minibatch reads its rows in the seeded
-    order. The training rows are read in full once, for the initial loss
-    (CHUNK_ROWS rows at a time); each later epoch's loss is the mean of
-    the losses its minibatches already computed (see `MlpTrainResult`).
+    The network is trained in float32 (see the module docstring) and
+    returned as float64. supervectors (and the monitor's) are an
+    (n, in_dim) array or a row source (`rowsource`): each minibatch reads
+    its rows in the seeded order. The training rows are read in full
+    once, for the initial loss (CHUNK_ROWS rows at a time); each later
+    epoch's loss is the mean of the losses its minibatches already
+    computed (see `MlpTrainResult`).
     monitor, when given, is a (supervectors, speech_mask) pair evaluated
     in full after every epoch purely for logging; it never changes the result.
     select_epoch picks the epoch whose network is returned (default: the last).
+    learning_rate must be finite and > 0.
     """
     try:
         x = as_rows(supervectors)
@@ -214,33 +244,36 @@ def train_mlp(
         select_epoch = epochs
     if not (0 <= select_epoch <= epochs):
         raise MlpTrainingError(f"select_epoch {select_epoch} outside 0..{epochs}")
+    if not (math.isfinite(learning_rate) and learning_rate > 0):
+        raise MlpTrainingError(f"learning_rate must be finite and > 0, got {learning_rate}")
+    rate = float(learning_rate)  # a Python float keeps each update in float32
 
     rng = np.random.default_rng(seed)
-    model = init_mlp([x.dim, *hidden_dims, 2], seed=seed)
+    model = _as_dtype(init_mlp([x.dim, *hidden_dims, 2], seed=seed), np.float32)
     if monitor is not None:
         mon_x, mon_labels = monitor[0], np.asarray(monitor[1], dtype=bool).astype(int)
 
-    train_losses, monitor_losses = [cross_entropy(model, x, labels)], []
+    train_losses, monitor_losses = [cross_entropy(_as_dtype(model, np.float64), x, labels)], []
     for epoch in range(epochs + 1):
         if epoch:
             order = rng.permutation(len(x))
             total = 0.0
             for batch_start in range(0, len(x), batch_size):
                 batch = order[batch_start : batch_start + batch_size]
-                loss, grad_w, grad_b = loss_and_grads(model, x.rows(batch), labels[batch])
+                loss, grad_w, grad_b = loss_and_grads(model, _sgd_rows(x.rows(batch)), labels[batch])
                 if not np.isfinite(loss):
                     raise MlpTrainingError(
                         f"non-finite loss at epoch {epoch}, batch {batch_start // batch_size}"
                     )
                 total += len(batch) * loss
                 for w, b, gw, gb in zip(model.weights, model.biases, grad_w, grad_b):
-                    w -= learning_rate * gw
-                    b -= learning_rate * gb
+                    w -= rate * gw
+                    b -= rate * gb
             train_losses.append(total / len(x))
         if monitor is not None:
-            monitor_losses.append(cross_entropy(model, mon_x, mon_labels))
+            monitor_losses.append(cross_entropy(_as_dtype(model, np.float64), mon_x, mon_labels))
         if epoch == select_epoch:
-            selected = _copy_model(model, epoch)
+            selected = _as_dtype(model, np.float64, epoch)
     return MlpTrainResult(model=selected, train_losses=train_losses, monitor_losses=monitor_losses)
 
 

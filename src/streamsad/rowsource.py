@@ -10,6 +10,9 @@ the given order). Two kinds exist:
 - `SpilledRows` appends rows to a raw float64 file and reads them back with plain file reads
   (`rows`: one `os.preadv` per run of consecutive rows). It never maps the file: mapped pages
   count toward the resident size once touched, so a mapped corpus would grow peak memory again.
+
+Both refuse the same out-of-range requests: `rows` with an index outside 0..N-1 and `blocks`
+with a negative start raise IndexError, and `blocks` past row N raises EOFError.
 """
 
 from __future__ import annotations
@@ -20,6 +23,24 @@ from pathlib import Path
 import numpy as np
 
 MAX_RUN_ROWS = 1024  # the most buffers one os.preadv takes: IOV_MAX on Linux, macOS and the BSDs
+
+
+def _block_stop(count: int, start: int, stop: int | None) -> int:
+    """stop (default: count) once rows start..stop-1 are known to exist among count rows."""
+    stop = count if stop is None else stop
+    if start < 0:
+        raise IndexError(f"block start {start} out of range for {count} rows")
+    if stop > count:
+        raise EOFError(f"rows up to {stop} requested from {count} rows")
+    return stop
+
+
+def _row_index(index, count: int) -> np.ndarray:
+    """index as an intp array once every entry is known to be in 0..count-1."""
+    index = np.asarray(index, dtype=np.intp)
+    if index.size and not (0 <= index.min() and index.max() < count):
+        raise IndexError(f"row index out of range for {count} rows")
+    return index
 
 
 class ArrayRows:
@@ -38,12 +59,12 @@ class ArrayRows:
         return self.data.shape[1]
 
     def blocks(self, size: int, start: int = 0, stop: int | None = None):
-        stop = len(self) if stop is None else stop
+        stop = _block_stop(len(self), start, stop)
         for i in range(start, stop, size):
             yield self.data[i : min(i + size, stop)]
 
     def rows(self, index) -> np.ndarray:
-        return self.data[np.asarray(index, dtype=np.intp)]
+        return self.data[_row_index(index, len(self))]
 
 
 class SpilledRows:
@@ -67,7 +88,7 @@ class SpilledRows:
         self.count += len(rows)
 
     def blocks(self, size: int, start: int = 0, stop: int | None = None):
-        stop = len(self) if stop is None else stop
+        stop = _block_stop(len(self), start, stop)
         with open(self.path, "rb") as fh:
             fh.seek(start * self.dim * 8)
             for i in range(start, stop, size):
@@ -78,9 +99,7 @@ class SpilledRows:
 
     def rows(self, index) -> np.ndarray:
         """The given rows in the given order, read straight into the rows returned."""
-        index = np.asarray(index, dtype=np.intp)
-        if index.size and not (0 <= index.min() and index.max() < len(self)):
-            raise IndexError(f"row index out of range for {len(self)} rows")
+        index = _row_index(index, len(self))
         out, order = np.empty((len(index), self.dim)), np.argsort(index)
         wanted, targets = index[order], [out[k] for k in order.tolist()]
         cuts = (np.diff(wanted, prepend=-2) != 1) | (np.arange(len(index)) % MAX_RUN_ROWS == 0)

@@ -23,6 +23,11 @@ from streamsad.rowsource import ArrayRows, SpilledRows
 from oracles import finite_difference_grads, naive_posteriors, supervector_oracle
 
 
+def with_dtype(model, dtype):
+    """The network with every weight and bias cast to dtype."""
+    return MlpModel([w.astype(dtype) for w in model.weights], [b.astype(dtype) for b in model.biases])
+
+
 def blobs(rng, n_per_class=120, dim=10, gap=2.0):
     """Two linearly separable clouds; speech is the positive-shifted one."""
     speech = rng.standard_normal((n_per_class, dim)) + gap
@@ -222,6 +227,35 @@ class TestGradients:
             mask = np.abs(want) > 1e-10
             assert rel[mask].max() < 1e-4
 
+    def test_float32_analytic_matches_finite_differences(self):
+        # float32 gradients of a network against float64 central differences
+        # of the same network: the error is float32 rounding, so the bound is
+        # set from float32's epsilon, relative to each layer's largest gradient
+        rng = np.random.default_rng(16)
+        m32 = with_dtype(init_mlp([5, 4, 3, 2], seed=16), np.float32)
+        m = with_dtype(m32, np.float64)
+        x = rng.standard_normal((6, 5))
+        labels = rng.integers(0, 2, 6)
+        _, grad_w, grad_b = loss_and_grads(m32, x, labels)
+        assert all(g.dtype == np.float32 for g in grad_w + grad_b)
+
+        fd = finite_difference_grads(lambda: cross_entropy(m, x, labels), list(m.weights) + list(m.biases))
+        for got, want in zip(list(grad_w) + list(grad_b), fd):
+            scale = np.abs(want).max()
+            assert np.abs(got - want).max() <= 64 * np.finfo(np.float32).eps * scale
+
+    def test_float32_loss_stays_finite_past_underflow(self):
+        # a logit gap of 4e4 against the label underflows the label's float32
+        # probability to 0; the loss still meets the floor instead of log(0)
+        m32 = MlpModel(
+            weights=[np.eye(2, dtype=np.float32), np.array([[1e4, -1e4], [1e4, -1e4]], dtype=np.float32)],
+            biases=[np.zeros(2, dtype=np.float32), np.zeros(2, dtype=np.float32)],
+        )
+        x = np.array([[1.0, 1.0], [2.0, 3.0]])
+        loss, grad_w, grad_b = loss_and_grads(m32, x, np.array([1, 1]))
+        assert loss == pytest.approx(-math.log(1e-300))
+        assert all(g.dtype == np.float32 and np.isfinite(g).all() for g in grad_w + grad_b)
+
     def test_loss_agrees_with_cross_entropy(self):
         rng = np.random.default_rng(17)
         m = init_mlp([4, 3, 2], seed=17)
@@ -279,13 +313,18 @@ class TestTraining:
         initial = train_mlp(x, mask, select_epoch=0, **config).model
         assert result.train_losses[0] == cross_entropy(initial, x, mask.astype(int))
 
-        labels, order_rng, model = mask.astype(int), np.random.default_rng(21), init_mlp([6, 8, 2], seed=21)
-        replay = [cross_entropy(model, x, labels)]
+        # the SGD runs in float32 from the float32 cast of the seeded network;
+        # blobs hold no entry below float32's smallest normal, so a minibatch
+        # is its rows cast to float32
+        assert np.abs(x).min() > np.finfo(np.float32).tiny
+        labels, order_rng = mask.astype(int), np.random.default_rng(21)
+        model = with_dtype(init_mlp([6, 8, 2], seed=21), np.float32)
+        replay = [cross_entropy(with_dtype(model, np.float64), x, labels)]
         for _ in range(5):
             order, total = order_rng.permutation(len(x)), 0.0
             for start in range(0, len(x), 24):
                 batch = order[start : start + 24]
-                loss, grad_w, grad_b = loss_and_grads(model, x[batch], labels[batch])
+                loss, grad_w, grad_b = loss_and_grads(model, x[batch].astype(np.float32), labels[batch])
                 total += len(batch) * loss
                 for w, b, gw, gb in zip(model.weights, model.biases, grad_w, grad_b):
                     w -= 0.01 * gw
@@ -318,6 +357,50 @@ class TestTraining:
         train_mlp(source, mask, epochs=4, seed=29, hidden_dims=(8,), monitor=(mon_source, mon_mask))
         assert (source.block_rows, source.batch_rows) == (800, 4 * 800)
         assert (mon_source.block_rows, mon_source.batch_rows) == (5 * 40, 0)
+
+    def test_returned_network_is_the_float32_one_in_float64(self):
+        rng = np.random.default_rng(30)
+        x, mask = blobs(rng, n_per_class=40, dim=6)
+        for select_epoch in (0, 3):
+            model = train_mlp(x, mask, epochs=3, seed=30, hidden_dims=(8, 4), select_epoch=select_epoch).model
+            for array in model.weights + model.biases:
+                assert array.dtype == np.float64
+                np.testing.assert_array_equal(array.astype(np.float32).astype(np.float64), array)
+        initial = train_mlp(x, mask, epochs=3, seed=30, hidden_dims=(8, 4), select_epoch=0).model
+        for got, want in zip(initial.weights, init_mlp([6, 8, 4, 2], seed=30).weights):
+            np.testing.assert_array_equal(got, want.astype(np.float32))
+
+    def test_entries_below_float32_tiny_train_as_zeros(self):
+        # all-zero rows make a tiny entry the whole pre-activation of a unit,
+        # so a float32 subnormal would pass its ReLU where a 0 does not; one
+        # minibatch per epoch puts every such row in the first step, while
+        # the biases are still 0
+        rng = np.random.default_rng(31)
+        x, mask = blobs(rng, n_per_class=40, dim=6)
+        x[:8] = 0.0
+        tiny = np.finfo(np.float32).tiny
+        values = [1e-39, -3e-40, 1e-44, -2e-45, 0.999 * tiny, -0.5 * tiny, 1e-300, 5e-324]
+        spots = [(0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (6, 0), (7, 1), (20, 3), (30, 5)]
+        flushed = x.copy()
+        for (row, col), value in zip(spots, values + values[:2]):
+            x[row, col], flushed[row, col] = value, 0.0
+        config = dict(epochs=4, seed=31, hidden_dims=(8,), batch_size=len(x))
+        got, want = train_mlp(x, mask, **config), train_mlp(flushed, mask, **config)
+        assert got.train_losses[1:] == want.train_losses[1:]
+        for a, b in zip(got.model.weights + got.model.biases, want.model.weights + want.model.biases):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, math.nan, math.inf])
+    def test_learning_rate_must_be_finite_and_positive(self, rate):
+        class UnreadRows(ArrayRows):
+            def refuse(self, *args, **kwargs):
+                raise AssertionError("rows read before the learning rate was checked")
+
+            blocks = rows = refuse
+
+        x, mask = blobs(np.random.default_rng(32), n_per_class=10, dim=4)
+        with pytest.raises(MlpTrainingError, match="learning_rate"):
+            train_mlp(UnreadRows(x), mask, epochs=2, learning_rate=rate)
 
     def test_select_epoch_returns_that_checkpoint(self):
         # the network after 3 of 6 epochs is the one a 3-epoch run ends with

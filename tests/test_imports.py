@@ -1,12 +1,14 @@
 """Every module of the package uses each name it imports, none imports scipy,
-and none calls einsum.
+none calls einsum, and only embeddings names float32.
 
 The repository runs no linter, so an import left behind when the code that
 used it goes is caught here. A name listed in a module's `__all__` counts as
 used: that is how the package re-exports its API. scipy is a test-only
 dependency (the tests' oracles use it); the package runs on numpy alone.
 Projections of rows go through `features.row_products`, the one
-batch-invariant product; einsum would be a second way to write it.
+batch-invariant product; einsum would be a second way to write it. float32
+belongs to the MLP's training SGD alone: everything else, detection included,
+runs in float64, and a float32 anywhere else would reach it unnoticed.
 """
 
 import ast
@@ -66,9 +68,9 @@ def test_module_does_not_import_scipy(module):
     assert "scipy" not in imported_modules((PACKAGE / module).read_text(encoding="utf-8"))
 
 
-def einsum_uses(source: str) -> list:
-    """Line numbers where the source names einsum: an attribute, a bare name,
-    an imported name or a string such as getattr's."""
+def name_uses(source: str, wanted: str) -> list:
+    """Line numbers where the source names wanted: an attribute, a bare name,
+    an imported name or a whole string such as getattr's or a dtype's."""
     lines = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Attribute):
@@ -81,7 +83,7 @@ def einsum_uses(source: str) -> list:
             name = node.value
         else:
             continue
-        if name == "einsum":
+        if name == wanted:
             lines.append(node.lineno)
     return sorted(lines)
 
@@ -90,9 +92,22 @@ def test_guard_finds_einsum():
     source = "import numpy as np\nfrom numpy import einsum as e\n\ndef f(a, b):\n" \
              "    return np.einsum('ij,kj->ik', a, b) @ getattr(np, 'einsum')(a, b)\n" \
              "g = einsum\n# einsum in a comment is fine\nh = 'an einsum in a sentence is fine'\n"
-    assert einsum_uses(source) == [2, 5, 5, 6]
+    assert name_uses(source, "einsum") == [2, 5, 5, 6]
 
 
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
 def test_module_does_not_call_einsum(module):
-    assert einsum_uses((PACKAGE / module).read_text(encoding="utf-8")) == []
+    assert name_uses((PACKAGE / module).read_text(encoding="utf-8"), "einsum") == []
+
+
+def test_guard_finds_float32():
+    source = '"""Docs may say float32."""\nimport numpy as np\nfrom numpy import float32\n\n' \
+             'def f(a):\n    return a.astype(np.float32) + np.zeros(2, dtype="float32")\n' \
+             'g = float32\nh = "a float32 in a sentence is fine"\n'
+    assert name_uses(source, "float32") == [3, 6, 6, 7]
+    assert name_uses((PACKAGE / "embeddings.py").read_text(encoding="utf-8"), "float32")
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "embeddings.py"))
+def test_only_embeddings_names_float32(module):
+    assert name_uses((PACKAGE / module).read_text(encoding="utf-8"), "float32") == []

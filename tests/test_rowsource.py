@@ -47,6 +47,21 @@ class TestArrayRows:
         assert isinstance(as_rows(data), ArrayRows)
 
 
+@pytest.mark.parametrize("kind", ["array", "spilled"])
+def test_out_of_range_requests_are_refused_alike(kind, data, spilled):
+    # an array slice or index would wrap a negative row and cut a block short at the end
+    source = ArrayRows(data) if kind == "array" else spilled
+    for index in ([-1], [23], [0, 5, 24], [-23]):
+        with pytest.raises(IndexError):
+            source.rows(index)
+    with pytest.raises(IndexError):
+        list(source.blocks(2, -1))
+    for start, stop in [(0, 24), (20, 30), (23, 24)]:
+        with pytest.raises(EOFError):
+            list(source.blocks(2, start, stop))
+    assert [len(b) for b in source.blocks(2, 20, 23)] == [2, 1]
+
+
 class TestSpilledRows:
     def test_file_holds_raw_float64_rows(self, spilled, data):
         assert (len(spilled), spilled.dim) == (23, 5)
