@@ -110,6 +110,12 @@ def context_window(spec: ContextSpec, transform: LinearTransform | None = None) 
     return CausalWindow(spec.lookback, spec.lookahead, kernel)
 
 
+def cascade(lda: LinearTransform | None = None, pca: LinearTransform | None = None) -> tuple:
+    """The detector's two stages, LDA context then PCA context, as fresh
+    windows; a stage without its transform stacks without projecting."""
+    return context_window(LDA_CONTEXT, lda), context_window(PCA_CONTEXT, pca)
+
+
 def acoustic_labels(frames: np.ndarray, ubm: Gmm, speech_mask: np.ndarray) -> np.ndarray:
     """Class ids for LDA: winning UBM component x 2, plus 1 for non-speech."""
     frames = np.asarray(frames, dtype=np.float64)

@@ -42,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .audio_io import NONSPEECH, SPEECH, AudioStream, SegmentLabel
-from .context_transform import LDA_CONTEXT, PCA_CONTEXT, LinearTransform, context_window
+from .context_transform import LDA_CONTEXT, PCA_CONTEXT, LinearTransform, cascade
 from .embeddings import embed_batch
 from .features import BLOCK_FRAMES, FeatureConfig, FeatureExtractor, row_products
 from .gmm import Gmm, block_counts, block_supervectors
@@ -131,6 +131,8 @@ class SadModel:
         w, b = self.embedding_weight, self.embedding_bias
         if w.ndim != 2 or w.shape[0] != width or b.shape != (w.shape[1],):
             raise ValueError(f"embedding layer does not chain from supervector width {width}")
+        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+            raise ValueError("embedding layer contains non-finite entries")
         for name in ("speech_counts", "nonspeech_counts"):
             vec = getattr(self, name)
             if vec.shape != (self.counts_ubm.n_components,):
@@ -225,22 +227,18 @@ def _norm(vector: np.ndarray) -> float:
 
 
 def _cosine(dot: float, norm_a: float, norm_b: float) -> float:
-    """cosine() from a dot product and the two norms; NaN passes through the clip."""
-    denominator = norm_a * norm_b
-    if denominator == 0.0:
-        return 0.0
-    value = float(dot) / denominator
-    return -1.0 if value < -1.0 else 1.0 if value > 1.0 else value
-
-
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity, clipped into [-1, 1] so rounding can never leak out.
+    """Cosine similarity from a dot product and the two norms, clipped into
+    [-1, 1] so rounding can never leak out; NaN passes through the clip.
 
     A zero-norm vector has no direction and so gives no evidence either way:
     its cosine is 0. A segment whose embedding is all zero (a dead ReLU
     layer) then scores 0 on that view and is still decided.
     """
-    return _cosine(np.dot(a, b), float(np.linalg.norm(a)), float(np.linalg.norm(b)))
+    denominator = norm_a * norm_b
+    if denominator == 0.0:
+        return 0.0
+    value = float(dot) / denominator
+    return -1.0 if value < -1.0 else 1.0 if value > 1.0 else value
 
 
 def _row_dots(rows: np.ndarray) -> np.ndarray:
@@ -250,11 +248,6 @@ def _row_dots(rows: np.ndarray) -> np.ndarray:
     np.dot (and so np.linalg.norm) issues for one vector.
     """
     return (rows[:, np.newaxis, :] @ rows[:, :, np.newaxis])[:, 0, 0]
-
-
-def score_vector(w_test: np.ndarray, w_speech: np.ndarray, w_nonspeech: np.ndarray) -> float:
-    """Speech-affinity score in [-2, 2]: cosine to speech minus cosine to non-speech."""
-    return cosine(w_test, w_speech) - cosine(w_test, w_nonspeech)
 
 
 def _mixed(model_vector: np.ndarray, buffer: RingBuffer, alpha: float) -> np.ndarray:
@@ -395,7 +388,7 @@ class StreamingDetector:
         self.adaptation = adaptation or AdaptationConfig()
         self.smoothing = smoothing or SmoothingConfig()
         self.extractor = FeatureExtractor(model.feature_cfg, model.sample_rate)
-        self.cascade = (context_window(LDA_CONTEXT, model.lda), context_window(PCA_CONTEXT, model.pca))
+        self.cascade = cascade(model.lda, model.pca)
         self.state = AdaptState(model, self.adaptation)
         self.decisions: list[Decision] = []
         self.pending = np.empty((0, model.pca.output_dim))  # transformed frames not yet in a segment

@@ -13,15 +13,17 @@ stage it happened in.
 Per-stage seeds are derived from the config seed, so the pipeline is
 deterministic end to end.
 
-Memory does not grow with the corpus. Each file's 36-d features, its LDA
-outputs and 24-d frames, and the kept segments' supervectors are written
-as raw float64 files to a scratch directory (made by `tempfile` in its
-default location, removed when `train` returns or raises), and every stage
-reads them back in fixed-size blocks (`rowsource`): EM, the LDA scatter and
-PCA moments (one CausalWindow block at a time), the count vectors, the
-segments and the MLP. Only per-frame scalars (the speech mask, the
-acoustic class ids, k-means++ distances), per-segment labels and the one
-file being read are held whole.
+Memory does not grow with the corpus. Each file's 36-d features, its
+24-d frames (in file order, and split into speech and non-speech) and the
+kept segments' supervectors are written as raw float64 files, about 1.3 KB
+per frame, to a scratch directory (made by `tempfile` in its default
+location, removed when `train` returns or raises), and every stage reads
+them back in fixed-size blocks (`rowsource`): EM, the per-file passes
+(`_file_blocks`: acoustic labels, LDA scatter, PCA moments, the 24-d
+frames and the segments, each file through the detector's own cascade),
+the count vectors and the MLP. Only per-frame scalars (the speech mask,
+the acoustic class ids, k-means++ distances), per-segment labels and the
+one file being read are held whole.
 """
 
 from __future__ import annotations
@@ -36,14 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from .audio_io import SPEECH, AudioFormatError, SegmentLabel, read_labels, read_wav
-from .context_transform import (
-    LDA_CONTEXT,
-    PCA_CONTEXT,
-    LdaScatter,
-    PcaMoments,
-    acoustic_labels,
-    context_window,
-)
+from .context_transform import LDA_CONTEXT, PCA_CONTEXT, LdaScatter, PcaMoments, acoustic_labels, cascade
 from .embeddings import class_embeddings, train_mlp
 from .engine import SEGMENT_FRAMES, SadModel, save_model
 from .features import BLOCK_FRAMES, FeatureConfig, extract_features
@@ -214,11 +209,19 @@ def _windowed(blocks, window):
         yield out
 
 
-def _tee(blocks, store: SpilledRows):
-    """Yield blocks unchanged, appending each to store on the way."""
-    for block in blocks:
-        store.append(block)
-        yield block
+def _file_blocks(store: SpilledRows, spans, windows=tuple):
+    """Every training pass over a per-frame store: each file's row span read
+    in BLOCK_FRAMES blocks and pushed through the windows that windows()
+    builds fresh for that file. Yields (row of the block's first frame,
+    block); a window's output does not depend on where its input is cut, so
+    a file's frames get the bits the detector gives them."""
+    for first, stop in spans:
+        blocks = store.blocks(BLOCK_FRAMES, first, stop)
+        for window in windows():
+            blocks = _windowed(blocks, window)
+        for block in blocks:
+            yield first, block
+            first += len(block)
 
 
 def train(cfg: TrainConfig, out_path=None) -> SadModel:
@@ -261,41 +264,32 @@ def _train(cfg: TrainConfig, scratch: Path, out_path) -> SadModel:
     with _stage("acoustic-labels"):
         class_ids = np.concatenate([
             acoustic_labels(block, labeling_ubm, speech_mask[first : first + len(block)])
-            for first, block in zip(range(0, n_frames, BLOCK_FRAMES), features.blocks(BLOCK_FRAMES))
+            for first, block in _file_blocks(features, spans)
         ])
 
     with _stage("lda"):
         scatter = LdaScatter(LDA_CONTEXT.size * feat_cfg.output_dim)
-        for start, stop in spans:
-            pos = start
-            for stacked in _windowed(features.blocks(BLOCK_FRAMES, start, stop), context_window(LDA_CONTEXT)):
-                scatter.add(stacked, class_ids[pos : pos + len(stacked)])
-                pos += len(stacked)
+        # the LDA stage of the cascade, stacking without a projection
+        for first, stacked in _file_blocks(features, spans, lambda: cascade()[:1]):
+            scatter.add(stacked, class_ids[first : first + len(stacked)])
         lda = scatter.finalize(cfg.lda_dim)
         del class_ids
 
-    reduced = SpilledRows(scratch / "lda.f64", cfg.lda_dim)
     with _stage("pca"):
         moments = PcaMoments(PCA_CONTEXT.size * cfg.lda_dim)
-        for start, stop in spans:
-            frames12 = _windowed(features.blocks(BLOCK_FRAMES, start, stop), context_window(LDA_CONTEXT, lda))
-            for stacked in _windowed(_tee(frames12, reduced), context_window(PCA_CONTEXT)):
-                moments.add(stacked)
+        for _, stacked in _file_blocks(features, spans, lambda: cascade(lda)):
+            moments.add(stacked)
         pca = moments.finalize(cfg.pca_dim)
 
     transformed = SpilledRows(scratch / "frames.f64", cfg.pca_dim)
     speech = SpilledRows(scratch / "speech.f64", cfg.pca_dim)
     nonspeech = SpilledRows(scratch / "nonspeech.f64", cfg.pca_dim)
     with _stage("transform"):
-        for start, stop in spans:
-            pos = start
-            frames12 = reduced.blocks(BLOCK_FRAMES, start, stop)
-            for frames24 in _windowed(frames12, context_window(PCA_CONTEXT, pca)):
-                is_speech = speech_mask[pos : pos + len(frames24)]
-                transformed.append(frames24)
-                speech.append(frames24[is_speech])
-                nonspeech.append(frames24[~is_speech])
-                pos += len(frames24)
+        for first, frames24 in _file_blocks(features, spans, lambda: cascade(lda, pca)):
+            is_speech = speech_mask[first : first + len(frames24)]
+            transformed.append(frames24)
+            speech.append(frames24[is_speech])
+            nonspeech.append(frames24[~is_speech])
 
     with _stage("counts-ubm"):
         if not len(speech):
@@ -321,17 +315,15 @@ def _train(cfg: TrainConfig, scratch: Path, out_path) -> SadModel:
     supervectors = SpilledRows(scratch / "supervectors.f64", supervector_ubm.means.size)
     with _stage("segments"):
         labels, candidates, dropped = [], 0, 0
-        for start, stop in spans:
-            # BLOCK_FRAMES is a multiple of SEGMENT_FRAMES, so every block
-            # starts on a segment boundary of its file
-            firsts = range(start, stop, BLOCK_FRAMES)
-            for first, frames24 in zip(firsts, transformed.blocks(BLOCK_FRAMES, start, stop)):
-                svs, labs, n, n_dropped = _cut_segments(
-                    frames24, speech_mask[first : first + len(frames24)], supervector_ubm
-                )
-                supervectors.append(svs)
-                labels.append(labs)
-                candidates, dropped = candidates + n, dropped + n_dropped
+        # BLOCK_FRAMES is a multiple of SEGMENT_FRAMES, so every block
+        # starts on a segment boundary of its file
+        for first, frames24 in _file_blocks(transformed, spans):
+            svs, labs, n, n_dropped = _cut_segments(
+                frames24, speech_mask[first : first + len(frames24)], supervector_ubm
+            )
+            supervectors.append(svs)
+            labels.append(labs)
+            candidates, dropped = candidates + n, dropped + n_dropped
         seg_labels = np.concatenate(labels)
         fraction = dropped / max(candidates, 1)
         message = (
@@ -350,9 +342,9 @@ def _train(cfg: TrainConfig, scratch: Path, out_path) -> SadModel:
             mon_labels: list[np.ndarray] = []
             for audio_path, label_path in cfg.monitor_entries:
                 frames, mask, _ = _read_entry(audio_path, label_path, feat_cfg, sample_rate)
-                frames12 = context_window(LDA_CONTEXT, lda).flush(frames)
-                frames24 = context_window(PCA_CONTEXT, pca).flush(frames12)
-                svs, labs, _, _ = _cut_segments(frames24, mask, supervector_ubm)
+                for window in cascade(lda, pca):
+                    frames = window.flush(frames)
+                svs, labs, _, _ = _cut_segments(frames, mask, supervector_ubm)
                 mon_svs.append(svs)
                 mon_labels.append(labs)
             if len(mon_svs):

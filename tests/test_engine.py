@@ -24,14 +24,13 @@ from streamsad.engine import (
     SadModel,
     SmoothingConfig,
     StreamingDetector,
+    _cosine,
     adapt,
-    cosine,
     format_trace,
     load_model,
     merge_decisions,
     save_model,
     score_segments,
-    score_vector,
     smooth_segments,
     stream_detect,
 )
@@ -120,6 +119,23 @@ def cos_oracle(a, b):
     return max(-1.0, min(1.0, num / den))
 
 
+def cosine(a, b):
+    """The scorer's cosine of two vectors, from their dot product and norms."""
+    return _cosine(np.dot(a, b), float(np.linalg.norm(a)), float(np.linalg.norm(b)))
+
+
+def embedding_scores(embedding, speech, nonspeech):
+    """emb_score of one segment under a model whose embedding layer maps
+    every supervector to embedding (zero weight, bias = embedding)."""
+    model = dataclasses.replace(
+        mini_model(), embedding_weight=np.zeros((4, len(embedding))), embedding_bias=np.asarray(embedding),
+        speech_embedding=np.asarray(speech), nonspeech_embedding=np.asarray(nonspeech),
+    )
+    cfg = AdaptationConfig()
+    frames = np.random.default_rng(2).standard_normal((10, 2))
+    return decide_one(frames, model, AdaptState(model, cfg), cfg).emb_score
+
+
 class TestScoring:
     def test_cosine_basics(self):
         assert cosine(np.array([1.0, 0.0]), np.array([2.0, 0.0])) == 1.0
@@ -129,7 +145,7 @@ class TestScoring:
         assert cosine(np.zeros(2), np.ones(2)) == 0.0
         assert cosine(np.ones(2), np.zeros(2)) == 0.0
         assert cosine(np.zeros(2), np.zeros(2)) == 0.0
-        assert score_vector(np.zeros(2), np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+        assert embedding_scores(np.zeros(2), [1.0, 0.0], [0.0, 1.0]) == 0.0
 
     def test_cosine_stays_inside_unit_interval(self):
         # parallel vectors can push the raw ratio past 1 ulp-wise; the
@@ -161,17 +177,18 @@ class TestScoring:
     def test_score_extremes(self):
         sp = np.array([1.0, 0.0])
         nsp = np.array([0.0, 1.0])
-        assert score_vector(sp, sp, nsp) == 1.0
-        assert score_vector(nsp, sp, nsp) == -1.0
-        assert score_vector(sp, sp, -sp) == 2.0
-        assert score_vector(sp, -sp, sp) == -2.0
+        assert embedding_scores(sp, sp, nsp) == 1.0
+        assert embedding_scores(nsp, sp, nsp) == -1.0
+        assert embedding_scores(sp, sp, -sp) == 2.0
+        assert embedding_scores(sp, -sp, sp) == -2.0
 
     def test_score_matches_plain_formula(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            t, s, n = rng.standard_normal((3, 5))
+            # a non-negative embedding, as the ReLU layer makes
+            t, s, n = np.abs(rng.standard_normal(5)), *rng.standard_normal((2, 5))
             want = cos_oracle(t, s) - cos_oracle(t, n)
-            assert score_vector(t, s, n) == pytest.approx(want, abs=1e-12)
+            assert embedding_scores(t, s, n) == pytest.approx(want, abs=1e-12)
 
 
 class TestAdaptation:
@@ -844,6 +861,18 @@ def reframe(raw: bytes, edit) -> bytes:
     return body + struct.pack("<I", zlib.crc32(body))
 
 
+def patch_first_entry(raw: bytes, name: str, value: float) -> bytes:
+    """A v2 bundle with the first entry of array name set to value, under a valid CRC."""
+    header_len, = struct.unpack_from("<I", raw, 8)
+    offset = 12 + header_len
+    for array, shape in json.loads(raw[12:offset])["arrays"]:
+        if array == name:
+            break
+        offset += 8 * math.prod(shape)
+    body = raw[:offset] + struct.pack("<d", value) + raw[offset + 8 : -4]
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
 def _with_shape(name, shape):
     return lambda h: {**h, "arrays": [[n, shape if n == name else s] for n, s in h["arrays"]]}
 
@@ -986,6 +1015,22 @@ class TestModelBundle:
 
         path = tmp_path / "bad.sadb"
         path.write_bytes(reframe(tiny_bundle, lambda h: {**h, "feature_cfg": {**h["feature_cfg"], "x": 1}}))
+        rc = main(["detect", "--model", str(path), "--out-dir", str(tmp_path / "hyp"),
+                   str(tiny_corpus["entries"][5][0])])
+        assert rc == 2
+        assert "malformed bundle" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["embedding.0.weight", "embedding.0.bias"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_embedding_layer_exits_2(self, tiny_bundle, tiny_corpus, tmp_path, capsys,
+                                                 name, value):
+        # it used to load, and detection then raised "score nan escaped [-2, 2]" (exit 3)
+        from streamsad.cli import main
+
+        path = tmp_path / "bad.sadb"
+        path.write_bytes(patch_first_entry(tiny_bundle, name, value))
+        with pytest.raises(ValueError, match="embedding layer contains non-finite entries"):
+            load_model(path)
         rc = main(["detect", "--model", str(path), "--out-dir", str(tmp_path / "hyp"),
                    str(tiny_corpus["entries"][5][0])])
         assert rc == 2

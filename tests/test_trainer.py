@@ -5,9 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from streamsad.audio_io import NONSPEECH, SPEECH, SegmentLabel, write_labels, write_wav
-from streamsad.engine import load_model, save_model, stream_detect
-from streamsad.features import FeatureConfig
+from streamsad.audio_io import NONSPEECH, SPEECH, SegmentLabel, read_wav, write_labels, write_wav
+from streamsad.engine import StreamingDetector, load_model, save_model, stream_detect
+from streamsad.features import FeatureConfig, extract_features
 from streamsad.gmm import Gmm, block_supervectors
 from streamsad.synth import make_corpus
 from streamsad import trainer
@@ -270,13 +270,17 @@ class TestTrainRuns:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_stage_progress_is_logged(self, micro_corpus, caplog):
-        cfg = TrainConfig(entries=micro_corpus, seed=14, **MICRO)
+        # perfbench reads each stage's time from these names
+        cfg = TrainConfig(entries=micro_corpus, seed=14, monitor_entries=micro_corpus[:1], **MICRO)
         with caplog.at_level(logging.INFO, logger="streamsad.trainer"):
             train(cfg)
-        text = caplog.text
-        for stage in ("features", "labeling-ubm", "lda", "counts-ubm", "mlp"):
-            assert stage in text
-        assert "mlp epoch" in text
+        stages = [r.getMessage().split()[1] for r in caplog.records if r.getMessage().startswith("stage ")]
+        assert stages == [
+            "features", "labeling-ubm", "acoustic-labels", "lda", "pca", "transform", "counts-ubm",
+            "count-vectors", "supervector-ubm", "segments", "monitor-set", "mlp", "class-embeddings",
+            "assemble",
+        ]
+        assert "mlp epoch" in caplog.text
 
     def test_empty_entries(self):
         with pytest.raises(TrainingError, match=r"\[manifest\]"):
@@ -333,10 +337,11 @@ class TestBoundedMemory:
         return root
 
     def spy_mlp(self, monkeypatch, root, seen, fail=False):
+        """Record each scratch store's name and bytes in seen when the MLP stage starts."""
         real = trainer.train_mlp
 
         def spy(*args, **kwargs):
-            seen.extend(sorted(p.name for p in root.rglob("*.f64")))
+            seen.update((p.name, p.read_bytes()) for p in root.rglob("*.f64"))
             if fail:
                 raise RuntimeError("boom")
             return real(*args, **kwargs)
@@ -344,14 +349,34 @@ class TestBoundedMemory:
         monkeypatch.setattr(trainer, "train_mlp", spy)
 
     def test_scratch_removed_after_success(self, micro_corpus, scratch_root, monkeypatch):
-        seen = []
+        seen = {}
         self.spy_mlp(monkeypatch, scratch_root, seen)
         train(TrainConfig(entries=micro_corpus, seed=20, **MICRO))
-        assert {"features.f64", "frames.f64", "supervectors.f64"} <= set(seen)
+        # a store added back (a spilled intermediate, say) shows here
+        assert sorted(seen) == [
+            "features.f64", "frames.f64", "nonspeech.f64", "speech.f64", "supervectors.f64",
+        ]
         assert list(scratch_root.iterdir()) == []
 
+    def test_stored_frames_are_the_detector_cascade_of_each_file(
+        self, micro_corpus, scratch_root, monkeypatch
+    ):
+        # the 24-d frames every later stage trains on are, file by file, the
+        # bits the detector's cascade gives that file's features
+        seen = {}
+        self.spy_mlp(monkeypatch, scratch_root, seen)
+        model = train(TrainConfig(entries=micro_corpus, seed=23, **MICRO))
+        stored = np.frombuffer(seen["frames.f64"]).reshape(-1, model.pca.output_dim)
+        want = []
+        for wav, _ in micro_corpus:
+            frames = extract_features(read_wav(wav), model.feature_cfg)
+            for stage in StreamingDetector(model).cascade:
+                frames = stage.flush(frames)
+            want.append(frames)
+        assert stored.tobytes() == np.concatenate(want).tobytes()
+
     def test_scratch_removed_after_a_stage_raises(self, micro_corpus, scratch_root, monkeypatch):
-        seen = []
+        seen = {}
         self.spy_mlp(monkeypatch, scratch_root, seen, fail=True)
         with pytest.raises(TrainingError, match=r"\[mlp\] boom"):
             train(TrainConfig(entries=micro_corpus, seed=21, **MICRO))
