@@ -8,6 +8,7 @@ producing garbage samples.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -53,9 +54,9 @@ class SegmentLabel:
     label: str
 
     def __post_init__(self):
-        if not (0.0 <= self.start < self.end):
+        if not (0.0 <= self.start < self.end < math.inf):
             raise ValueError(
-                f"segment must satisfy 0 <= start < end, got [{self.start}, {self.end})"
+                f"segment must satisfy 0 <= start < end with finite times, got [{self.start}, {self.end})"
             )
         if self.label not in LABEL_NAMES:
             raise ValueError(f"unknown label {self.label!r}, expected one of {LABEL_NAMES}")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import BLOCK_FRAMES, CausalWindow, row_products
+from .features import CausalWindow, row_products
 from .gmm import Gmm, posterior_matrix
 
 # within-class scatter gets this fraction of trace/dim added to its diagonal;
@@ -98,13 +98,11 @@ def context_window(spec: ContextSpec, transform: LinearTransform | None = None) 
     """Stage stacking the frames at spec's offsets around each frame, edges
     replicated: (T, D) -> (T, |offsets|*D), projected by transform if given."""
     span, size = spec.lookback + spec.lookahead, spec.size
-    # row t of a kernel's context indices: built once for the largest block
-    # a CausalWindow runs, and sliced to each block's length
-    index = np.arange(BLOCK_FRAMES)[:, None] + (np.asarray(spec.offsets) + spec.lookback)
+    rows = np.asarray(spec.offsets) + spec.lookback  # the context rows output 0 stacks
 
     def kernel(context: np.ndarray, start: int) -> np.ndarray:
         n = len(context) - span
-        stacked = context[index[:n]].reshape(n, size * context.shape[1])
+        stacked = context[np.arange(n)[:, None] + rows].reshape(n, size * context.shape[1])
         return stacked if transform is None else apply_transform(stacked, transform)
 
     return CausalWindow(spec.lookback, spec.lookahead, kernel)

@@ -18,9 +18,9 @@ model vectors stay fixed.
 
 So everything but the count-vector cosines, the threshold test and the
 buffer update is independent of earlier decisions. `score_segments` takes
-every ready segment of a push as one (S, n, D) block: the count vectors,
-supervectors, embeddings and the embedding scores' products come from
-batch-invariant kernels (one BLAS call per row or segment, as
+the segments each block of a push makes ready as one (S, n, D) block: the
+count vectors, supervectors, embeddings and the embedding scores' products
+come from batch-invariant kernels (one BLAS call per row or segment, as
 `features.row_products`), and only the decision-dependent part runs per
 segment. One segment is the block of S = 1.
 
@@ -44,15 +44,13 @@ import numpy as np
 from .audio_io import NONSPEECH, SPEECH, AudioStream, SegmentLabel
 from .context_transform import LDA_CONTEXT, PCA_CONTEXT, LinearTransform, cascade
 from .embeddings import embed_batch
-from .features import BLOCK_FRAMES, FeatureConfig, FeatureExtractor, row_products
+from .features import FeatureConfig, FeatureExtractor, StaticMfcc, chain_flush, chain_push, row_products
 from .gmm import Gmm, block_counts, block_supervectors
 
 SEGMENT_FRAMES = 10
 # a trailing partial segment is decided on its own if it has at least this
 # many frames; shorter tails inherit the previous label
 MIN_TAIL_FRAMES = 5
-# segments scored as one block, so memory stays bounded however large a push
-BLOCK_SEGMENTS = BLOCK_FRAMES // SEGMENT_FRAMES
 
 
 @dataclass(frozen=True)
@@ -148,6 +146,7 @@ class SadModel:
             raise ValueError("speech and non-speech count vectors are identical")
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
+        StaticMfcc(self.feature_cfg, self.sample_rate)  # raises if the front end cannot run at this rate
         if not math.isfinite(self.base_threshold):
             raise ValueError("base_threshold must be finite")
 
@@ -371,11 +370,11 @@ class StreamingDetector:
     caller's job (make a new instance); adaptation state deliberately
     persists across the whole stream.
 
-    Every whole segment a push makes ready goes to `score_segments`, in
-    blocks of at most BLOCK_SEGMENTS. When a segment raises, the decisions
-    before it stand, the raising segment is consumed together with its
-    index, and the segments after it return to `pending`; the next push or
-    flush decides them.
+    Each block the front end yields goes through the cascade, and every
+    whole segment then pending goes to `score_segments`, before the next
+    block is cut. When a segment raises, the decisions before it stand, it is
+    consumed with its index, and the segments and samples after it stay
+    pending; the next push or flush decides them.
     """
 
     def __init__(
@@ -397,13 +396,10 @@ class StreamingDetector:
         self.finished = False
 
     def _consume(self, transformed: np.ndarray) -> list[Decision]:
-        # nothing pending (a first or whole push, or one starting on a segment edge): no join
+        # nothing pending (a first push, or one starting on a segment edge): no join
         self.pending = np.concatenate([self.pending, transformed]) if len(self.pending) else transformed
-        new = []
-        while len(self.pending) >= SEGMENT_FRAMES:
-            n = min(len(self.pending) // SEGMENT_FRAMES, BLOCK_SEGMENTS)
-            new += self._decide(self.pending[: n * SEGMENT_FRAMES].reshape(n, SEGMENT_FRAMES, -1))
-        return new
+        n = len(self.pending) // SEGMENT_FRAMES
+        return self._decide(self.pending[: n * SEGMENT_FRAMES].reshape(n, SEGMENT_FRAMES, -1)) if n else []
 
     def _decide(self, segments: np.ndarray) -> list[Decision]:
         """Score a block of segments taken from the front of pending.
@@ -425,27 +421,23 @@ class StreamingDetector:
     def push(self, samples) -> list[Decision]:
         """Feed samples; returns the decisions they complete.
 
-        Samples are a 1-D sequence of real numbers, as FeatureExtractor.push
-        takes them: an array of any integer or float dtype and any strides,
-        or a list. Any other shape or dtype, and NaN, Inf or overflowing
-        samples, raise ValueError with the detector's state untouched.
+        Samples are a 1-D sequence of real numbers, as
+        FeatureExtractor.push_blocks takes them: an array of any integer or
+        float dtype and any strides, or a list. Any other shape or dtype, and
+        NaN, Inf or overflowing samples, raise ValueError with the
+        detector's state untouched.
         """
-        if self.finished:
-            raise RuntimeError("push after flush")
-        frames = self.extractor.push(samples)
-        for stage in self.cascade:
-            frames = stage.push(frames)
-        return self._consume(frames)
+        new = []
+        for frames in self.extractor.push_blocks(samples):
+            new += self._consume(chain_push(self.cascade, frames))
+        return new
 
     def flush(self) -> list[Decision]:
         """Finish the stream and decide the trailing partial segment."""
         if self.finished:
             return []
         self.finished = True
-        frames = self.extractor.flush()
-        for stage in self.cascade:
-            frames = stage.flush(frames)
-        new = self._consume(frames)
+        new = self._consume(np.concatenate([*chain_flush(self.cascade, self.extractor.flush())]))
 
         if self.extractor.n_frames == 0:
             raise ValueError("audio shorter than one analysis window")

@@ -8,8 +8,9 @@ then regression deltas and delta-deltas are appended.
 
 Frame sequences are plain (T, D) float64 arrays; row t is the frame starting
 at t * hop seconds. Every step after the statics is a CausalWindow: output t
-reads input frames t - lookback .. t + lookahead, edges replicated.
-extract_features pushes a whole file through the incremental
+reads input frames t - lookback .. t + lookahead, edges replicated. Windows
+run as a chain (`chain_push`, `chain_flush`), each one's output the next
+one's input. extract_features pushes a whole file through the incremental
 FeatureExtractor and flushes it, and a stage used alone (cmn_window,
 delta_window) does the same with flush(frames), so a stream produces the
 same bits as a whole-file pass.
@@ -24,14 +25,15 @@ runs row by row along axis 1, and sums run elementwise in a fixed order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 LOG_FLOOR = 1e-10
 
-# Most frames a kernel sees at once: 5 s at the default 10 ms hop. Bounds
-# the memory a long push or a long file needs; the bits do not depend on it.
+# Most frames a caller takes through a chain of windows at once: 5 s at the
+# default 10 ms hop. Bounds what a long push or file holds; the bits do not depend on it.
 BLOCK_FRAMES = 500
 
 
@@ -49,6 +51,8 @@ class FeatureConfig:
     n_fft: int | None = None  # None means next power of two >= window samples
 
     def __post_init__(self):
+        if not all(math.isfinite(value) for value in (self.window_length, self.hop, self.cmn_window)):
+            raise ValueError("window_length, hop and cmn_window must be finite")
         if not (0.0 < self.hop <= self.window_length):
             raise ValueError("need 0 < hop <= window_length")
         if not (1 <= self.n_mfcc <= self.n_mel_filters):
@@ -141,6 +145,8 @@ class StaticMfcc:
         self.win = cfg.window_samples(sample_rate)
         self.hop = cfg.hop_samples(sample_rate)
         self.n_fft = cfg.fft_size(sample_rate)
+        if self.hop < 1:
+            raise ValueError(f"hop of {cfg.hop} s is {self.hop} samples at {sample_rate} Hz; need at least 1")
         if self.n_fft < self.win:
             raise ValueError(f"n_fft {self.n_fft} smaller than window of {self.win} samples")
         f_high = cfg.mel_high if cfg.mel_high is not None else sample_rate / 2
@@ -186,10 +192,9 @@ class CausalWindow:
     rows to the n outputs for frames start .. start + n - 1. Input frames
     outside the stream are edge replicas: the first frame stands in before
     the start and, at flush, the last frame after the end. Each push runs
-    the kernel once over every newly ready frame (a push that readies more
-    than BLOCK_FRAMES runs it once per BLOCK_FRAMES), and holds back the
-    last lookahead frames until more input or flush. The context the kernel
-    gets is C-contiguous.
+    the kernel once over every newly ready frame (cutting long input into
+    blocks is the caller's job) and holds back the last lookahead frames
+    until more input or flush. The context the kernel gets is C-contiguous.
     """
 
     def __init__(self, lookback: int, lookahead: int, kernel):
@@ -210,26 +215,17 @@ class CausalWindow:
         return self._run()
 
     def flush(self, frames: np.ndarray) -> np.ndarray:
-        """Push the last input frames, then finish: returns every remaining output."""
-        head = self.push(frames)
-        if self.context is None or self.lookahead == 0:
-            return head
-        edge = np.repeat(self.context[-1:], self.lookahead, axis=0)
-        self.context = np.concatenate([self.context, edge])
-        return np.concatenate([head, self._run()])
+        """Push the last input frames and lookahead replicas of the last one:
+        returns every remaining output."""
+        frames = np.asarray(frames, dtype=np.float64)
+        last = frames[-1:] if len(frames) or self.context is None else self.context[-1:]
+        return self.push(np.concatenate([frames, np.repeat(last, self.lookahead, axis=0)]))
 
     def _run(self) -> np.ndarray:
-        span = self.lookback + self.lookahead
-        n = len(self.context) - span
+        n = len(self.context) - self.lookback - self.lookahead
         if n <= 0:
             return self._nothing(self.context.shape[1])
-        if n <= BLOCK_FRAMES:
-            out = self.kernel(self.context, self.start)
-        else:
-            out = np.concatenate([
-                self.kernel(self.context[i : i + span + min(BLOCK_FRAMES, n - i)], self.start + i)
-                for i in range(0, n, BLOCK_FRAMES)
-            ])
+        out = self.kernel(self.context, self.start)
         self.context = self.context[n:]
         self.start += n
         return out
@@ -237,6 +233,23 @@ class CausalWindow:
     def _nothing(self, dim: int) -> np.ndarray:
         # the kernel run on no frames gives the empty block of the right width
         return self.kernel(np.zeros((self.lookback + self.lookahead, dim)), self.start)
+
+
+def chain_push(windows, frames: np.ndarray) -> np.ndarray:
+    """Push frames through a chain of windows, each one's output the next one's input."""
+    for window in windows:
+        frames = window.push(frames)
+    return frames
+
+
+def chain_flush(windows, frames: np.ndarray):
+    """Push the chain's last input frames, then finish its windows first to
+    last: yields, per window, what its flush releases, pushed through the
+    windows after it."""
+    for i, window in enumerate(windows):
+        frames = window.flush(frames)
+        yield chain_push(windows[i + 1 :], frames)
+        frames = frames[:0]
 
 
 def cmn_window(cfg: FeatureConfig) -> CausalWindow:
@@ -321,7 +334,7 @@ class FeatureExtractor:
     """Incremental front end: push samples in any chunking, get 36-d frames out.
 
     Statics pass through three stages: CMN (lookback only), deltas and
-    delta-deltas (delta_window frames each way), so push() holds back the
+    delta-deltas (delta_window frames each way), so a push holds back the
     last 2 * delta_window frames until more audio arrives; flush() finishes
     them with the last frame replicated.
     """
@@ -338,13 +351,17 @@ class FeatureExtractor:
         self.n_frames = 0  # static frames computed so far
         self.finished = False
 
-    def push(self, samples) -> np.ndarray:
-        """Feed samples; returns the newly completed (n, 36) frames.
+    def push_blocks(self, samples):
+        """Feed samples; yields the newly completed (n, 36) frames, one block
+        per run of at most BLOCK_FRAMES analysis windows.
 
         Samples are a 1-D sequence of real numbers: an array of any integer
         or float dtype and any strides, or a list. Any other shape or dtype
         (complex, bool, object, text) and NaN, Inf or overflowing samples
-        (StaticMfcc.max_sample) raise ValueError before any state changes.
+        (StaticMfcc.max_sample) anywhere in the push raise ValueError before
+        any state changes. `pending` and `n_frames` move past a block's
+        windows before it is yielded, so a consumer that stops early leaves
+        the rest of the push pending.
         """
         if self.finished:
             raise RuntimeError("push after flush")
@@ -353,36 +370,29 @@ class FeatureExtractor:
             raise ValueError(
                 f"samples must be 1-D real numbers, got shape {samples.shape} of dtype {samples.dtype}"
             )
-        samples = np.ascontiguousarray(samples, dtype=np.float64)
-        if not np.abs(samples).max(initial=0.0) <= self.static.max_sample:  # NaN fails too
-            raise ValueError(f"samples contain NaN or Inf, or magnitudes above {self.static.max_sample:.3g}")
-        if len(self.pending):
-            samples = np.concatenate([self.pending, samples])
+        bound = self.static.max_sample
+        # the extremes, with no temporary the size of the push; NaN fails too
+        if len(samples) and not (-bound <= np.minimum.reduce(samples) and np.maximum.reduce(samples) <= bound):
+            raise ValueError(f"samples contain NaN or Inf, or magnitudes above {bound:.3g}")
+        # a new float64 array, so pending never aliases the caller's samples
+        samples = np.concatenate([self.pending, samples], dtype=np.float64)
         windows = self.static.windows(samples)
-        n = len(windows)
-        if n <= BLOCK_FRAMES:
-            frames = self._run(windows)
-        else:
-            frames = np.concatenate(
-                [self._run(windows[i : i + BLOCK_FRAMES]) for i in range(0, n, BLOCK_FRAMES)]
-            )
-        self.pending = samples[n * self.static.hop :].copy()
-        self.n_frames += n
-        return frames
+        for start in range(0, len(windows), BLOCK_FRAMES):
+            statics = self.static.compute_block(windows[start : start + BLOCK_FRAMES])
+            frames = chain_push(self.stages, statics)
+            self.n_frames += len(statics)
+            self.pending = samples[(start + len(statics)) * self.static.hop :]
+            yield frames
+        self.pending = samples[len(windows) * self.static.hop :].copy()  # lets the joined push go
 
-    def _run(self, windows: np.ndarray) -> np.ndarray:
-        """Static MFCCs of at most BLOCK_FRAMES windows, through every stage."""
-        frames = self.static.compute_block(windows)
-        for stage in self.stages:
-            frames = stage.push(frames)
-        return frames
+    def push(self, samples) -> np.ndarray:
+        """Feed samples; returns the newly completed (n, 36) frames: the
+        blocks push_blocks yields, joined."""
+        return np.concatenate([np.empty((0, self.cfg.output_dim)), *self.push_blocks(samples)])
 
     def flush(self) -> np.ndarray:
         """Finish the stream; returns the remaining frames."""
         if self.finished:
             return np.empty((0, self.cfg.output_dim))
         self.finished = True
-        frames = np.empty((0, self.cfg.n_mfcc))
-        for stage in self.stages:
-            frames = stage.flush(frames)
-        return frames
+        return np.concatenate([*chain_flush(self.stages, np.empty((0, self.cfg.n_mfcc)))])

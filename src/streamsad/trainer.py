@@ -20,14 +20,16 @@ per frame, to a scratch directory (made by `tempfile` in its default
 location, removed when `train` returns or raises), and every stage reads
 them back in fixed-size blocks (`rowsource`): EM, the per-file passes
 (`_file_blocks`: acoustic labels, LDA scatter, PCA moments, the 24-d
-frames and the segments, each file through the detector's own cascade),
-the count vectors and the MLP. Only per-frame scalars (the speech mask,
+frames, the segments and the monitor set, each file through the
+detector's own cascade and chain helpers), the count vectors and the
+MLP. Only per-frame scalars (the speech mask,
 the acoustic class ids, k-means++ distances), per-segment labels and the
 one file being read are held whole.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import tempfile
 import time
@@ -41,9 +43,9 @@ from .audio_io import SPEECH, AudioFormatError, SegmentLabel, read_labels, read_
 from .context_transform import LDA_CONTEXT, PCA_CONTEXT, LdaScatter, PcaMoments, acoustic_labels, cascade
 from .embeddings import class_embeddings, train_mlp
 from .engine import SEGMENT_FRAMES, SadModel, save_model
-from .features import BLOCK_FRAMES, FeatureConfig, extract_features
+from .features import BLOCK_FRAMES, FeatureConfig, chain_flush, chain_push, extract_features
 from .gmm import block_counts, block_supervectors, merge_gmms, train_gmm
-from .rowsource import SpilledRows
+from .rowsource import ArrayRows, SpilledRows
 
 logger = logging.getLogger(__name__)
 
@@ -197,31 +199,20 @@ def _cut_segments(frames24: np.ndarray, mask: np.ndarray, ubm) -> tuple[np.ndarr
     return supervectors, windows[pure, 0], n_segments, int(n_segments - pure.sum())
 
 
-def _windowed(blocks, window):
-    """Push blocks (at least one) through a CausalWindow stage, then flush
-    it: yields the non-empty outputs, one kernel call's worth at a time."""
-    for last in blocks:
-        out = window.push(last)
-        if len(out):
-            yield out
-    out = window.flush(last[:0])
-    if len(out):
-        yield out
-
-
-def _file_blocks(store: SpilledRows, spans, windows=tuple):
-    """Every training pass over a per-frame store: each file's row span read
-    in BLOCK_FRAMES blocks and pushed through the windows that windows()
-    builds fresh for that file. Yields (row of the block's first frame,
-    block); a window's output does not depend on where its input is cut, so
+def _file_blocks(store, spans, windows=tuple):
+    """Every training pass over a per-frame row source: each file's row
+    span read in BLOCK_FRAMES blocks and pushed through the chain of windows
+    that windows() builds fresh for that file, then each window's flush
+    tail. Yields (row of the block's first frame, block) for each non-empty
+    block; a window's output does not depend on where its input is cut, so
     a file's frames get the bits the detector gives them."""
     for first, stop in spans:
-        blocks = store.blocks(BLOCK_FRAMES, first, stop)
-        for window in windows():
-            blocks = _windowed(blocks, window)
-        for block in blocks:
-            yield first, block
-            first += len(block)
+        chain = windows()
+        pushed = (chain_push(chain, block) for block in store.blocks(BLOCK_FRAMES, first, stop))
+        for block in itertools.chain(pushed, chain_flush(chain, np.empty((0, store.dim)))):
+            if len(block):
+                yield first, block
+                first += len(block)
 
 
 def train(cfg: TrainConfig, out_path=None) -> SadModel:
@@ -342,8 +333,9 @@ def _train(cfg: TrainConfig, scratch: Path, out_path) -> SadModel:
             mon_labels: list[np.ndarray] = []
             for audio_path, label_path in cfg.monitor_entries:
                 frames, mask, _ = _read_entry(audio_path, label_path, feat_cfg, sample_rate)
-                for window in cascade(lda, pca):
-                    frames = window.flush(frames)
+                # the file's whole cascade output, so segments start on its segment grid
+                blocks = _file_blocks(ArrayRows(frames), [(0, len(frames))], lambda: cascade(lda, pca))
+                frames = np.concatenate([block for _, block in blocks])
                 svs, labs, _, _ = _cut_segments(frames, mask, supervector_ubm)
                 mon_svs.append(svs)
                 mon_labels.append(labs)

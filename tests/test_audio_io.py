@@ -168,6 +168,14 @@ class TestLabelFiles:
         with pytest.raises(LabelFileError, match=r"lab:1"):
             read_labels(path)
 
+    @pytest.mark.parametrize("line", ["5\tinf\tspeech", "1\t1e400\tnon-speech"])
+    def test_infinite_time_names_the_line(self, tmp_path, line):
+        # it used to parse, and `streamsad score` then printed dcf=nan and exited 0
+        path = tmp_path / "a.lab"
+        path.write_text(f"0.0\t1.0\tspeech\n{line}\n")
+        with pytest.raises(LabelFileError, match=r"lab:2: segment must satisfy .* finite times"):
+            read_labels(path)
+
     def test_overlap_detected_after_sorting(self, tmp_path):
         path = tmp_path / "a.lab"
         path.write_text("1.0\t2.0\tspeech\n0.0\t1.5\tnon-speech\n")

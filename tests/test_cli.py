@@ -355,6 +355,17 @@ class TestScore:
         assert "collar must be non-negative" in captured.err
         assert "dcf=" not in captured.out
 
+    def test_infinite_label_time_is_a_data_error(self, tmp_path, capsys):
+        # it used to score as dcf=nan with exit 0
+        ref_dir, hyp_dir = self.write_fixture(tmp_path)
+        bad = next(hyp_dir.glob("*.lab"))
+        bad.write_text(bad.read_text() + "10\tinf\tspeech\n")
+        rc = main(["score", "--ref-dir", str(ref_dir), "--hyp-dir", str(hyp_dir)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert f"{bad}:" in captured.err and "finite times" in captured.err
+        assert "dcf=" not in captured.out
+
     def test_unmatched_stems(self, tmp_path, capsys):
         ref_dir, hyp_dir = self.write_fixture(tmp_path)
         write_labels(hyp_dir / "extra.lab", [SegmentLabel(0.0, 1.0, NONSPEECH)])

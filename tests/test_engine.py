@@ -34,7 +34,7 @@ from streamsad.engine import (
     smooth_segments,
     stream_detect,
 )
-from streamsad.features import FeatureConfig
+from streamsad.features import BLOCK_FRAMES, FeatureConfig
 from streamsad.gmm import Gmm
 from oracles import naive_posteriors, supervector_oracle
 
@@ -657,11 +657,11 @@ class TestStreamingDetector:
         """At most 300 Python-level and C calls per steady-state 0.1 s push.
 
         Counts sys.setprofile "call" and "c_call" events over 100 pushes after
-        5 s of audio. Measured with numpy 2.4.6: 190 per push, with this
-        model and with the benchmark's default-size one. The count does not
-        depend on timing, so it guards the live path's fixed cost (scoring
-        tables built once per model, a counts-only pass for the counts UBM,
-        one kernel call per stage) where timings are noise.
+        5 s of audio. Measured with numpy 2.4.6: 176 per push, with this
+        model. The count does not depend on timing, so it guards the live
+        path's fixed cost (scoring tables built once per model, a
+        counts-only pass for the counts UBM, one kernel call per stage) where
+        timings are noise.
         """
         samples = np.concatenate([read_wav(tiny_corpus["entries"][i][0]).samples for i in (4, 5)])
         det = StreamingDetector(tiny_model)
@@ -736,6 +736,82 @@ class TestStreamingDetector:
                 pass
         ref.flush()
         assert format_trace(det.decisions) == format_trace(ref.decisions)
+
+    def test_raising_segment_inside_a_push_longer_than_a_block(self, tiny_corpus, tiny_model, monkeypatch):
+        # the push stops in the block where the segment raised: the decisions
+        # before it stand, and the rest of that block's segments and the
+        # samples of the blocks not yet cut wait for the next push
+        self.fail_at(monkeypatch, 3)
+        samples = np.concatenate([read_wav(tiny_corpus["entries"][i][0]).samples for i in (4, 5)])
+        det = StreamingDetector(tiny_model)
+        with pytest.raises(RuntimeError, match="scoring failed"):
+            det.push(samples[:96000])  # 12 s: 1197 frames, 3 front-end blocks
+        assert [d.index for d in det.decisions] == [0, 1, 2]
+        det.push(samples[96000:120000])
+        det.flush()
+        assert [d.index for d in det.decisions] == [i for i in range(150) if i != 3]
+        ref = StreamingDetector(tiny_model)
+        for i in range(0, 120000, 800):
+            try:
+                ref.push(samples[i : i + 800])
+            except RuntimeError:
+                pass
+        ref.flush()
+        assert format_trace(det.decisions) == format_trace(ref.decisions)
+
+    def test_every_kernel_call_is_at_most_one_block(self, tiny_corpus, tiny_model, monkeypatch):
+        # a CausalWindow runs its kernel once per push, however many frames
+        # it readies; its callers keep each call to a block: the front end
+        # cuts a push into BLOCK_FRAMES runs of analysis windows, and each
+        # run goes through every stage and the scorer before the next is cut
+        import streamsad.engine as engine
+
+        samples = np.concatenate([read_wav(tiny_corpus["entries"][i][0]).samples for i in range(3)])
+        det, rows, segments = StreamingDetector(tiny_model), [], []
+        statics = det.extractor.static.compute_block
+        det.extractor.static.compute_block = lambda windows: rows.append(len(windows)) or statics(windows)
+        for stage in det.extractor.stages + det.cascade:
+            def counted(context, start, kernel=stage.kernel, span=stage.lookback + stage.lookahead):
+                rows.append(len(context) - span)
+                return kernel(context, start)
+
+            stage.kernel = counted
+        scorer = engine.score_segments
+        monkeypatch.setattr(engine, "score_segments", lambda block, *args: segments.append(len(block))
+                            or scorer(block, *args))
+        pos = 0
+        for size in (1, 800, 40000, 100000):
+            det.push(samples[pos : pos + size])
+            pos += size
+        det.flush()
+        assert max(rows) == BLOCK_FRAMES
+        assert max(segments) == BLOCK_FRAMES // SEGMENT_FRAMES
+        ref = StreamingDetector(tiny_model)
+        for i in range(0, pos, 800):
+            ref.push(samples[i : min(i + 800, pos)])
+        ref.flush()
+        assert format_trace(det.decisions) == format_trace(ref.decisions)
+
+    def test_push_memory_does_not_grow_with_the_push(self):
+        # beyond one float64 copy of its samples, a 600 s push holds about
+        # what 5 s pushes of the same audio do. Holding every stage's output
+        # for the whole push, as the detector once did, traced 52.2 MB here
+        # against a 47.7 MB bound (44.5 MB now).
+        import tracemalloc
+
+        model = default_size_model()
+        samples = np.random.default_rng(5).uniform(-0.5, 0.5, 600 * model.sample_rate)
+        peaks = []
+        for size in (len(samples), 5 * model.sample_rate):
+            det = StreamingDetector(model)
+            tracemalloc.start()
+            try:
+                for pos in range(0, len(samples), size):
+                    det.push(samples[pos : pos + size])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= samples.nbytes + 1.5 * peaks[1], f"peak {peaks[0]} B in one push, {peaks[1]} B in 5 s pushes"
 
     def test_import_does_not_load_scipy(self):
         import streamsad
@@ -1035,6 +1111,35 @@ class TestModelBundle:
                    str(tiny_corpus["entries"][5][0])])
         assert rc == 2
         assert "malformed bundle" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("hop", 1e-5, "hop of 1e-05 s is 0 samples"),
+         ("cmn_window", math.inf, "window_length, hop and cmn_window must be finite"),
+         ("window_length", math.inf, "window_length, hop and cmn_window must be finite")],
+        ids=["hop-of-0-samples", "infinite-cmn_window", "infinite-window_length"],
+    )
+    def test_front_end_that_cannot_run_exits_2(self, tiny_bundle, tiny_corpus, tmp_path, capsys,
+                                                key, value, message):
+        # each used to load, and detection then raised ZeroDivisionError or
+        # OverflowError (exit 3); training with it named no cause
+        from streamsad.cli import main
+
+        path = tmp_path / "bad.sadb"
+        path.write_bytes(reframe(tiny_bundle, _with_feature(key, value)))
+        with pytest.raises(ValueError, match=message):
+            load_model(path)
+        rc = main(["detect", "--model", str(path), "--out-dir", str(tmp_path / "hyp"),
+                   str(tiny_corpus["entries"][5][0])])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"{key} = {value}\n")
+        rc = main(["train", "--manifest", str(tiny_corpus["manifest"]), "--out", str(tmp_path / "m.sadb"),
+                   "--config", str(config)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "m.sadb").exists()
 
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

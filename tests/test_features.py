@@ -19,7 +19,6 @@ from streamsad.engine import (
     score_segments,
 )
 from streamsad.features import (
-    BLOCK_FRAMES,
     FeatureConfig,
     FeatureExtractor,
     StaticMfcc,
@@ -273,6 +272,19 @@ class TestStreamingExtractor:
                 assert len(stage.context) <= stage.lookback + stage.lookahead
             assert len(ext.pending) < ext.static.win
 
+    def test_stopping_a_push_early_leaves_the_rest_pending(self):
+        # push_blocks moves the state past each block before yielding it, and
+        # what it keeps is its own copy, never a view of the caller's samples
+        samples = np.random.default_rng(27).uniform(-0.5, 0.5, 60000)  # 748 frames, 2 blocks
+        ext = FeatureExtractor(CFG, 8000)
+        blocks = ext.push_blocks(samples)
+        got = [next(blocks)]
+        assert ext.n_frames == 500 and not np.shares_memory(ext.pending, samples)
+        del blocks  # the rest of the push waits in pending
+        got += [ext.push(samples[:0]), ext.flush()]
+        np.testing.assert_array_equal(np.concatenate(got), extract_features(stream(samples)))
+        assert not np.shares_memory(ext.pending, samples)
+
     def test_push_after_flush_raises(self):
         ext = FeatureExtractor(CFG, 8000)
         ext.push(np.zeros(4000))
@@ -455,33 +467,23 @@ class TestBatchInvariance:
     @pytest.mark.parametrize("kind", list(CAUSAL_WINDOWS))
     @pytest.mark.parametrize("piece", PIECES + ["mixed"])
     def test_causal_window_pieces_equal_one_flush(self, kind, piece):
-        # a push runs its stage's kernel once, or once per BLOCK_FRAMES
-        # outputs when it readies more; both give one flush's bits
+        # a push runs its stage's kernel once over every frame it readies,
+        # and any cutting gives one flush's bits (how large a kernel call
+        # may get is its callers' cap: see test_engine's
+        # test_every_kernel_call_is_at_most_one_block)
         make, dim = CAUSAL_WINDOWS[kind]
         x = np.random.default_rng(33).standard_normal((3000, dim))
         if piece == "mixed":
             sizes = itertools.cycle(PIECES)
         else:
             sizes = itertools.repeat(piece, 3) if piece == 0 else itertools.repeat(piece)
-        stage, calls = make(), []
-        kernel = stage.kernel
-
-        def counted(context, start):
-            out = kernel(context, start)
-            calls[-1].append(len(out))
-            return out
-
-        stage.kernel = counted
+        stage = make()
         got, pos = [], 0
         for size in sizes:
             if pos + size > len(x):
                 break
-            calls.append([])
             got.append(stage.push(x[pos : pos + size]))
-            assert len(calls[-1]) == max(1, -(-len(got[-1]) // BLOCK_FRAMES))
-            assert max(calls[-1]) <= BLOCK_FRAMES
             pos += size
-        calls.append([])
         got.append(stage.flush(x[pos:]))
         np.testing.assert_array_equal(np.concatenate(got), make().flush(x))
 

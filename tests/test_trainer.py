@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from streamsad.audio_io import NONSPEECH, SPEECH, SegmentLabel, read_wav, write_labels, write_wav
+from streamsad.audio_io import NONSPEECH, SPEECH, SegmentLabel, read_labels, read_wav, write_labels, write_wav
 from streamsad.engine import StreamingDetector, load_model, save_model, stream_detect
 from streamsad.features import FeatureConfig, extract_features
 from streamsad.gmm import Gmm, block_supervectors
@@ -362,18 +362,34 @@ class TestBoundedMemory:
         self, micro_corpus, scratch_root, monkeypatch
     ):
         # the 24-d frames every later stage trains on are, file by file, the
-        # bits the detector's cascade gives that file's features
+        # bits the detector's cascade gives that file's features; the monitor
+        # set's supervectors are the pure segments cut from each monitor
+        # file's whole cascade output (cut per cascade block, a 6 s file's
+        # segments would start off its 0.1 s grid after the first block)
         seen = {}
         self.spy_mlp(monkeypatch, scratch_root, seen)
-        model = train(TrainConfig(entries=micro_corpus, seed=23, **MICRO))
-        stored = np.frombuffer(seen["frames.f64"]).reshape(-1, model.pca.output_dim)
-        want = []
-        for wav, _ in micro_corpus:
+        monitor = micro_corpus[1:]
+        model = train(TrainConfig(entries=micro_corpus, seed=23, monitor_entries=monitor, **MICRO))
+
+        def cascade_output(wav):
             frames = extract_features(read_wav(wav), model.feature_cfg)
             for stage in StreamingDetector(model).cascade:
                 frames = stage.flush(frames)
-            want.append(frames)
+            return frames
+
+        stored = np.frombuffer(seen["frames.f64"]).reshape(-1, model.pca.output_dim)
+        want = [cascade_output(wav) for wav, _ in micro_corpus]
         assert stored.tobytes() == np.concatenate(want).tobytes()
+        want = []
+        for wav, lab in monitor:
+            frames = cascade_output(wav)
+            n = len(frames) // 10
+            mask = frame_labels(read_labels(lab), len(frames), model.feature_cfg.hop,
+                                model.feature_cfg.window_length)[: n * 10].reshape(n, 10)
+            pure = mask.all(axis=1) | ~mask.any(axis=1)
+            want.append(block_supervectors(frames[: n * 10].reshape(n, 10, -1)[pure], model.supervector_ubm))
+        assert len(frames) > 500 and not pure.all()
+        assert seen["monitor.f64"] == np.concatenate(want).tobytes()
 
     def test_scratch_removed_after_a_stage_raises(self, micro_corpus, scratch_root, monkeypatch):
         seen = {}
