@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 import time
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -58,9 +60,16 @@ def _int_tuple(text: str):
     return tuple(int(part) for part in text.split(",") if part.strip())
 
 
+def _positive_seconds(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite number of seconds > 0, got {text!r}")
+    return value
+
+
 # the parser of each field type a config key may have; fields of other types
-# (the corpus lists, the nested feature_cfg, the `enabled` switches that
-# flags set) get no key
+# (the corpus lists, the nested feature_cfg, the adaptation `enabled`
+# switch that --no-adapt sets) get no key
 _PARSERS = {
     "float": float,
     "int": int,
@@ -148,10 +157,16 @@ def cmd_train(args) -> int:
 
 def cmd_detect(args) -> int:
     _require_paths([args.model] + ([args.config] if args.config else []) + list(args.audio))
+    # each input writes <stem>.lab (and <stem>.trace.csv): one stem, one input
+    shared = sorted(stem for stem, n in Counter(Path(p).stem for p in args.audio).items() if n > 1)
+    if shared:
+        raise ValueError("inputs share an output name: " + ", ".join(shared))
     model = load_model(args.model)
     config = parse_config_file(args.config) if args.config else {}
     adaptation = AdaptationConfig(enabled=not args.no_adapt, **_section(AdaptationConfig, config))
-    smoothing = SmoothingConfig(enabled=not args.no_smoothing, **_section(SmoothingConfig, config))
+    smoothing = SmoothingConfig(**_section(SmoothingConfig, config))
+    if args.no_smoothing:
+        smoothing = SmoothingConfig(min_gap=0.0, min_speech=0.0)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -250,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.add_argument("--config", help="runtime overrides (adaptation, smoothing)")
     p.add_argument("--no-adapt", action="store_true", help="freeze models and threshold")
-    p.add_argument("--no-smoothing", action="store_true", help="raw 0.1 s decisions")
+    p.add_argument("--no-smoothing", action="store_true", help="0.1 s decisions, merged but not smoothed")
     p.add_argument("--trace", action="store_true", help="also write per-segment score CSVs")
     p.add_argument("audio", nargs="+", help="WAV files to label")
     p.set_defaults(func=cmd_detect)
@@ -263,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="measure detector speed on audio files")
     p.add_argument("--model", required=True)
-    p.add_argument("--chunk", type=float, default=0.1, help="push chunk size in seconds")
+    p.add_argument("--chunk", type=_positive_seconds, default=0.1, help="push chunk size in seconds")
     p.add_argument("audio", nargs="+")
     p.set_defaults(func=cmd_bench)
     return parser

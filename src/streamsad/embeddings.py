@@ -8,7 +8,9 @@ scoring, compared by cosine against per-class mean embeddings.
 
 The network is plain numpy on purpose: a few dense layers, ReLU, softmax
 cross-entropy, minibatch SGD. Determinism given a seed is a contract here,
-the loss is logged per epoch, and the selected epoch is a config value.
+and the loss is logged per epoch. SGD never looks ahead, so the network
+after e epochs of a longer run is the one an e-epoch run returns, and
+`mlp_epochs` alone picks the network.
 Training reads its supervectors from a row source, so a corpus's
 supervectors can stay on disk: minibatches read their rows, each epoch's
 training loss comes from those minibatches, and the full-pass losses (the
@@ -60,7 +62,6 @@ class MlpModel:
 
     weights: list
     biases: list
-    epoch: int = 0
 
     def __post_init__(self):
         if len(self.weights) != len(self.biases) or not self.weights:
@@ -170,12 +171,11 @@ def loss_and_grads(model: MlpModel, x: np.ndarray, labels: np.ndarray):
     return loss, grad_w, grad_b
 
 
-def _as_dtype(model: MlpModel, dtype, epoch: int = 0) -> MlpModel:
+def _as_dtype(model: MlpModel, dtype) -> MlpModel:
     """A copy of the network with every weight and bias cast to dtype."""
     return MlpModel(
         weights=[w.astype(dtype) for w in model.weights],
         biases=[b.astype(dtype) for b in model.biases],
-        epoch=epoch,
     )
 
 
@@ -189,7 +189,7 @@ def _sgd_rows(rows: np.ndarray) -> np.ndarray:
 
 @dataclass
 class MlpTrainResult:
-    """Selected model plus the per-epoch losses, epochs + 1 of each.
+    """The trained network plus the per-epoch losses, epochs + 1 of each.
 
     train_losses[0] is the initial network's loss over the training set.
     For e >= 1, train_losses[e] is epoch e's running loss: the size-weighted
@@ -212,21 +212,19 @@ def train_mlp(
     hidden_dims=(256, 128, 64),
     learning_rate: float = 0.01,
     batch_size: int = 256,
-    select_epoch: int | None = None,
     monitor=None,
 ) -> MlpTrainResult:
     """Minibatch SGD on softmax cross-entropy, in float32; deterministic per seed.
 
-    The network is trained in float32 (see the module docstring) and
-    returned as float64. supervectors (and the monitor's) are an
-    (n, in_dim) array or a row source (`rowsource`): each minibatch reads
-    its rows in the seeded order. The training rows are read in full
-    once, for the initial loss (CHUNK_ROWS rows at a time); each later
-    epoch's loss is the mean of the losses its minibatches already
-    computed (see `MlpTrainResult`).
+    The network is trained in float32 (see the module docstring), and the
+    one the last epoch ends with is returned as float64. supervectors (and
+    the monitor's) are an (n, in_dim) array or a row source (`rowsource`):
+    each minibatch reads its rows in the seeded order. The training rows
+    are read in full once, for the initial loss (CHUNK_ROWS rows at a
+    time); each later epoch's loss is the mean of the losses its
+    minibatches already computed (see `MlpTrainResult`).
     monitor, when given, is a (supervectors, speech_mask) pair evaluated
     in full after every epoch purely for logging; it never changes the result.
-    select_epoch picks the epoch whose network is returned (default: the last).
     learning_rate must be finite and > 0.
     """
     try:
@@ -240,10 +238,6 @@ def train_mlp(
         raise MlpTrainingError("training data contains a single class")
     labels = mask.astype(int)  # speech = class 1
 
-    if select_epoch is None:
-        select_epoch = epochs
-    if not (0 <= select_epoch <= epochs):
-        raise MlpTrainingError(f"select_epoch {select_epoch} outside 0..{epochs}")
     if not (math.isfinite(learning_rate) and learning_rate > 0):
         raise MlpTrainingError(f"learning_rate must be finite and > 0, got {learning_rate}")
     rate = float(learning_rate)  # a Python float keeps each update in float32
@@ -272,9 +266,9 @@ def train_mlp(
             train_losses.append(total / len(x))
         if monitor is not None:
             monitor_losses.append(cross_entropy(_as_dtype(model, np.float64), mon_x, mon_labels))
-        if epoch == select_epoch:
-            selected = _as_dtype(model, np.float64, epoch)
-    return MlpTrainResult(model=selected, train_losses=train_losses, monitor_losses=monitor_losses)
+    return MlpTrainResult(
+        model=_as_dtype(model, np.float64), train_losses=train_losses, monitor_losses=monitor_losses
+    )
 
 
 def class_embeddings(supervectors, speech_mask: np.ndarray, layers):

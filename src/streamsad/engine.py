@@ -79,9 +79,11 @@ class AdaptationConfig:
 
 @dataclass(frozen=True)
 class SmoothingConfig:
-    """Label post-processing: fill short non-speech gaps, drop short speech."""
+    """Label post-processing: fill short non-speech gaps, drop short speech.
 
-    enabled: bool = True
+    Zero durations leave merged segments as they are.
+    """
+
     min_gap: float = 0.3
     min_speech: float = 0.2
 
@@ -393,7 +395,6 @@ class StreamingDetector:
         self.pending = np.empty((0, model.pca.output_dim))  # transformed frames not yet in a segment
         self.n_segments = 0
         self.tail_extra = 0.0
-        self.finished = False
 
     def _consume(self, transformed: np.ndarray) -> list[Decision]:
         # nothing pending (a first push, or one starting on a segment edge): no join
@@ -434,9 +435,8 @@ class StreamingDetector:
 
     def flush(self) -> list[Decision]:
         """Finish the stream and decide the trailing partial segment."""
-        if self.finished:
+        if self.extractor.finished:
             return []
-        self.finished = True
         new = self._consume(np.concatenate([*chain_flush(self.cascade, self.extractor.flush())]))
 
         if self.extractor.n_frames == 0:
@@ -450,7 +450,7 @@ class StreamingDetector:
 
     def segments(self) -> list[SegmentLabel]:
         """Merged, smoothed segmentation; call after flush()."""
-        if not self.finished:
+        if not self.extractor.finished:
             raise RuntimeError("segments() before flush()")
         merged = merge_decisions(self.decisions, self.tail_extra)
         return smooth_segments(merged, self.smoothing)
@@ -484,8 +484,6 @@ def _merge_adjacent(segments: list[SegmentLabel]) -> list[SegmentLabel]:
 
 def smooth_segments(segments: list[SegmentLabel], cfg: SmoothingConfig) -> list[SegmentLabel]:
     """Fill short interior non-speech gaps, then delete short speech runs."""
-    if not cfg.enabled or not segments:
-        return list(segments)
     filled = []
     for i, seg in enumerate(segments):
         interior = 0 < i < len(segments) - 1

@@ -76,7 +76,6 @@ class TrainConfig:
     gmm_iters: int = 20
     hidden_dims: tuple = (256, 128, 64)
     mlp_epochs: int = 30
-    select_epoch: int | None = None
     learning_rate: float = 0.01
     batch_size: int = 256
     base_threshold: float = 0.0
@@ -108,13 +107,13 @@ class TrainConfig:
             raise ValueError(
                 f"hidden_dims must be a non-empty tuple of positive ints, got {self.hidden_dims!r}"
             )
-        if self.select_epoch is not None and not (0 <= self.select_epoch <= self.mlp_epochs):
-            raise ValueError(f"select_epoch must be None or in 0..{self.mlp_epochs}, got {self.select_epoch}")
         # checked here, not after the EM and LDA stages that run before the MLP and the bundle
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
         if not np.isfinite(self.base_threshold):
             raise ValueError(f"base_threshold must be finite, got {self.base_threshold!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 def load_manifest(path) -> list:
@@ -219,10 +218,13 @@ def train(cfg: TrainConfig, out_path=None) -> SadModel:
     """Run the full pipeline; optionally serialize the bundle to out_path.
 
     The corpus's frames and supervectors live in a scratch directory for
-    the call, removed when it returns or raises.
+    the call, removed when it returns or raises. An out_path that cannot
+    be written is refused before the first stage runs.
     """
     if not cfg.entries:
         raise TrainingError("manifest", "no training entries")
+    if out_path is not None and not Path(out_path).parent.is_dir():
+        raise TrainingError("output", f"{Path(out_path).parent} is not a directory")
     with tempfile.TemporaryDirectory(prefix="streamsad-train-") as scratch:
         return _train(cfg, Path(scratch), out_path)
 
@@ -351,7 +353,6 @@ def _train(cfg: TrainConfig, scratch: Path, out_path) -> SadModel:
             hidden_dims=cfg.hidden_dims,
             learning_rate=cfg.learning_rate,
             batch_size=cfg.batch_size,
-            select_epoch=cfg.select_epoch,
             monitor=monitor,
         )
         for epoch, loss in enumerate(result.train_losses):
@@ -359,7 +360,6 @@ def _train(cfg: TrainConfig, scratch: Path, out_path) -> SadModel:
             if result.monitor_losses:
                 extra = f"  monitor {result.monitor_losses[epoch]:.4f}"
             logger.info("mlp epoch %2d  train loss %.4f%s", epoch, loss, extra)
-        logger.info("mlp selected epoch %d", result.model.epoch)
         # detection embeds with the first hidden layer alone
         weight, bias = result.model.weights[0], result.model.biases[0]
 

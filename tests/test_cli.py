@@ -1,5 +1,8 @@
 import hashlib
+import logging
+import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,6 +100,18 @@ class TestConfigFile:
                 text = str(default)
             value = parse(text)
             assert value == default and type(value) is type(default), key
+
+    def test_readme_lists_every_config_key(self):
+        # the README's bullet per config dataclass names its keys in field order
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        listed = []
+        for cls in (FeatureConfig, TrainConfig, AdaptationConfig, SmoothingConfig):
+            bullet = re.search(rf"\(`{cls.__name__}`, read by `\w+`\):(.*?)[;.]\s", readme, re.S)
+            assert bullet, cls.__name__
+            keys = re.findall(r"`(\w+)`", bullet.group(1))
+            assert keys == [f.name for f in fields(cls) if f.name in CONFIG_KEYS], cls.__name__
+            listed += keys
+        assert listed == list(CONFIG_KEYS)
 
 
 class TestUsage:
@@ -219,6 +234,34 @@ class TestTrain:
         assert rc == 2
         assert "ghost.wav" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("how", ["flag", "config"])
+    def test_negative_seed_exit_2_before_the_first_stage(self, cli_workspace, tmp_path, capsys, caplog, how):
+        # -1 used to fail in the labeling UBM, after the features stage
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text("seed = -1\n")
+        extra = ["--seed", "-1"] if how == "flag" else ["--config", str(cfg)]
+        with caplog.at_level(logging.INFO, logger="streamsad.trainer"):
+            rc = main(["train", "--manifest", str(cli_workspace["manifest"]),
+                       "--out", str(tmp_path / "m.sadb"), *extra])
+        assert rc == 2
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert "stage features" not in caplog.text
+        assert not (tmp_path / "m.sadb").exists()
+
+    @pytest.mark.parametrize("parent", ["missing", "file"])
+    def test_unwritable_out_exit_2_before_the_first_stage(
+        self, cli_workspace, tmp_path, capsys, caplog, parent
+    ):
+        # this used to run every stage and then fail in assemble
+        (tmp_path / "file").write_text("not a directory")
+        out = tmp_path / parent / "m.sadb"
+        with caplog.at_level(logging.INFO, logger="streamsad.trainer"):
+            rc = main(["train", "--manifest", str(cli_workspace["manifest"]), "--out", str(out),
+                       "--config", str(cli_workspace["config"])])
+        assert rc == 2
+        assert f"[output] {tmp_path / parent} is not a directory" in capsys.readouterr().err
+        assert "stage features" not in caplog.text
+
     def test_bad_config_key(self, cli_workspace, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("momentum = 0.9\n")
@@ -264,6 +307,32 @@ class TestDetect:
                      "--config", str(cfg), "--trace", str(wav)]) == 0
         for name in (wav.stem + ".lab", wav.stem + ".trace.csv"):
             assert (dir_flag / name).read_bytes() == (dir_cfg / name).read_bytes()
+
+    def test_no_smoothing_flag_matches_zero_duration_config(self, cli_workspace, tmp_path):
+        wav = cli_workspace["entries"][1][0]
+        bundle = str(cli_workspace["bundle"])
+        dir_flag, dir_cfg = tmp_path / "flag", tmp_path / "cfg"
+        cfg = tmp_path / "unsmoothed.cfg"
+        cfg.write_text("min_gap = 0.0\nmin_speech = 0.0\n")
+        assert main(["detect", "--model", bundle, "--out-dir", str(dir_flag),
+                     "--no-smoothing", "--trace", str(wav)]) == 0
+        assert main(["detect", "--model", bundle, "--out-dir", str(dir_cfg),
+                     "--config", str(cfg), "--trace", str(wav)]) == 0
+        for name in (wav.stem + ".lab", wav.stem + ".trace.csv"):
+            assert (dir_flag / name).read_bytes() == (dir_cfg / name).read_bytes()
+
+    def test_inputs_sharing_a_stem_are_refused_before_writing(self, cli_workspace, tmp_path, capsys):
+        # a/x.wav and b/x.wav both write x.lab: the first file's labels used to be lost
+        wav = cli_workspace["entries"][0][0]
+        twin = tmp_path / "b" / wav.name
+        twin.parent.mkdir()
+        twin.write_bytes(wav.read_bytes())
+        out_dir = tmp_path / "hyp"
+        rc = main(["detect", "--model", str(cli_workspace["bundle"]), "--out-dir", str(out_dir),
+                   "--trace", str(wav), str(twin)])
+        assert rc == 2
+        assert f"inputs share an output name: {wav.stem}" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_keeps_going_after_a_bad_file(self, cli_workspace, tmp_path, capsys):
         good = cli_workspace["entries"][2][0]
@@ -390,3 +459,14 @@ class TestBench:
         out = capsys.readouterr().out
         assert "rtf=" in out
         assert "decisions=" in out
+
+    @pytest.mark.parametrize("chunk", ["0", "-1", "-0.1", "inf", "-inf", "nan"])
+    def test_chunk_must_be_finite_and_positive(self, cli_workspace, capsys, chunk):
+        # inf used to exit 3 with OverflowError, 0 and -1 to run 1-sample pushes
+        wav = cli_workspace["entries"][0][0]
+        # --chunk=VALUE, since argparse takes a bare -inf for an option
+        rc = main(["bench", "--model", str(cli_workspace["bundle"]), f"--chunk={chunk}", str(wav)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "expected a finite number of seconds > 0" in captured.err
+        assert "rtf=" not in captured.out

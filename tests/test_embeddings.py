@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from streamsad import embeddings
 from streamsad.embeddings import (
     CHUNK_ROWS,
     MlpModel,
@@ -283,7 +284,8 @@ class TestTraining:
         x, mask = blobs(rng)
         result = train_mlp(x, mask, epochs=0, seed=19, hidden_dims=(8, 4))
         assert result.train_losses[0] == pytest.approx(math.log(2), abs=0.1)
-        assert result.model.epoch == 0
+        # with no epochs the returned network is the initial one
+        assert result.train_losses == [cross_entropy(result.model, x, mask.astype(int))]
 
     def test_learns_separable_blobs(self):
         rng = np.random.default_rng(20)
@@ -298,19 +300,17 @@ class TestTraining:
 
     def test_checkpoint_history_aligns(self):
         # train_losses[0] is the loss of the initial network, which is what
-        # select_epoch=0 returns; train_losses[e] for e >= 1 is epoch e's
+        # an epochs=0 run returns; train_losses[e] for e >= 1 is epoch e's
         # running loss, the size-weighted mean of its minibatch losses, each
         # at the weights that batch saw (batches of 24, 24, 24 and 8 rows)
         rng = np.random.default_rng(21)
         x, mask = blobs(rng, n_per_class=40, dim=6)
-        config = dict(epochs=5, seed=21, hidden_dims=(8,), batch_size=24)
-        result = train_mlp(x, mask, **config)
+        config = dict(seed=21, hidden_dims=(8,), batch_size=24)
+        result = train_mlp(x, mask, epochs=5, **config)
         assert len(result.train_losses) == 6
         for e in range(6):
-            selected = train_mlp(x, mask, select_epoch=e, **config)
-            assert selected.model.epoch == e
-            assert selected.train_losses == result.train_losses
-        initial = train_mlp(x, mask, select_epoch=0, **config).model
+            assert train_mlp(x, mask, epochs=e, **config).train_losses == result.train_losses[: e + 1]
+        initial = train_mlp(x, mask, epochs=0, **config).model
         assert result.train_losses[0] == cross_entropy(initial, x, mask.astype(int))
 
         # the SGD runs in float32 from the float32 cast of the seeded network;
@@ -361,12 +361,12 @@ class TestTraining:
     def test_returned_network_is_the_float32_one_in_float64(self):
         rng = np.random.default_rng(30)
         x, mask = blobs(rng, n_per_class=40, dim=6)
-        for select_epoch in (0, 3):
-            model = train_mlp(x, mask, epochs=3, seed=30, hidden_dims=(8, 4), select_epoch=select_epoch).model
+        for epochs in (0, 3):
+            model = train_mlp(x, mask, epochs=epochs, seed=30, hidden_dims=(8, 4)).model
             for array in model.weights + model.biases:
                 assert array.dtype == np.float64
                 np.testing.assert_array_equal(array.astype(np.float32).astype(np.float64), array)
-        initial = train_mlp(x, mask, epochs=3, seed=30, hidden_dims=(8, 4), select_epoch=0).model
+        initial = train_mlp(x, mask, epochs=0, seed=30, hidden_dims=(8, 4)).model
         for got, want in zip(initial.weights, init_mlp([6, 8, 4, 2], seed=30).weights):
             np.testing.assert_array_equal(got, want.astype(np.float32))
 
@@ -402,14 +402,29 @@ class TestTraining:
         with pytest.raises(MlpTrainingError, match="learning_rate"):
             train_mlp(UnreadRows(x), mask, epochs=2, learning_rate=rate)
 
-    def test_select_epoch_returns_that_checkpoint(self):
-        # the network after 3 of 6 epochs is the one a 3-epoch run ends with
+    def test_a_longer_run_extends_a_shorter_one(self, monkeypatch):
+        # SGD never looks ahead, so mlp_epochs alone picks the network: a
+        # 6-epoch run's losses start with a 3-epoch run's, and the network it
+        # holds after 3 epochs (as the monitor pass sees it) is the one the
+        # 3-epoch run returns, bit for bit
         rng = np.random.default_rng(22)
         x, mask = blobs(rng, n_per_class=40, dim=6)
-        result = train_mlp(x, mask, epochs=6, seed=22, hidden_dims=(8,), select_epoch=3)
-        short = train_mlp(x, mask, epochs=3, seed=22, hidden_dims=(8,))
-        assert result.model.epoch == short.model.epoch == 3
-        for got, want in zip(result.model.weights + result.model.biases,
+        mon_x, mon_mask = blobs(rng, n_per_class=20, dim=6)
+        monitored = []
+
+        def spy(model, rows, labels):
+            if rows is mon_x:
+                monitored.append(model)
+            return cross_entropy(model, rows, labels)
+
+        monkeypatch.setattr(embeddings, "cross_entropy", spy)
+        config = dict(seed=22, hidden_dims=(8,), monitor=(mon_x, mon_mask))
+        long = train_mlp(x, mask, epochs=6, **config)
+        short = train_mlp(x, mask, epochs=3, **config)
+        assert long.train_losses[:4] == short.train_losses
+        assert long.monitor_losses[:4] == short.monitor_losses
+        assert len(monitored) == 7 + 4
+        for got, want in zip(monitored[3].weights + monitored[3].biases,
                              short.model.weights + short.model.biases):
             np.testing.assert_array_equal(got, want)
 
@@ -462,9 +477,3 @@ class TestTraining:
         with pytest.raises(MlpTrainingError, match="non-finite loss at epoch"):
             train_mlp(x * 1e150, mask, epochs=3, seed=26, hidden_dims=(8,),
                       learning_rate=1e160)
-
-    def test_select_epoch_out_of_range(self):
-        rng = np.random.default_rng(27)
-        x, mask = blobs(rng, n_per_class=10, dim=4)
-        with pytest.raises(MlpTrainingError, match="select_epoch"):
-            train_mlp(x, mask, epochs=2, select_epoch=5)

@@ -471,12 +471,13 @@ class TestMergeAndSmooth:
         assert out == [self.seg(0.0, 0.4, SPEECH)]
 
     def test_disabled_smoothing_is_identity(self):
+        # zero durations, what --no-smoothing sets, leave merged segments as they are
         segments = [
             self.seg(0.0, 0.1, SPEECH),
             self.seg(0.1, 0.2, NONSPEECH),
             self.seg(0.2, 0.3, SPEECH),
         ]
-        out = smooth_segments(segments, SmoothingConfig(enabled=False))
+        out = smooth_segments(segments, SmoothingConfig(min_gap=0.0, min_speech=0.0))
         assert out == segments
 
     def test_config_validation(self):

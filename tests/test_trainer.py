@@ -116,6 +116,7 @@ class TestTrainConfig:
     def test_positive_sizes(self):
         with pytest.raises(ValueError, match="positive"):
             TrainConfig(entries=[("a", "b")], gmm_iters=0)
+        assert TrainConfig(entries=[("a", "b")], hidden_dims=(1,)).hidden_dims == (1,)
 
     @pytest.mark.parametrize("hidden_dims", [(), (0,), (16, -8), (16.0,), (True,), [16, 8], 16])
     def test_hidden_dims_are_positive_ints(self, hidden_dims):
@@ -124,15 +125,11 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="hidden_dims"):
             TrainConfig(entries=[("a", "b")], hidden_dims=hidden_dims)
 
-    @pytest.mark.parametrize("select_epoch", [99, 31, -1])
-    def test_select_epoch_within_the_epochs(self, select_epoch):
-        with pytest.raises(ValueError, match="select_epoch"):
-            TrainConfig(entries=[("a", "b")], select_epoch=select_epoch)
-
-    def test_select_epoch_bounds_accepted(self):
-        for select_epoch in (None, 0, 17, 30):
-            assert TrainConfig(entries=[("a", "b")], select_epoch=select_epoch).select_epoch == select_epoch
-        assert TrainConfig(entries=[("a", "b")], hidden_dims=(1,)).hidden_dims == (1,)
+    def test_seed_is_non_negative(self):
+        # -1 used to fail in the labeling UBM, after the features stage
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+            TrainConfig(entries=[("a", "b")], seed=-1)
+        assert TrainConfig(entries=[("a", "b")], seed=0).seed == 0
 
     @pytest.mark.parametrize("learning_rate", [float("nan"), float("inf"), -1.0, 0.0, -0.0])
     def test_learning_rate_is_finite_and_positive(self, learning_rate):
