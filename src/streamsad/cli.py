@@ -78,19 +78,25 @@ _PARSERS = {
     "tuple": _int_tuple,
 }
 
+# the dataclasses whose fields each command's config file may set
+_SECTIONS = {"train": (FeatureConfig, TrainConfig), "detect": (AdaptationConfig, SmoothingConfig)}
+
 # the config file's keys, each with its parser: the fields of these four
 # dataclasses, in declaration order; a key the file leaves out keeps its
 # dataclass default
 CONFIG_KEYS = {
     f.name: _PARSERS[f.type]
-    for cls in (FeatureConfig, TrainConfig, AdaptationConfig, SmoothingConfig)
+    for classes in _SECTIONS.values()
+    for cls in classes
     for f in fields(cls)
     if f.type in _PARSERS
 }
 
 
-def parse_config_file(path) -> dict:
-    """Flat `key = value` lines; # starts a comment; unknown keys rejected."""
+def parse_config_file(path, command: str) -> dict:
+    """The command's config values from flat `key = value` lines; # starts
+    a comment; unknown keys and keys of the other command rejected."""
+    used = {f.name for cls in _SECTIONS[command] for f in fields(cls)}
     values = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -103,6 +109,8 @@ def parse_config_file(path) -> dict:
             key, raw = key.strip(), raw.strip()
             if key not in CONFIG_KEYS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key not in used:
+                raise ValueError(f"{path}:{lineno}: config key {key!r} is not used by {command}")
             try:
                 values[key] = CONFIG_KEYS[key](raw)
             except ValueError:
@@ -134,7 +142,7 @@ def cmd_train(args) -> int:
         flat += [p for pair in monitor_entries for p in pair]
     _require_paths(flat)
 
-    config = parse_config_file(args.config) if args.config else {}
+    config = parse_config_file(args.config, "train") if args.config else {}
     if args.seed is not None:
         config["seed"] = args.seed
     train_cfg = TrainConfig(
@@ -162,7 +170,7 @@ def cmd_detect(args) -> int:
     if shared:
         raise ValueError("inputs share an output name: " + ", ".join(shared))
     model = load_model(args.model)
-    config = parse_config_file(args.config) if args.config else {}
+    config = parse_config_file(args.config, "detect") if args.config else {}
     adaptation = AdaptationConfig(enabled=not args.no_adapt, **_section(AdaptationConfig, config))
     smoothing = SmoothingConfig(**_section(SmoothingConfig, config))
     if args.no_smoothing:

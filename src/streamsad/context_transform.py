@@ -103,7 +103,10 @@ def context_window(spec: ContextSpec, transform: LinearTransform | None = None) 
     def kernel(context: np.ndarray, start: int) -> np.ndarray:
         n = len(context) - span
         stacked = context[np.arange(n)[:, None] + rows].reshape(n, size * context.shape[1])
-        return stacked if transform is None else apply_transform(stacked, transform)
+        if transform is None:
+            return stacked
+        stacked -= transform.mean_offset  # the gathered stack is this call's own: centered in place
+        return row_products(stacked, transform.matrix.T)
 
     return CausalWindow(spec.lookback, spec.lookahead, kernel)
 

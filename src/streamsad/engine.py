@@ -43,7 +43,7 @@ import numpy as np
 
 from .audio_io import NONSPEECH, SPEECH, AudioStream, SegmentLabel
 from .context_transform import LDA_CONTEXT, PCA_CONTEXT, LinearTransform, cascade
-from .embeddings import embed_batch
+from .embeddings import STORED_DTYPES, embed_batch, narrowest, widened
 from .features import FeatureConfig, FeatureExtractor, StaticMfcc, chain_flush, chain_push, row_products
 from .gmm import Gmm, block_counts, block_supervectors
 
@@ -551,14 +551,17 @@ def write_trace(decisions: list[Decision], path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# model bundle, version 2: magic, u32 version, u32 header length, a
-# sorted-key JSON header, the arrays it lists as raw little-endian float64 in
-# its order, and a u32 zlib.crc32 of every byte before it. The magic, the
-# version and the CRC are checked before anything is parsed, so a damaged
-# byte never reaches the parser. A save/load round trip is bit-exact.
+# model bundle, version 3: magic, u32 version, u32 header length, a
+# sorted-key JSON header, the arrays it lists as raw little-endian values of
+# the dtype it tags each with, in its order, each starting on an 8-byte
+# boundary of the payload after zero padding, and a u32 zlib.crc32 of every
+# byte before it. The magic, the version and the CRC are checked before
+# anything is parsed, so a damaged byte never reaches the parser. Each array
+# is stored at the narrowest dtype that keeps every entry (`embeddings`
+# owns that codec), so a save/load round trip is bit-exact.
 
 _MAGIC = b"SADB"
-_VERSION = 2
+_VERSION = 3
 _PREFIX = struct.Struct("<4sII")  # magic, version, header length
 _CRC = struct.Struct("<I")
 _TRANSFORM_PARTS, _GMM_PARTS = ("matrix", "mean_offset"), ("weights", "means", "variances")
@@ -583,16 +586,22 @@ def _bundle_arrays(model: SadModel) -> dict:
 
 def save_model(model: SadModel, path) -> None:
     """Serialize a SadModel to one bundle file; the same model gives the same bytes."""
-    arrays = _bundle_arrays(model)
+    stored = {name: narrowest(array) for name, array in _bundle_arrays(model).items()}
     header = {
-        "arrays": [[name, list(array.shape)] for name, array in arrays.items()],
+        "arrays": [[name, list(array.shape), array.dtype.str] for name, array in stored.items()],
         "base_threshold": float(model.base_threshold),
         "feature_cfg": asdict(model.feature_cfg),
+        "lda_context": list(LDA_CONTEXT.offsets),
+        "pca_context": list(PCA_CONTEXT.offsets),
         "sample_rate": model.sample_rate,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    body = b"".join([_PREFIX.pack(_MAGIC, _VERSION, len(header_bytes)), header_bytes]
-                    + [np.ascontiguousarray(array, dtype="<f8").tobytes() for array in arrays.values()])
+    parts, offset = [_PREFIX.pack(_MAGIC, _VERSION, len(header_bytes)), header_bytes], 0
+    for array in stored.values():
+        pad = -offset % 8
+        parts += [bytes(pad), array.tobytes()]
+        offset += pad + array.nbytes
+    body = b"".join(parts)
     with open(path, "wb") as fh:
         fh.write(body + _CRC.pack(zlib.crc32(body)))
 
@@ -600,15 +609,23 @@ def save_model(model: SadModel, path) -> None:
 def _parse_bundle(header, payload: memoryview) -> SadModel:
     if not isinstance(header, dict):
         raise ValueError("header is not a JSON object")
+    for key, spec in (("lda_context", LDA_CONTEXT), ("pca_context", PCA_CONTEXT)):
+        if header[key] != list(spec.offsets):
+            raise ValueError(f"{key} offsets {header[key]!r} are not this build's {list(spec.offsets)}")
     arrays, offset = {}, 0
-    for name, shape in header["arrays"]:
+    for name, shape, tag in header["arrays"]:
         if type(name) is not str or not all(type(dim) is int and dim >= 0 for dim in shape):
             raise ValueError(f"bad array entry {name!r} with shape {shape!r}")
-        size = 8 * math.prod(shape)
-        if offset + size > len(payload):
+        if tag not in STORED_DTYPES:
+            raise ValueError(f"array {name} has unknown dtype tag {tag!r}")
+        dtype, count, start = STORED_DTYPES[tag], math.prod(shape), offset + -offset % 8
+        end = start + dtype.itemsize * count
+        if end > len(payload):
             raise ValueError("array shapes overrun the payload")
-        arrays[name] = np.frombuffer(payload, "<f8", size // 8, offset).reshape(shape)
-        offset += size
+        if any(payload[offset:start]):
+            raise ValueError(f"non-zero padding before array {name}")
+        arrays[name] = widened(np.frombuffer(payload, dtype, count, start).reshape(shape))
+        offset = end
     if offset != len(payload):
         raise ValueError("payload is longer than its array shapes")
     feature_cfg = FeatureConfig(**header["feature_cfg"])
@@ -629,17 +646,18 @@ def _parse_bundle(header, payload: memoryview) -> SadModel:
         base_threshold=float(header["base_threshold"]),
         **{name: arrays[name] for name in _VECTORS},
     )
-    if [name for name, _ in header["arrays"]] != list(_bundle_arrays(model)):
+    if [entry[0] for entry in header["arrays"]] != list(_bundle_arrays(model)):
         raise ValueError("array names are not the ones this version writes")
     return model
 
 
 def _read_bundle(path) -> memoryview:
     """The file's bytes, read once into a buffer placed so that the payload
-    after the header starts on a 64-byte boundary. The loaded arrays view
-    these bytes, uncopied, and each (a multiple of 8 bytes past the
-    payload's start) is aligned: numpy runs products of unaligned float64
-    arrays by another route, with other bits than the saved arrays give."""
+    after the header starts on a 64-byte boundary. Every array starts a
+    multiple of 8 bytes past the payload's start, so each is aligned: numpy
+    runs products of unaligned float64 arrays by another route, with other
+    bits than the saved arrays give. The float64 arrays view these bytes,
+    uncopied; a narrower one is widened into a float64 copy of its own."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         prefix = fh.read(_PREFIX.size)

@@ -172,14 +172,19 @@ class StaticMfcc:
 
     def compute_block(self, frames: np.ndarray) -> np.ndarray:
         """Static MFCCs for a (T, window_samples) block of raw frames."""
-        emphasized = np.empty(frames.shape)
+        # the windowed frames fill the first window_samples columns of one (T, n_fft)
+        # buffer whose pad columns are zeroed, so rfft makes no padded copy; np.empty,
+        # as the fresh pages of np.zeros would fault in again on every block
+        padded = np.empty((len(frames), self.n_fft))
+        padded[:, self.win :] = 0.0
+        emphasized = padded[:, : self.win]
         # pre-emphasis stays inside the window so a frame never depends on
         # samples outside its own analysis window
         np.multiply(frames[:, 0], 1.0 - self.cfg.pre_emphasis, out=emphasized[:, 0])
         np.multiply(frames[:, :-1], self.cfg.pre_emphasis, out=emphasized[:, 1:])
         np.subtract(frames[:, 1:], emphasized[:, 1:], out=emphasized[:, 1:])
         emphasized *= self.window
-        spectrum = np.abs(np.fft.rfft(emphasized, n=self.n_fft, axis=1))
+        spectrum = np.abs(np.fft.rfft(padded, axis=1))
         energies = row_products(spectrum, self.filterbank.T)
         log_energies = np.log(np.maximum(energies, LOG_FLOOR, out=energies), out=energies)
         return row_products(log_energies, self.dct.T)

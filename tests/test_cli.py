@@ -58,7 +58,7 @@ class TestConfigFile:
             "hidden_dims = 256,128,64\n"
             "mel_high = none\n"
         )
-        values = parse_config_file(path)
+        values = parse_config_file(path, "train")
         assert values == {
             "hop": 0.01,
             "n_mfcc": 12,
@@ -70,19 +70,19 @@ class TestConfigFile:
         path = tmp_path / "a.cfg"
         path.write_text("bogus = 1\n")
         with pytest.raises(ValueError, match="unknown config key 'bogus'"):
-            parse_config_file(path)
+            parse_config_file(path, "train")
 
     def test_bad_value(self, tmp_path):
         path = tmp_path / "a.cfg"
         path.write_text("n_mfcc = twelve\n")
         with pytest.raises(ValueError, match="bad value for n_mfcc"):
-            parse_config_file(path)
+            parse_config_file(path, "train")
 
     def test_missing_equals(self, tmp_path):
         path = tmp_path / "a.cfg"
         path.write_text("hop 0.01\n")
         with pytest.raises(ValueError, match="expected 'key = value'"):
-            parse_config_file(path)
+            parse_config_file(path, "train")
 
     def test_keys_are_the_config_dataclass_fields(self):
         # a field that gains no key, or a key that sets no field, breaks this
@@ -100,6 +100,24 @@ class TestConfigFile:
                 text = str(default)
             value = parse(text)
             assert value == default and type(value) is type(default), key
+
+    @pytest.mark.parametrize("command, key, other", [("train", "min_gap", "detect"),
+                                                     ("detect", "hop", "train")])
+    def test_key_of_the_other_command_exit_2(self, cli_workspace, tmp_path, capsys, command, key, other):
+        # each command used to ignore the other command's keys and exit 0
+        cfg = tmp_path / "other.cfg"
+        cfg.write_text(f"{key} = 0.5\n")
+        out = tmp_path / "out"
+        if command == "train":
+            argv = ["train", "--manifest", str(cli_workspace["manifest"]), "--out", str(out / "m.sadb")]
+        else:
+            argv = ["detect", "--model", str(cli_workspace["bundle"]), "--out-dir", str(out),
+                    str(cli_workspace["entries"][0][0])]
+        assert main([*argv, "--config", str(cfg)]) == 2
+        assert f"{cfg}:1: config key '{key}' is not used by {command}" in capsys.readouterr().err
+        assert not out.exists()
+        # the same file is the other command's to read
+        assert parse_config_file(cfg, other) == {key: 0.5}
 
     def test_readme_lists_every_config_key(self):
         # the README's bullet per config dataclass names its keys in field order

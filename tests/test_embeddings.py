@@ -16,8 +16,10 @@ from streamsad.embeddings import (
     forward,
     init_mlp,
     loss_and_grads,
+    narrowest,
     softmax,
     train_mlp,
+    widened,
 )
 from streamsad.gmm import Gmm, block_supervectors
 from streamsad.rowsource import ArrayRows, SpilledRows
@@ -477,3 +479,34 @@ class TestTraining:
         with pytest.raises(MlpTrainingError, match="non-finite loss at epoch"):
             train_mlp(x * 1e150, mask, epochs=3, seed=26, hidden_dims=(8,),
                       learning_rate=1e160)
+
+
+class TestBundleCodec:
+    @pytest.mark.parametrize(
+        "values, tag",
+        [
+            ([0.5, -0.0, 0.0, 3.0, np.inf, -np.inf], "<f4"),
+            ([2.0**-140, 2.0**-149], "<f4"),  # float32 subnormals are exact too
+            ([0.5, 0.1], "<f8"),
+            ([0.5, 1e300], "<f8"),  # beyond float32's range: no warning, kept wide
+            ([0.5, 2.0**-150], "<f8"),  # below float32's smallest subnormal
+            ([0.5, np.nan], "<f8"),
+        ],
+        ids=["exact", "subnormal", "inexact", "overflow", "underflow", "nan"],
+    )
+    def test_narrowest_gives_back_every_bit(self, values, tag):
+        array = np.array(values).reshape(2, -1)
+        stored = narrowest(array[:, ::-1])  # strided input: a C-contiguous result
+        assert stored.dtype.str == tag and stored.flags.c_contiguous
+        assert tag in embeddings.STORED_DTYPES
+        loaded = widened(np.frombuffer(stored.tobytes(), embeddings.STORED_DTYPES[tag]).reshape(stored.shape))
+        assert loaded.dtype == np.float64 and not loaded.flags.writeable
+        assert loaded.ctypes.data % 64 == 0 or tag == "<f8"  # a widened copy starts on a cache line
+        assert loaded.tobytes() == np.ascontiguousarray(array[:, ::-1]).tobytes()
+
+    def test_trained_network_is_stored_narrow(self):
+        rng = np.random.default_rng(27)
+        x, mask = blobs(rng, n_per_class=40, dim=6)
+        model = train_mlp(x, mask, epochs=2, seed=27, hidden_dims=(8,)).model
+        for array in model.weights + model.biases:
+            assert narrowest(array).dtype.itemsize == 4

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from streamsad.audio_io import NONSPEECH, SPEECH, AudioStream, SegmentLabel, read_wav
-from streamsad.context_transform import LinearTransform
+from streamsad.context_transform import LDA_CONTEXT, PCA_CONTEXT, LinearTransform
 from streamsad.engine import (
     SEGMENT_FRAMES,
     TRACE_HEADER,
@@ -24,6 +24,7 @@ from streamsad.engine import (
     SadModel,
     SmoothingConfig,
     StreamingDetector,
+    _bundle_arrays,
     _cosine,
     adapt,
     format_trace,
@@ -931,27 +932,54 @@ def same_bits(a, b) -> bool:
 
 
 def reframe(raw: bytes, edit) -> bytes:
-    """A v2 bundle with its JSON header replaced by edit(header), under a valid CRC."""
+    """A bundle with its JSON header replaced by edit(header), under a valid CRC."""
     version, header_len = struct.unpack_from("<II", raw, 4)
     header = json.dumps(edit(json.loads(raw[12 : 12 + header_len]))).encode()
     body = raw[:4] + struct.pack("<II", version, len(header)) + header + raw[12 + header_len : -4]
     return body + struct.pack("<I", zlib.crc32(body))
 
 
-def patch_first_entry(raw: bytes, name: str, value: float) -> bytes:
-    """A v2 bundle with the first entry of array name set to value, under a valid CRC."""
+def array_spans(raw: bytes) -> dict:
+    """Each array of a v3 bundle by name, placed as the documented layout
+    places it: (file offset of the padding before it, of its first byte,
+    its stored dtype)."""
     header_len, = struct.unpack_from("<I", raw, 8)
-    offset = 12 + header_len
-    for array, shape in json.loads(raw[12:offset])["arrays"]:
-        if array == name:
-            break
-        offset += 8 * math.prod(shape)
-    body = raw[:offset] + struct.pack("<d", value) + raw[offset + 8 : -4]
+    payload, offset, spans = 12 + header_len, 0, {}
+    for name, shape, tag in json.loads(raw[12:payload])["arrays"]:
+        dtype, start = np.dtype(tag), offset + -offset % 8
+        spans[name] = (payload + offset, payload + start, dtype)
+        offset = start + dtype.itemsize * math.prod(shape)
+    return spans
+
+
+def patch(raw: bytes, at: int, data: bytes) -> bytes:
+    """The bundle with data written at file offset at, under a valid CRC."""
+    body = raw[:at] + data + raw[at + len(data) : -4]
     return body + struct.pack("<I", zlib.crc32(body))
 
 
+def patch_first_entry(raw: bytes, name: str, value: float) -> bytes:
+    """A v3 bundle with the first entry of array name set to value, in its stored dtype."""
+    _, start, dtype = array_spans(raw)[name]
+    return patch(raw, start, np.array([value], dtype).tobytes())
+
+
 def _with_shape(name, shape):
-    return lambda h: {**h, "arrays": [[n, shape if n == name else s] for n, s in h["arrays"]]}
+    return lambda h: {**h, "arrays": [[n, shape if n == name else s, t] for n, s, t in h["arrays"]]}
+
+
+def _with_tag(name, tag, extend=0):
+    """Header edit: array name tagged tag, its shape (1-D) stretched to
+    fill its old bytes at the new width plus extend values."""
+    def edit(h):
+        arrays = []
+        for n, shape, old in h["arrays"]:
+            if n == name:
+                shape = [np.dtype(old).itemsize * math.prod(shape) // np.dtype(tag).itemsize + extend]
+                old = tag
+            arrays.append([n, shape, old])
+        return {**h, "arrays": arrays}
+    return edit
 
 
 def _with_feature(name, value):
@@ -965,6 +993,22 @@ def tiny_bundle(tiny_model, tmp_path_factory):
     return path.read_bytes()
 
 
+def odd_width_model(model):
+    """The model with its embedding cut to 7 units: an odd count of 4-byte
+    values, so the array after the bias needs padding."""
+    width = 7
+    return dataclasses.replace(
+        model, embedding_weight=model.embedding_weight[:, :width], embedding_bias=model.embedding_bias[:width],
+        speech_embedding=model.speech_embedding[:width], nonspeech_embedding=model.nonspeech_embedding[:width])
+
+
+@pytest.fixture(scope="module")
+def padded_bundle(tiny_model, tmp_path_factory):
+    path = tmp_path_factory.mktemp("bundle") / "padded.sadb"
+    save_model(odd_width_model(tiny_model), path)
+    return path.read_bytes()
+
+
 class TestModelBundle:
     def test_round_trip_is_bit_exact(self, tiny_model, tmp_path):
         path = tmp_path / "model.sadb"
@@ -974,12 +1018,52 @@ class TestModelBundle:
     def test_bundle_holds_only_what_detection_reads(self, tiny_bundle):
         header_len, = struct.unpack_from("<I", tiny_bundle, 8)
         header = json.loads(tiny_bundle[12 : 12 + header_len])
-        assert sorted(header) == ["arrays", "base_threshold", "feature_cfg", "sample_rate"]
-        names = [name for name, _ in header["arrays"]]
+        assert sorted(header) == ["arrays", "base_threshold", "feature_cfg", "lda_context", "pca_context",
+                                  "sample_rate"]
+        assert header["lda_context"] == list(LDA_CONTEXT.offsets)
+        assert header["pca_context"] == list(PCA_CONTEXT.offsets)
+        names = [name for name, _, _ in header["arrays"]]
         assert [n for n in names if n.startswith("embedding.")] == ["embedding.0.weight", "embedding.0.bias"]
         assert not [n for n in names if "labeling" in n]
-        n_floats = sum(math.prod(shape) for _, shape in header["arrays"])
-        assert len(tiny_bundle) == 12 + header_len + 8 * n_floats + 4
+        # the trained embedding layer is float32 upcast, so it is stored at 4
+        # bytes per value; every other array needs 8, and none needs padding
+        sizes = {name: math.prod(shape) for name, shape, _ in header["arrays"]}
+        assert {name: tag for name, _, tag in header["arrays"]} == {
+            name: "<f4" if name.startswith("embedding.") else "<f8" for name in names}
+        narrow = sizes["embedding.0.weight"] + sizes["embedding.0.bias"]
+        assert len(tiny_bundle) == 12 + header_len + 4 * narrow + 8 * (sum(sizes.values()) - narrow) + 4
+
+    def test_trained_bundle_is_smaller_than_8_bytes_per_value(self, tiny_bundle):
+        header_len, = struct.unpack_from("<I", tiny_bundle, 8)
+        n_values = sum(math.prod(shape) for _, shape, _ in json.loads(tiny_bundle[12 : 12 + header_len])["arrays"])
+        assert len(tiny_bundle) < 8 * n_values
+
+    def test_hand_built_model_round_trips_as_float64(self, tmp_path):
+        # its arrays do not survive a float32 round trip, so each keeps 8 bytes
+        model, path = default_size_model(), tmp_path / "model.sadb"
+        save_model(model, path)
+        raw = path.read_bytes()
+        header_len, = struct.unpack_from("<I", raw, 8)
+        entries = json.loads(raw[12 : 12 + header_len])["arrays"]
+        assert {tag for _, _, tag in entries} == {"<f8"}
+        assert len(raw) == 12 + header_len + 8 * sum(math.prod(shape) for _, shape, _ in entries) + 4
+        assert same_bits(load_model(path), model)
+
+    def test_loaded_arrays_are_float64_and_read_only(self, tiny_bundle, tmp_path):
+        path = tmp_path / "model.sadb"
+        path.write_bytes(tiny_bundle)
+        arrays = _bundle_arrays(load_model(path))
+        assert len(arrays) == 16
+        for name, array in arrays.items():
+            assert array.dtype == np.float64 and not array.flags.writeable, name
+
+    def test_padded_bundle_round_trips(self, tiny_model, padded_bundle, tmp_path):
+        # an odd number of 4-byte values leaves 4 zero bytes before the next array
+        pad, start, _ = array_spans(padded_bundle)["speech_counts"]
+        assert start - pad == 4 and padded_bundle[pad:start] == bytes(4)
+        path = tmp_path / "model.sadb"
+        path.write_bytes(padded_bundle)
+        assert same_bits(load_model(path), odd_width_model(tiny_model))
 
     def test_loaded_model_detects_identically(self, tiny_corpus, tiny_model, tmp_path):
         path = tmp_path / "model.sadb"
@@ -1020,10 +1104,11 @@ class TestModelBundle:
         with pytest.raises(ValueError, match="not a model bundle"):
             load_model(bad)
 
-        # a version 1 bundle is refused before its layout is read
-        bad.write_bytes(raw[:4] + struct.pack("<I", 1) + raw[8:])
-        with pytest.raises(ValueError, match="unsupported bundle version 1"):
-            load_model(bad)
+        # version 1 and 2 bundles are refused before their layout is read
+        for version in (1, 2):
+            bad.write_bytes(raw[:4] + struct.pack("<I", version) + raw[8:])
+            with pytest.raises(ValueError, match=f"unsupported bundle version {version} "):
+                load_model(bad)
 
         bad.write_bytes(raw[:10])
         with pytest.raises(ValueError, match="not a model bundle"):
@@ -1074,6 +1159,48 @@ class TestModelBundle:
         path.write_bytes(reframe(tiny_bundle, edit))
         with pytest.raises(ValueError, match=match):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "hostile, match",
+        [
+            (lambda raw, padded: reframe(raw, _with_tag("lda.matrix", "<f2")), "unknown dtype tag '<f2'"),
+            (lambda raw, padded: reframe(raw, _with_tag("lda.matrix", "<i8")), "unknown dtype tag '<i8'"),
+            # 4 bytes past the payload's end
+            (lambda raw, padded: reframe(raw, _with_tag("nonspeech_embedding", "<f4", extend=1)), "overrun"),
+            (lambda raw, padded: patch(padded, array_spans(padded)["speech_counts"][0] + 3, b"\x01"),
+             "non-zero padding before array speech_counts"),
+            # as many taps, so the same array shapes: only the header tells them apart
+            (lambda raw, padded: reframe(raw, lambda h: {**h, "lda_context": list(range(-16, 5, 2))}),
+             "lda_context offsets"),
+            (lambda raw, padded: reframe(raw, lambda h: {**h, "pca_context": list(range(-15, 4, 3))}),
+             "pca_context offsets"),
+        ],
+        ids=["unknown-tag", "integer-tag", "narrow-tag-overrun", "non-zero-padding", "lda-context",
+             "pca-context"],
+    )
+    def test_hostile_v3_bundle_exits_2(self, tiny_bundle, padded_bundle, tiny_corpus, tmp_path, capsys,
+                                       hostile, match):
+        from streamsad.cli import main
+
+        path = tmp_path / "bad.sadb"
+        path.write_bytes(hostile(tiny_bundle, padded_bundle))
+        with pytest.raises(ValueError, match=match):
+            load_model(path)
+        rc = main(["detect", "--model", str(path), "--out-dir", str(tmp_path / "hyp"),
+                   str(tiny_corpus["entries"][5][0])])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{path}: malformed bundle" in err and match in err
+
+    def test_version_2_bundle_exits_2(self, tiny_bundle, tiny_corpus, tmp_path, capsys):
+        from streamsad.cli import main
+
+        path = tmp_path / "v2.sadb"
+        path.write_bytes(patch(tiny_bundle, 4, struct.pack("<I", 2)))
+        rc = main(["detect", "--model", str(path), "--out-dir", str(tmp_path / "hyp"),
+                   str(tiny_corpus["entries"][5][0])])
+        assert rc == 2
+        assert "unsupported bundle version 2 (this build reads 3)" in capsys.readouterr().err
 
     def test_float_integer_field_exits_2(self, tiny_bundle, tiny_corpus, tmp_path, capsys):
         # it used to load and then fail inside the front end with a TypeError (exit 3)

@@ -587,6 +587,8 @@ class TestSegmentBatchInvariance:
         np.testing.assert_array_equal(constant, want_constant)
         np.testing.assert_array_equal(scaled_means, (ubm.means * want_precision).T)
         np.testing.assert_array_equal(precision, want_precision.T)
+        # copies, not transposed views: a stacked product of a view leaves the BLAS path
+        assert scaled_means.flags.c_contiguous and precision.flags.c_contiguous
         x = rng.standard_normal((50, 24))
         want = want_constant + x @ (ubm.means * want_precision).T - 0.5 * (x**2) @ want_precision.T
         np.testing.assert_array_equal(log_likelihoods(x, ubm), want)
