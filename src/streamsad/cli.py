@@ -235,12 +235,15 @@ def cmd_bench(args) -> int:
         start = time.perf_counter()
         detector = StreamingDetector(model)
         peak_push = 0.0
-        for i in range(0, len(audio.samples), chunk):
+        try:
+            for i in range(0, len(audio.samples), chunk):
+                push_start = time.perf_counter()
+                detector.push(audio.samples[i : i + chunk])
+                peak_push = max(peak_push, time.perf_counter() - push_start)
             push_start = time.perf_counter()
-            detector.push(audio.samples[i : i + chunk])
-            peak_push = max(peak_push, time.perf_counter() - push_start)
-        push_start = time.perf_counter()
-        detector.flush()
+            detector.flush()
+        except ValueError as exc:  # named as detect names it
+            raise ValueError(f"{audio_path}: {exc}") from exc
         peak_push = max(peak_push, time.perf_counter() - push_start)
         total_time = time.perf_counter() - start
 

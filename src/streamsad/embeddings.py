@@ -33,10 +33,12 @@ embeddings and all of detection.
 So the trained embedding layer's float64 values each fit in float32, and
 this module also owns the model bundle's element codec: `narrowest` gives
 an array at the narrowest stored dtype that keeps every entry exactly,
-`STORED_DTYPES` names the dtypes a bundle may hold, and `widened` turns a
-stored array back into float64. The bundle (`engine.save_model`) holds the
-embedding layer at 4 bytes per value and everything else at 8, and a
-loaded model is float64 throughout.
+`STORED_DTYPES` names the dtypes a bundle may hold, `to_planes` splits a
+stored array into byte planes (byte 0 of every value, then byte 1, ...),
+and `from_planes` turns planes back into a float64 array of its own. The
+bundle (`engine.save_model`) deflates the planes, holding the embedding
+layer at 4 bytes per value and everything else at 8 before compression,
+and a loaded model is float64 throughout.
 """
 
 from __future__ import annotations
@@ -58,6 +60,8 @@ _TINY32 = float(np.finfo(np.float32).tiny)
 # the bundle's element dtypes, by the tag its header gives each array
 _NARROW, _WIDE = np.dtype("<f4"), np.dtype("<f8")
 STORED_DTYPES = {dtype.str: dtype for dtype in (_NARROW, _WIDE)}
+# values per step of `from_planes`: 64 KB of float32 at a time
+PLANE_CHUNK = 16384
 
 
 class MlpTrainingError(RuntimeError):
@@ -311,18 +315,31 @@ def narrowest(array: np.ndarray) -> np.ndarray:
     return narrow if np.array_equal(narrow, array) else np.ascontiguousarray(array, dtype=_WIDE)
 
 
-def widened(stored: np.ndarray) -> np.ndarray:
-    """A stored array as float64: itself when it already is, else a
-    read-only float64 copy that starts on a 64-byte (cache-line) boundary.
-    A large copy's own allocation starts 16 bytes past one, and a one-segment
-    product with the default 768 x 256 embedding weight placed so takes
-    30 us against 24 (one Xeon core, one OpenBLAS thread)."""
-    if stored.dtype == _WIDE:
-        return stored
-    raw = np.empty(8 * stored.size + 63, dtype=np.uint8)
+def to_planes(stored: np.ndarray) -> bytes:
+    """A C-contiguous stored array's little-endian bytes as byte planes:
+    byte 0 of every element, then byte 1, and so on."""
+    return stored.reshape(-1).view(np.uint8).reshape(-1, stored.itemsize).T.tobytes()
+
+
+def from_planes(planes, dtype: np.dtype, shape) -> np.ndarray:
+    """The read-only float64 array of the given shape whose values,
+    stored at dtype, `to_planes` split into planes. It is in a buffer of its
+    own that starts on a 64-byte (cache-line) boundary: a large array's own
+    allocation starts 16 bytes past one, and a one-segment product with the
+    default 768 x 256 embedding weight placed so takes 30 us against 24 (one
+    Xeon core, one OpenBLAS thread). The values are gathered PLANE_CHUNK at
+    a time, so a narrow array needs no stored copy beside its float64 one."""
+    count = math.prod(shape)
+    raw = np.empty(8 * count + 63, dtype=np.uint8)
     lead = -raw.ctypes.data % 64
-    wide = raw[lead : lead + 8 * stored.size].view(np.float64).reshape(stored.shape)
-    with np.errstate(invalid="ignore"):  # a signaling NaN widens quietly; the model refuses it
-        np.copyto(wide, stored)
+    wide = raw[lead : lead + 8 * count].view(np.float64)
+    bytewise = np.frombuffer(planes, np.uint8).reshape(dtype.itemsize, count)
+    chunk = np.empty((min(count, PLANE_CHUNK), dtype.itemsize), dtype=np.uint8)
+    for start in range(0, count, PLANE_CHUNK):
+        part = chunk[: min(PLANE_CHUNK, count - start)]
+        for byte, plane in enumerate(bytewise[:, start : start + len(part)]):
+            part[:, byte] = plane  # one plane at a time: 3x faster than copying a transpose
+        with np.errstate(invalid="ignore"):  # a signaling NaN widens quietly; the model refuses it
+            wide[start : start + len(part)] = part.view(dtype)[:, 0]
     wide.flags.writeable = False
-    return wide
+    return wide.reshape(shape)

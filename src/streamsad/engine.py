@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import struct
 import zlib
 from collections import deque
@@ -43,7 +42,7 @@ import numpy as np
 
 from .audio_io import NONSPEECH, SPEECH, AudioStream, SegmentLabel
 from .context_transform import LDA_CONTEXT, PCA_CONTEXT, LinearTransform, cascade
-from .embeddings import STORED_DTYPES, embed_batch, narrowest, widened
+from .embeddings import STORED_DTYPES, embed_batch, from_planes, narrowest, to_planes
 from .features import FeatureConfig, FeatureExtractor, StaticMfcc, chain_flush, chain_push, row_products
 from .gmm import Gmm, block_counts, block_supervectors
 
@@ -551,17 +550,25 @@ def write_trace(decisions: list[Decision], path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# model bundle, version 3: magic, u32 version, u32 header length, a
-# sorted-key JSON header, the arrays it lists as raw little-endian values of
-# the dtype it tags each with, in its order, each starting on an 8-byte
-# boundary of the payload after zero padding, and a u32 zlib.crc32 of every
-# byte before it. The magic, the version and the CRC are checked before
-# anything is parsed, so a damaged byte never reaches the parser. Each array
-# is stored at the narrowest dtype that keeps every entry (`embeddings`
-# owns that codec), so a save/load round trip is bit-exact.
+# model bundle, version 4: magic, u32 version, u32 header length, a
+# sorted-key JSON header, one zlib stream, and a u32 zlib.crc32 of every byte
+# before it. The stream holds the arrays the header lists, in its order, each
+# as the byte planes (`embeddings.to_planes`) of its little-endian values at
+# the dtype the header tags it with: the sign-and-exponent byte of a float
+# varies far less than its mantissa bytes, so planes deflate where
+# interleaved values do not. The magic, the version and the CRC are checked
+# before anything is parsed, so a damaged byte never reaches the parser, and
+# the stream is inflated to exactly the bytes the header's shapes and tags
+# imply. Each array is stored at the narrowest dtype that keeps every entry
+# (`embeddings` owns that codec), so a save/load round trip is bit-exact.
+# The bytes of a bundle depend on the zlib build, as its values depend on
+# the BLAS build.
 
 _MAGIC = b"SADB"
-_VERSION = 3
+_VERSION = 4
+_ZLIB_LEVEL = 1  # level 6 saves another 1% of the default bundle at 2.5 times the time
+# deflate turns one stream byte into at most 1032 bytes
+_MAX_INFLATION = 1032
 _PREFIX = struct.Struct("<4sII")  # magic, version, header length
 _CRC = struct.Struct("<I")
 _TRANSFORM_PARTS, _GMM_PARTS = ("matrix", "mean_offset"), ("weights", "means", "variances")
@@ -596,38 +603,50 @@ def save_model(model: SadModel, path) -> None:
         "sample_rate": model.sample_rate,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    parts, offset = [_PREFIX.pack(_MAGIC, _VERSION, len(header_bytes)), header_bytes], 0
-    for array in stored.values():
-        pad = -offset % 8
-        parts += [bytes(pad), array.tobytes()]
-        offset += pad + array.nbytes
-    body = b"".join(parts)
+    deflate = zlib.compressobj(_ZLIB_LEVEL)
+    stream = [deflate.compress(to_planes(array)) for array in stored.values()] + [deflate.flush()]
+    body = b"".join([_PREFIX.pack(_MAGIC, _VERSION, len(header_bytes)), header_bytes, *stream])
     with open(path, "wb") as fh:
         fh.write(body + _CRC.pack(zlib.crc32(body)))
 
 
-def _parse_bundle(header, payload: memoryview) -> SadModel:
+def _inflated(stream: memoryview, total: int) -> bytes:
+    """The stream's bytes, refused unless it inflates to exactly total bytes
+    and ends there; a stream never inflates past total, so a small file
+    cannot make the load hold more than its header declares."""
+    if total > _MAX_INFLATION * len(stream):
+        raise ValueError("array shapes overrun the stream")
+    inflate = zlib.decompressobj()
+    planes = inflate.decompress(stream, total + 1)  # one byte more shows a longer stream
+    if len(planes) < total:
+        raise ValueError("array shapes overrun the stream")
+    if len(planes) > total:
+        raise ValueError("the stream is longer than its array shapes")
+    if not inflate.eof:
+        raise ValueError("the stream has no end")
+    if inflate.unused_data:
+        raise ValueError("bytes after the end of the stream")
+    return planes
+
+
+def _parse_bundle(header, stream: memoryview) -> SadModel:
     if not isinstance(header, dict):
         raise ValueError("header is not a JSON object")
     for key, spec in (("lda_context", LDA_CONTEXT), ("pca_context", PCA_CONTEXT)):
         if header[key] != list(spec.offsets):
             raise ValueError(f"{key} offsets {header[key]!r} are not this build's {list(spec.offsets)}")
-    arrays, offset = {}, 0
+    entries = []
     for name, shape, tag in header["arrays"]:
         if type(name) is not str or not all(type(dim) is int and dim >= 0 for dim in shape):
             raise ValueError(f"bad array entry {name!r} with shape {shape!r}")
         if tag not in STORED_DTYPES:
             raise ValueError(f"array {name} has unknown dtype tag {tag!r}")
-        dtype, count, start = STORED_DTYPES[tag], math.prod(shape), offset + -offset % 8
-        end = start + dtype.itemsize * count
-        if end > len(payload):
-            raise ValueError("array shapes overrun the payload")
-        if any(payload[offset:start]):
-            raise ValueError(f"non-zero padding before array {name}")
-        arrays[name] = widened(np.frombuffer(payload, dtype, count, start).reshape(shape))
-        offset = end
-    if offset != len(payload):
-        raise ValueError("payload is longer than its array shapes")
+        entries.append((name, shape, STORED_DTYPES[tag]))
+    sizes = [dtype.itemsize * math.prod(shape) for _, shape, dtype in entries]
+    planes, offset, arrays = memoryview(_inflated(stream, sum(sizes))), 0, {}
+    for (name, shape, dtype), size in zip(entries, sizes):
+        arrays[name] = from_planes(planes[offset : offset + size], dtype, shape)
+        offset += size
     feature_cfg = FeatureConfig(**header["feature_cfg"])
     given = {**asdict(feature_cfg), "sample_rate": header["sample_rate"]}
     for name, nullable in _INTEGER_FIELDS.items():
@@ -651,26 +670,14 @@ def _parse_bundle(header, payload: memoryview) -> SadModel:
     return model
 
 
-def _read_bundle(path) -> memoryview:
-    """The file's bytes, read once into a buffer placed so that the payload
-    after the header starts on a 64-byte boundary. Every array starts a
-    multiple of 8 bytes past the payload's start, so each is aligned: numpy
-    runs products of unaligned float64 arrays by another route, with other
-    bits than the saved arrays give. The float64 arrays view these bytes,
-    uncopied; a narrower one is widened into a float64 copy of its own."""
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        prefix = fh.read(_PREFIX.size)
-        header_len = _PREFIX.unpack(prefix)[2] if len(prefix) == _PREFIX.size else 0
-        buf = np.empty(size + 63, dtype=np.uint8)
-        lead = -(buf.ctypes.data + _PREFIX.size + header_len) % 64
-        fh.seek(0)
-        return memoryview(buf)[lead : lead + fh.readinto(buf[lead : lead + size])].toreadonly()
-
-
 def load_model(path) -> SadModel:
-    """Read back a bundle written by save_model; any malformed bundle raises ValueError."""
-    raw = _read_bundle(path)
+    """Read back a bundle written by save_model; any malformed bundle raises
+    ValueError. Every array of the model is float64, read-only and in a
+    buffer of its own that starts on a 64-byte boundary: numpy runs products
+    of unaligned float64 arrays by another route, with other bits than the
+    saved arrays give."""
+    with open(path, "rb") as fh:
+        raw = memoryview(fh.read())
     if raw[:4] != _MAGIC or len(raw) < _PREFIX.size + _CRC.size:
         raise ValueError(f"{path}: not a model bundle")
     _, version, header_len = _PREFIX.unpack_from(raw)
@@ -682,5 +689,5 @@ def load_model(path) -> SadModel:
     start = _PREFIX.size + header_len
     try:
         return _parse_bundle(json.loads(bytes(body[_PREFIX.size : start])), body[start:])
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError, zlib.error) as exc:
         raise ValueError(f"{path}: malformed bundle: {type(exc).__name__}: {exc}") from exc

@@ -364,9 +364,11 @@ class FeatureExtractor:
         or float dtype and any strides, or a list. Any other shape or dtype
         (complex, bool, object, text) and NaN, Inf or overflowing samples
         (StaticMfcc.max_sample) anywhere in the push raise ValueError before
-        any state changes. `pending` and `n_frames` move past a block's
-        windows before it is yielded, so a consumer that stops early leaves
-        the rest of the push pending.
+        any state changes. Each block's samples are cast and joined to
+        `pending` as the block is cut, so a push holds one block's samples at
+        a time. `pending` and `n_frames` move past a block's windows before it
+        is yielded, and a consumer that stops early leaves the rest of the
+        push pending once it closes or drops the generator.
         """
         if self.finished:
             raise RuntimeError("push after flush")
@@ -379,16 +381,30 @@ class FeatureExtractor:
         # the extremes, with no temporary the size of the push; NaN fails too
         if len(samples) and not (-bound <= np.minimum.reduce(samples) and np.maximum.reduce(samples) <= bound):
             raise ValueError(f"samples contain NaN or Inf, or magnitudes above {bound:.3g}")
-        # a new float64 array, so pending never aliases the caller's samples
-        samples = np.concatenate([self.pending, samples], dtype=np.float64)
-        windows = self.static.windows(samples)
-        for start in range(0, len(windows), BLOCK_FRAMES):
-            statics = self.static.compute_block(windows[start : start + BLOCK_FRAMES])
-            frames = chain_push(self.stages, statics)
-            self.n_frames += len(statics)
-            self.pending = samples[(start + len(statics)) * self.static.hop :]
-            yield frames
-        self.pending = samples[len(windows) * self.static.hop :].copy()  # lets the joined push go
+        # each block joins pending to as many samples as its windows need, in
+        # a new float64 array, so pending never aliases the caller's samples;
+        # a pending longer than a block (the rest of a push stopped early) is
+        # cut in place
+        span = (BLOCK_FRAMES - 1) * self.static.hop + self.static.win
+        taken = 0  # samples of the push moved into pending or a yielded block
+        try:
+            while taken < len(samples) or len(self.pending) >= self.static.win:
+                need = span - len(self.pending)
+                joined = self.pending if need <= 0 else np.concatenate(
+                    [self.pending, samples[taken : taken + need]], dtype=np.float64)
+                windows = self.static.windows(joined)[:BLOCK_FRAMES]
+                if not len(windows):
+                    self.pending, taken = joined, len(samples)
+                    break
+                statics = self.static.compute_block(windows)
+                frames = chain_push(self.stages, statics)
+                self.n_frames += len(statics)
+                taken += len(joined) - len(self.pending)
+                self.pending = joined[len(statics) * self.static.hop :]
+                yield frames
+        finally:  # a consumer that stops early leaves the rest of the push pending
+            if taken < len(samples):
+                self.pending = np.concatenate([self.pending, samples[taken:]], dtype=np.float64)
 
     def push(self, samples) -> np.ndarray:
         """Feed samples; returns the newly completed (n, 36) frames: the

@@ -478,6 +478,14 @@ class TestBench:
         assert "rtf=" in out
         assert "decisions=" in out
 
+    def test_audio_shorter_than_a_window_names_the_file(self, cli_workspace, tmp_path, capsys):
+        # the error used to name no file, where detect names it
+        wav = tmp_path / "short.wav"
+        write_wav(wav, 8000, np.zeros(100))
+        rc = main(["bench", "--model", str(cli_workspace["bundle"]), str(wav)])
+        assert rc == 2
+        assert f"error: {wav}: audio shorter than one analysis window" in capsys.readouterr().err
+
     @pytest.mark.parametrize("chunk", ["0", "-1", "-0.1", "inf", "-inf", "nan"])
     def test_chunk_must_be_finite_and_positive(self, cli_workspace, capsys, chunk):
         # inf used to exit 3 with OverflowError, 0 and -1 to run 1-sample pushes

@@ -14,12 +14,13 @@ from streamsad.embeddings import (
     cross_entropy,
     embed_batch,
     forward,
+    from_planes,
     init_mlp,
     loss_and_grads,
     narrowest,
     softmax,
+    to_planes,
     train_mlp,
-    widened,
 )
 from streamsad.gmm import Gmm, block_supervectors
 from streamsad.rowsource import ArrayRows, SpilledRows
@@ -499,10 +500,23 @@ class TestBundleCodec:
         stored = narrowest(array[:, ::-1])  # strided input: a C-contiguous result
         assert stored.dtype.str == tag and stored.flags.c_contiguous
         assert tag in embeddings.STORED_DTYPES
-        loaded = widened(np.frombuffer(stored.tobytes(), embeddings.STORED_DTYPES[tag]).reshape(stored.shape))
+        loaded = from_planes(to_planes(stored), embeddings.STORED_DTYPES[tag], stored.shape)
         assert loaded.dtype == np.float64 and not loaded.flags.writeable
-        assert loaded.ctypes.data % 64 == 0 or tag == "<f8"  # a widened copy starts on a cache line
+        assert loaded.ctypes.data % 64 == 0  # every loaded array starts on a cache line
         assert loaded.tobytes() == np.ascontiguousarray(array[:, ::-1]).tobytes()
+
+    @pytest.mark.parametrize("tag", ["<f4", "<f8"])
+    @pytest.mark.parametrize("count", [0, 1, 5, embeddings.PLANE_CHUNK, 2 * embeddings.PLANE_CHUNK + 3])
+    def test_planes_hold_each_byte_of_every_value_in_turn(self, tag, count):
+        # counts around PLANE_CHUNK cover a partial last chunk and an empty array
+        dtype = embeddings.STORED_DTYPES[tag]
+        stored = np.random.default_rng(count).standard_normal(count).astype(dtype).reshape(-1, 1)
+        planes = to_planes(stored)
+        bytewise = np.frombuffer(stored.tobytes(), np.uint8).reshape(count, dtype.itemsize)
+        assert planes == b"".join(bytewise[:, byte].tobytes() for byte in range(dtype.itemsize))
+        loaded = from_planes(planes, dtype, stored.shape)
+        assert loaded.shape == stored.shape and (loaded.ctypes.data % 64 == 0 or not count)  # no bytes to align
+        assert loaded.tobytes() == stored.astype(np.float64).tobytes()
 
     def test_trained_network_is_stored_narrow(self):
         rng = np.random.default_rng(27)

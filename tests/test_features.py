@@ -19,6 +19,7 @@ from streamsad.engine import (
     score_segments,
 )
 from streamsad.features import (
+    BLOCK_FRAMES,
     FeatureConfig,
     FeatureExtractor,
     StaticMfcc,
@@ -284,6 +285,21 @@ class TestStreamingExtractor:
         got += [ext.push(samples[:0]), ext.flush()]
         np.testing.assert_array_equal(np.concatenate(got), extract_features(stream(samples)))
         assert not np.shares_memory(ext.pending, samples)
+
+    def test_the_rest_of_a_push_stopped_early_is_cut_in_blocks(self):
+        # the next push cuts the rest waiting in pending into blocks of at
+        # most BLOCK_FRAMES windows before its own samples, with the same bits
+        samples = np.random.default_rng(28).uniform(-0.5, 0.5, 160000)  # 1998 frames, 4 blocks
+        ext, sizes = FeatureExtractor(CFG, 8000), []
+        compute_block = ext.static.compute_block
+        ext.static.compute_block = lambda windows: sizes.append(len(windows)) or compute_block(windows)
+        blocks = ext.push_blocks(samples[:150000])
+        got = [next(blocks)]
+        del blocks
+        got += [ext.push(samples[150000:]), ext.flush()]
+        np.testing.assert_array_equal(np.concatenate(got), extract_features(stream(samples)))
+        assert max(sizes) == BLOCK_FRAMES and sum(sizes) == ext.n_frames
+        assert len(ext.pending) < ext.static.win
 
     def test_push_after_flush_raises(self):
         ext = FeatureExtractor(CFG, 8000)
