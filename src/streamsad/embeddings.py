@@ -15,15 +15,17 @@ Training reads its supervectors from a row source, so a corpus's
 supervectors can stay on disk: minibatches read their rows, each epoch's
 training loss comes from those minibatches, and the full-pass losses (the
 initial network's, the monitor set's) and the class embeddings run in
-fixed-size chunks.
+fixed-size chunks. The rows SGD reads are cast once, before the first
+epoch, into a store of their own: beside a spilled source's file, or in
+memory beside an in-memory array.
 Training and detection run the same ReLU layer pass (`layer_outputs`).
 Detection keeps only the first hidden layer's (weight, bias) pair; the
 layers after it exist to train it.
 
 Precision: minibatch SGD runs in float32, which halves the bytes each
 product moves. The network starts as the seeded float64 He initialization
-cast to float32, and each minibatch is cast as it is read, after every
-entry below float32's smallest normal (1.18e-38) is set to 0: supervector
+cast to float32, and the training rows are cast to float32 once, after
+every entry below float32's smallest normal (1.18e-38) is set to 0: supervector
 components with almost no posterior count leave entries as small as 1e-179,
 and a float32 subnormal makes every product that touches it take a slow
 microcode path. Everything else is float64: the returned network (an exact
@@ -48,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rowsource import as_rows
+from .rowsource import ArrayRows, SpilledRows, as_rows
 
 # rows per chunk of the full-pass losses and the class embeddings: the
 # chunk's activations, not the corpus's, are held at once
@@ -196,11 +198,25 @@ def _as_dtype(model: MlpModel, dtype) -> MlpModel:
 
 
 def _sgd_rows(rows: np.ndarray) -> np.ndarray:
-    """float64 rows as a float32 minibatch: entries below _TINY32 in magnitude become 0."""
+    """float64 rows as float32 SGD rows: entries below _TINY32 in magnitude become 0."""
     small = np.abs(rows) < _TINY32
     batch = rows.astype(np.float32)
     batch[small] = 0.0
     return batch
+
+
+def _sgd_store(source):
+    """source's rows as `_sgd_rows`, cast CHUNK_ROWS at a time into a store
+    of their own: a spilled source's beside its file, at its path plus
+    ".f32" (left there for the owner of the directory to remove), an
+    in-memory source's in memory."""
+    cast = (_sgd_rows(block) for block in source.blocks(CHUNK_ROWS))
+    if not isinstance(source, SpilledRows):
+        return ArrayRows(np.concatenate(list(cast)), np.float32)
+    store = SpilledRows(source.path.with_name(source.path.name + ".f32"), source.dim, np.float32)
+    for block in cast:
+        store.append(block)
+    return store
 
 
 @dataclass
@@ -234,10 +250,11 @@ def train_mlp(
 
     The network is trained in float32 (see the module docstring), and the
     one the last epoch ends with is returned as float64. supervectors (and
-    the monitor's) are an (n, in_dim) array or a row source (`rowsource`):
-    each minibatch reads its rows in the seeded order. The training rows
-    are read in full once, for the initial loss (CHUNK_ROWS rows at a
-    time); each later epoch's loss is the mean of the losses its
+    the monitor's) are an (n, in_dim) array or a row source (`rowsource`).
+    The training rows are read in full twice, CHUNK_ROWS rows at a time:
+    for the initial loss, and to cast them once into flushed float32 rows
+    (`_sgd_store`), from which each minibatch reads its rows in the seeded
+    order. Each later epoch's loss is the mean of the losses its
     minibatches already computed (see `MlpTrainResult`).
     monitor, when given, is a (supervectors, speech_mask) pair evaluated
     in full after every epoch purely for logging; it never changes the result.
@@ -264,21 +281,23 @@ def train_mlp(
         mon_x, mon_labels = monitor[0], np.asarray(monitor[1], dtype=bool).astype(int)
 
     train_losses, monitor_losses = [cross_entropy(_as_dtype(model, np.float64), x, labels)], []
+    sgd_rows = _sgd_store(x)
     for epoch in range(epochs + 1):
         if epoch:
             order = rng.permutation(len(x))
             total = 0.0
             for batch_start in range(0, len(x), batch_size):
                 batch = order[batch_start : batch_start + batch_size]
-                loss, grad_w, grad_b = loss_and_grads(model, _sgd_rows(x.rows(batch)), labels[batch])
+                loss, grad_w, grad_b = loss_and_grads(model, sgd_rows.rows(batch), labels[batch])
                 if not np.isfinite(loss):
                     raise MlpTrainingError(
                         f"non-finite loss at epoch {epoch}, batch {batch_start // batch_size}"
                     )
                 total += len(batch) * loss
+                # each step scaled in its gradient's own buffer, the bits of w -= rate * gw
                 for w, b, gw, gb in zip(model.weights, model.biases, grad_w, grad_b):
-                    w -= rate * gw
-                    b -= rate * gb
+                    w -= np.multiply(gw, rate, out=gw)
+                    b -= np.multiply(gb, rate, out=gb)
             train_losses.append(total / len(x))
         if monitor is not None:
             monitor_losses.append(cross_entropy(_as_dtype(model, np.float64), mon_x, mon_labels))

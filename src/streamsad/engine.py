@@ -629,7 +629,9 @@ def _inflated(stream: memoryview, total: int) -> bytes:
     return planes
 
 
-def _parse_bundle(header, stream: memoryview) -> SadModel:
+def _stored_arrays(header) -> list:
+    """(name, shape, stored dtype, stored bytes) of each array the header
+    lists, once the header is known to be one this build reads."""
     if not isinstance(header, dict):
         raise ValueError("header is not a JSON object")
     for key, spec in (("lda_context", LDA_CONTEXT), ("pca_context", PCA_CONTEXT)):
@@ -641,11 +643,15 @@ def _parse_bundle(header, stream: memoryview) -> SadModel:
             raise ValueError(f"bad array entry {name!r} with shape {shape!r}")
         if tag not in STORED_DTYPES:
             raise ValueError(f"array {name} has unknown dtype tag {tag!r}")
-        entries.append((name, shape, STORED_DTYPES[tag]))
-    sizes = [dtype.itemsize * math.prod(shape) for _, shape, dtype in entries]
-    planes, offset, arrays = memoryview(_inflated(stream, sum(sizes))), 0, {}
-    for (name, shape, dtype), size in zip(entries, sizes):
-        arrays[name] = from_planes(planes[offset : offset + size], dtype, shape)
+        dtype = STORED_DTYPES[tag]
+        entries.append((name, shape, dtype, dtype.itemsize * math.prod(shape)))
+    return entries
+
+
+def _parse_bundle(header, entries: list, planes: bytes) -> SadModel:
+    view, offset, arrays = memoryview(planes), 0, {}
+    for name, shape, dtype, size in entries:
+        arrays[name] = from_planes(view[offset : offset + size], dtype, shape)
         offset += size
     feature_cfg = FeatureConfig(**header["feature_cfg"])
     given = {**asdict(feature_cfg), "sample_rate": header["sample_rate"]}
@@ -688,6 +694,10 @@ def load_model(path) -> SadModel:
         raise ValueError(f"{path}: checksum mismatch: the bundle is damaged or truncated")
     start = _PREFIX.size + header_len
     try:
-        return _parse_bundle(json.loads(bytes(body[_PREFIX.size : start])), body[start:])
+        header = json.loads(bytes(body[_PREFIX.size : start]))
+        entries = _stored_arrays(header)
+        planes = _inflated(body[start:], sum(entry[3] for entry in entries))
+        del raw, body  # the file's bytes go before the arrays are decoded beside the stream
+        return _parse_bundle(header, entries, planes)
     except (ValueError, KeyError, TypeError, OverflowError, zlib.error) as exc:
         raise ValueError(f"{path}: malformed bundle: {type(exc).__name__}: {exc}") from exc

@@ -1,15 +1,18 @@
-"""Row sources: (N, D) float64 data that training reads in fixed-size blocks.
+"""Row sources: (N, D) rows that training reads in fixed-size blocks.
 
 Training sums its statistics block by block (EM counts and moments, LDA scatter, PCA moments,
 MLP losses and class embeddings), so what a stage holds at once does not grow with the corpus.
 A row source has len(), a row width `dim`, `blocks(size, start, stop)` (rows start..stop-1 in
 order, as blocks of `size` rows, the last one shorter) and `rows(index)` (the given rows, in
-the given order). Two kinds exist:
+the given order). Rows are float64 unless a source is made with another row dtype: the MLP's
+SGD reads its minibatches from rows cast once to its own precision (`embeddings.train_mlp`).
+Two kinds exist:
 
 - `ArrayRows` wraps an in-memory array; its blocks are slices;
-- `SpilledRows` appends rows to a raw float64 file and reads them back with plain file reads
-  (`rows`: one `os.preadv` per run of consecutive rows). It never maps the file: mapped pages
-  count toward the resident size once touched, so a mapped corpus would grow peak memory again.
+- `SpilledRows` appends rows to a raw file of its dtype and reads them back with plain file
+  reads (`rows`: one `os.preadv` per run of consecutive rows). It never maps the file: mapped
+  pages count toward the resident size once touched, so a mapped corpus would grow peak memory
+  again.
 
 Both refuse the same out-of-range requests: `rows` with an index outside 0..N-1 and `blocks`
 with a negative start raise IndexError, and `blocks` past row N raises EOFError.
@@ -44,10 +47,10 @@ def _row_index(index, count: int) -> np.ndarray:
 
 
 class ArrayRows:
-    """An in-memory (N, D) array as a row source."""
+    """An in-memory (N, D) array as a row source of the given dtype."""
 
-    def __init__(self, data):
-        self.data = np.asarray(data, dtype=np.float64)
+    def __init__(self, data, dtype=np.float64):
+        self.data = np.asarray(data, dtype=dtype)
         if self.data.ndim != 2:
             raise ValueError(f"expected an (n, D) array, got shape {self.data.shape}")
 
@@ -68,11 +71,12 @@ class ArrayRows:
 
 
 class SpilledRows:
-    """Float64 rows of width dim kept in a file at path, appended in any pieces."""
+    """Rows of width dim and the given dtype kept in a file at path, appended in any pieces."""
 
-    def __init__(self, path, dim: int):
+    def __init__(self, path, dim: int, dtype=np.float64):
         self.path = Path(path)
         self.dim = dim
+        self.dtype = np.dtype(dtype)
         self.count = 0
         self.path.write_bytes(b"")
 
@@ -80,7 +84,7 @@ class SpilledRows:
         return self.count
 
     def append(self, rows) -> None:
-        rows = np.ascontiguousarray(rows, dtype=np.float64)
+        rows = np.ascontiguousarray(rows, dtype=self.dtype)
         if rows.ndim != 2 or rows.shape[1] != self.dim:
             raise ValueError(f"expected (n, {self.dim}) rows, got shape {rows.shape}")
         with open(self.path, "ab") as fh:
@@ -90,9 +94,9 @@ class SpilledRows:
     def blocks(self, size: int, start: int = 0, stop: int | None = None):
         stop = _block_stop(len(self), start, stop)
         with open(self.path, "rb") as fh:
-            fh.seek(start * self.dim * 8)
+            fh.seek(start * self.dim * self.dtype.itemsize)
             for i in range(start, stop, size):
-                block = np.empty((min(size, stop - i), self.dim))
+                block = np.empty((min(size, stop - i), self.dim), self.dtype)
                 if fh.readinto(block) != block.nbytes:
                     raise EOFError(f"{self.path}: fewer rows than written")
                 yield block
@@ -100,10 +104,10 @@ class SpilledRows:
     def rows(self, index) -> np.ndarray:
         """The given rows in the given order, read straight into the rows returned."""
         index = _row_index(index, len(self))
-        out, order = np.empty((len(index), self.dim)), np.argsort(index)
+        out, order = np.empty((len(index), self.dim), self.dtype), np.argsort(index)
         wanted, targets = index[order], [out[k] for k in order.tolist()]
         cuts = (np.diff(wanted, prepend=-2) != 1) | (np.arange(len(index)) % MAX_RUN_ROWS == 0)
-        starts, width = np.flatnonzero(cuts).tolist(), self.dim * 8
+        starts, width = np.flatnonzero(cuts).tolist(), self.dim * self.dtype.itemsize
         with open(self.path, "rb", buffering=0) as fh:
             for start, stop in zip(starts, starts[1:] + [len(index)]):
                 got = os.preadv(fh.fileno(), targets[start:stop], int(wanted[start]) * width)

@@ -15,16 +15,17 @@ deterministic end to end.
 
 Memory does not grow with the corpus. Each file's 36-d features, its
 24-d frames (in file order, and split into speech and non-speech) and the
-kept segments' supervectors are written as raw float64 files, about 1.3 KB
-per frame, to a scratch directory (made by `tempfile` in its default
-location, removed when `train` returns or raises), and every stage reads
-them back in fixed-size blocks (`rowsource`): EM, the per-file passes
-(`_file_blocks`: acoustic labels, LDA scatter, PCA moments, the 24-d
-frames, the segments and the monitor set, each file through the
-detector's own cascade and chain helpers), the count vectors and the
-MLP. Only per-frame scalars (the speech mask,
-the acoustic class ids, k-means++ distances), per-segment labels and the
-one file being read are held whole.
+kept segments' supervectors are written as raw float64 files to a scratch
+directory (made by `tempfile` in its default location, removed when
+`train` returns or raises), and every stage reads them back in fixed-size
+blocks (`rowsource`): EM, the per-file passes (`_file_blocks`: acoustic
+labels, LDA scatter, PCA moments, the 24-d frames, the segments and the
+monitor set, each file through the detector's own cascade and chain
+helpers), the count vectors and the MLP, which writes the supervectors
+once more beside them as the flushed float32 rows its minibatches read
+(`embeddings.train_mlp`). That is about 1.6 KB per frame on disk. Only
+per-frame scalars (the speech mask, the acoustic class ids, k-means++
+distances), per-segment labels and the one file being read are held whole.
 """
 
 from __future__ import annotations

@@ -198,3 +198,73 @@ def lda_two_class_direction(class_a, class_b):
     sw = centered_a.T @ centered_a + centered_b.T @ centered_b
     direction = np.linalg.solve(sw, mean_a - mean_b)
     return direction / np.linalg.norm(direction)
+
+
+def em_oracle(data, n_components, n_iters, seed, block_frames):
+    """Block EM as a plain loop of one numpy operation per step, every
+    temporary its own array: k-means++ from the seed, the global variance
+    and its floor, then per iteration the log-likelihoods, a max-shifted
+    log-sum-exp, the responsibilities and the count and moment sums of each
+    block_frames block of the (n, D) array in turn. It makes the same
+    floating-point operations in the same order as the library's EM, so the
+    two agree bit for bit. Returns (weights, means, variances, the total
+    log-likelihood entering each iteration)."""
+    data = np.asarray(data, dtype=float)
+    n, dim = data.shape
+    blocks = [data[i : i + block_frames] for i in range(0, n, block_frames)]
+
+    mean = sum(np.add.reduce(block, axis=0) for block in blocks) / n
+    variance = sum(np.add.reduce((block - mean) ** 2, axis=0) for block in blocks) / n
+    floor = np.maximum(1e-3 * variance, 1e-10)
+
+    rng = np.random.default_rng(seed)
+
+    def distances(center):
+        return np.concatenate([np.sum((block - center) ** 2, axis=1) for block in blocks])
+
+    means = np.empty((n_components, dim))
+    means[0] = data[rng.integers(n)]
+    dist2 = distances(means[0])
+    for i in range(1, n_components):
+        total = dist2.sum()
+        if total <= 0.0:
+            means[i:] = data[rng.integers(n, size=n_components - i)]
+            break
+        means[i] = data[rng.choice(n, p=dist2 / total)]
+        dist2 = np.minimum(dist2, distances(means[i]))
+    weights = np.full(n_components, 1.0 / n_components)
+    variances = np.tile(np.maximum(variance, floor), (n_components, 1))
+
+    history = []
+    for _ in range(n_iters):
+        precision = 1.0 / variances
+        constant = (
+            np.log(np.maximum(weights, 1e-300))
+            - 0.5 * (dim * np.log(2.0 * np.pi) + np.sum(np.log(variances), axis=1))
+            - 0.5 * np.sum(means**2 * precision, axis=1)
+        )
+        scaled_means = np.ascontiguousarray((means * precision).T)
+        precision_t = np.ascontiguousarray(precision.T)
+        total = 0.0
+        counts = np.zeros(n_components)
+        first = np.zeros((n_components, dim))
+        second = np.zeros((n_components, dim))
+        for block in blocks:
+            ll = constant + block @ scaled_means - 0.5 * (block**2) @ precision_t
+            peak = np.maximum.reduce(ll, axis=-1, keepdims=True)
+            norm = np.log(np.add.reduce(np.exp(ll - peak), axis=-1, keepdims=True)) + peak
+            resp = np.exp(ll - norm)
+            total += float(np.add.reduce(norm, axis=None))
+            counts += np.add.reduce(resp, axis=0)
+            first += resp.T @ block
+            second += resp.T @ block**2
+        history.append(total)
+
+        means, variances = means.copy(), variances.copy()
+        alive = counts > 1e-10
+        means[alive] = first[alive] / counts[alive, None]
+        variances[alive] = second[alive] / counts[alive, None] - means[alive] ** 2
+        variances[alive] = np.maximum(variances[alive], floor)
+        weights = counts / n
+        weights = weights / weights.sum()
+    return weights, means, variances, history

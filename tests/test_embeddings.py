@@ -335,13 +335,19 @@ class TestTraining:
             replay.append(total / len(x))
         assert result.train_losses == replay
 
-    def test_training_rows_are_read_in_full_once(self):
-        # the initial loss is the one full pass over the training rows; the
-        # epochs read them only as minibatches, and the monitor's full
+    @pytest.mark.parametrize("kind", [ArrayRows, SpilledRows], ids=["array", "spilled"])
+    def test_training_rows_are_read_in_full_twice(self, kind, tmp_path):
+        # the training rows are read in full twice, for the initial loss and
+        # for the one cast to float32 SGD rows; the epochs read their
+        # minibatches from the cast rows alone, and the monitor's full
         # passes, one per checkpoint, read the monitor rows alone
-        class CountingRows(ArrayRows):
-            def __init__(self, data):
-                super().__init__(data)
+        class CountingRows(kind):
+            def __init__(self, data, name):
+                if kind is SpilledRows:
+                    super().__init__(tmp_path / name, data.shape[1])
+                    self.append(data)
+                else:
+                    super().__init__(data)
                 self.block_rows = self.batch_rows = 0
 
             def blocks(self, size, start=0, stop=None):
@@ -356,9 +362,9 @@ class TestTraining:
         rng = np.random.default_rng(29)
         x, mask = blobs(rng, n_per_class=400, dim=6)  # 800 rows: two CHUNK_ROWS chunks
         mon_x, mon_mask = blobs(rng, n_per_class=20, dim=6)
-        source, mon_source = CountingRows(x), CountingRows(mon_x)
+        source, mon_source = CountingRows(x, "x.f64"), CountingRows(mon_x, "m.f64")
         train_mlp(source, mask, epochs=4, seed=29, hidden_dims=(8,), monitor=(mon_source, mon_mask))
-        assert (source.block_rows, source.batch_rows) == (800, 4 * 800)
+        assert (source.block_rows, source.batch_rows) == (2 * 800, 0)
         assert (mon_source.block_rows, mon_source.batch_rows) == (5 * 40, 0)
 
     def test_returned_network_is_the_float32_one_in_float64(self):
@@ -440,10 +446,13 @@ class TestTraining:
             np.testing.assert_array_equal(w1, w2)
 
     def test_spilled_rows_train_the_same_network(self, tmp_path):
-        # minibatches read from a file in the seeded order give the bits of
-        # the in-memory rows
+        # minibatches read from the flushed float32 rows written beside a
+        # file in the seeded order give the bits of the in-memory rows; more
+        # rows than one CHUNK_ROWS chunk, and entries below float32's
+        # smallest normal, which both cast to 0
         rng = np.random.default_rng(28)
-        x, mask = blobs(rng, n_per_class=50, dim=6)
+        x, mask = blobs(rng, n_per_class=CHUNK_ROWS // 2 + 70, dim=6)
+        x[[3, 400, 650], [0, 2, 5]] = [1e-40, -1e-300, 5e-324]
         mon_x, mon_mask = blobs(rng, n_per_class=20, dim=6)
         spilled, mon_spilled = SpilledRows(tmp_path / "x.f64", 6), SpilledRows(tmp_path / "m.f64", 6)
         spilled.append(x)
@@ -454,6 +463,10 @@ class TestTraining:
         assert (r1.train_losses, r1.monitor_losses) == (r2.train_losses, r2.monitor_losses)
         for w1, w2 in zip(r1.model.weights + r1.model.biases, r2.model.weights + r2.model.biases):
             np.testing.assert_array_equal(w1, w2)
+        flushed = x.astype(np.float32)
+        flushed[[3, 400, 650], [0, 2, 5]] = 0.0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.f64", "x.f64", "x.f64.f32"]
+        assert (tmp_path / "x.f64.f32").read_bytes() == flushed.tobytes()
 
     def test_monitor_is_logged_but_inert(self):
         rng = np.random.default_rng(24)

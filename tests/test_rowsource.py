@@ -167,3 +167,47 @@ class TestSpilledRows:
             list(spilled.blocks(10))
         with pytest.raises(EOFError, match="fewer rows"):
             spilled.rows([21])
+
+
+class TestNarrowSpilledRows:
+    """A store of another row dtype: the MLP's SGD rows are float32."""
+
+    @pytest.fixture
+    def narrow(self, tmp_path, data):
+        store = SpilledRows(tmp_path / "rows.f32", 5, np.float32)
+        for piece in (data[:1], data[1:1], data[1:9], data[9:]):
+            store.append(piece.astype(np.float32))
+        return store
+
+    def test_round_trips_blocks_and_rows(self, narrow, data):
+        want = data.astype(np.float32)
+        assert (len(narrow), narrow.dim) == (23, 5)
+        assert narrow.path.read_bytes() == want.astype("<f4").tobytes()
+        for size, start, stop in [(1, 0, None), (4, 3, 12), (100, 0, None), (2, 22, 23)]:
+            blocks = list(narrow.blocks(size, start, stop))
+            assert all(block.dtype == np.float32 for block in blocks)
+            np.testing.assert_array_equal(np.concatenate(blocks), want[start:stop])
+        for index in ([], [22, 0, 7, 7, 13], list(range(23))[::-1]):
+            got = narrow.rows(index)
+            assert got.dtype == np.float32 and got.shape == (len(index), 5)
+            np.testing.assert_array_equal(got, want[index])
+        np.testing.assert_array_equal(ArrayRows(data, np.float32).rows([4, 2]), want[[4, 2]])
+
+    def test_refuses_a_bad_width_as_float64_does(self, narrow):
+        with pytest.raises(ValueError, match=r"\(n, 5\)"):
+            narrow.append(np.zeros((2, 4), np.float32))
+        with pytest.raises(ValueError, match=r"\(n, 5\)"):
+            narrow.append(np.zeros(5, np.float32))
+        assert len(narrow) == 23
+
+    def test_truncated_file_is_an_error(self, narrow, data):
+        # 20 rows left at 4 bytes per value: the offsets are the dtype's, not float64's
+        with open(narrow.path, "r+b") as fh:
+            fh.truncate(4 * 5 * 20)
+        with pytest.raises(EOFError, match="fewer rows"):
+            list(narrow.blocks(10))
+        with pytest.raises(EOFError, match="fewer rows"):
+            narrow.rows([21])
+        want = data.astype(np.float32)
+        np.testing.assert_array_equal(np.concatenate(list(narrow.blocks(10, 0, 20))), want[:20])
+        np.testing.assert_array_equal(narrow.rows([19, 0]), want[[19, 0]])

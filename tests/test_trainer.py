@@ -334,14 +334,20 @@ class TestBoundedMemory:
         return root
 
     def spy_mlp(self, monkeypatch, root, seen, fail=False):
-        """Record each scratch store's name and bytes in seen when the MLP stage starts."""
+        """Record the name and bytes of every file under the scratch root in
+        seen when the MLP stage starts and when it returns."""
         real = trainer.train_mlp
 
+        def record():
+            seen.update((p.name, p.read_bytes()) for p in root.rglob("*") if p.is_file())
+
         def spy(*args, **kwargs):
-            seen.update((p.name, p.read_bytes()) for p in root.rglob("*.f64"))
+            record()
             if fail:
                 raise RuntimeError("boom")
-            return real(*args, **kwargs)
+            result = real(*args, **kwargs)
+            record()
+            return result
 
         monkeypatch.setattr(trainer, "train_mlp", spy)
 
@@ -349,10 +355,17 @@ class TestBoundedMemory:
         seen = {}
         self.spy_mlp(monkeypatch, scratch_root, seen)
         train(TrainConfig(entries=micro_corpus, seed=20, **MICRO))
-        # a store added back (a spilled intermediate, say) shows here
+        # a store added back (a spilled intermediate, say), of any suffix, shows here
         assert sorted(seen) == [
             "features.f64", "frames.f64", "nonspeech.f64", "speech.f64", "supervectors.f64",
+            "supervectors.f64.f32",
         ]
+        # the MLP's SGD rows: the supervectors cast to float32 once, entries
+        # below float32's smallest normal flushed to 0
+        supervectors = np.frombuffer(seen["supervectors.f64"])
+        sgd_rows = supervectors.astype(np.float32)
+        sgd_rows[np.abs(supervectors) < np.finfo(np.float32).tiny] = 0.0
+        assert seen["supervectors.f64.f32"] == sgd_rows.tobytes()
         assert list(scratch_root.iterdir()) == []
 
     def test_stored_frames_are_the_detector_cascade_of_each_file(
