@@ -187,13 +187,11 @@ class LdaScatter:
 
         within = second.copy()
         between = np.zeros_like(second)
-        outer = np.empty_like(second)  # each class's n * outer product, made in place
         for cid, n in counts.items():
             class_mean = sums[cid] / n
-            within -= np.multiply(n, np.outer(class_mean, class_mean, out=outer), out=outer)
+            within -= n * np.outer(class_mean, class_mean)
             diff = class_mean - mean
-            between += np.multiply(n, np.outer(diff, diff, out=outer), out=outer)
-        del outer  # not held through the eigenproblem below, where the stage's memory peaks
+            between += n * np.outer(diff, diff)
         within = (within + within.T) / 2.0
         between = (between + between.T) / 2.0
         within[np.diag_indices_from(within)] += LDA_RIDGE * np.trace(within) / self.dim

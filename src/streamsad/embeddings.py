@@ -16,8 +16,9 @@ supervectors can stay on disk: minibatches read their rows, each epoch's
 training loss comes from those minibatches, and the full-pass losses (the
 initial network's, the monitor set's) and the class embeddings run in
 fixed-size chunks. The rows SGD reads are cast once, before the first
-epoch, into a store of their own: beside a spilled source's file, or in
-memory beside an in-memory array.
+epoch, into a store of their own: a new file beside a spilled source's,
+removed when training returns or raises, or memory beside an in-memory
+array.
 Training and detection run the same ReLU layer pass (`layer_outputs`).
 Detection keeps only the first hidden layer's (weight, bias) pair; the
 layers after it exist to train it.
@@ -46,6 +47,9 @@ and a loaded model is float64 throughout.
 from __future__ import annotations
 
 import math
+import os
+import tempfile
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,18 +209,25 @@ def _sgd_rows(rows: np.ndarray) -> np.ndarray:
     return batch
 
 
+@contextmanager
 def _sgd_store(source):
-    """source's rows as `_sgd_rows`, cast CHUNK_ROWS at a time into a store
-    of their own: a spilled source's beside its file, at its path plus
-    ".f32" (left there for the owner of the directory to remove), an
-    in-memory source's in memory."""
-    cast = (_sgd_rows(block) for block in source.blocks(CHUNK_ROWS))
-    if not isinstance(source, SpilledRows):
-        return ArrayRows(np.concatenate(list(cast)), np.float32)
-    store = SpilledRows(source.path.with_name(source.path.name + ".f32"), source.dim, np.float32)
-    for block in cast:
-        store.append(block)
-    return store
+    """source's rows as `_sgd_rows`, in a store of their own for the with
+    block: an in-memory source's in memory; a spilled source's cast
+    CHUNK_ROWS rows at a time into a new file beside its own (a fresh name
+    from `tempfile`, so no existing file is touched), removed when the
+    block ends, by return or raise."""
+    if isinstance(source, ArrayRows):
+        yield ArrayRows(_sgd_rows(source.data), np.float32)
+        return
+    fd, path = tempfile.mkstemp(prefix=source.path.name + ".", suffix=".f32", dir=source.path.parent)
+    os.close(fd)
+    try:
+        store = SpilledRows(path, source.dim, np.float32)
+        for block in source.blocks(CHUNK_ROWS):
+            store.append(_sgd_rows(block))
+        yield store
+    finally:
+        os.unlink(path)
 
 
 @dataclass
@@ -252,9 +263,10 @@ def train_mlp(
     one the last epoch ends with is returned as float64. supervectors (and
     the monitor's) are an (n, in_dim) array or a row source (`rowsource`).
     The training rows are read in full twice, CHUNK_ROWS rows at a time:
-    for the initial loss, and to cast them once into flushed float32 rows
-    (`_sgd_store`), from which each minibatch reads its rows in the seeded
-    order. Each later epoch's loss is the mean of the losses its
+    for the initial loss, and, when epochs > 0, to cast them once into
+    flushed float32 rows (`_sgd_store`: beside a spilled source's file for
+    the length of the call), from which each minibatch reads its rows in
+    the seeded order. Each later epoch's loss is the mean of the losses its
     minibatches already computed (see `MlpTrainResult`).
     monitor, when given, is a (supervectors, speech_mask) pair evaluated
     in full after every epoch purely for logging; it never changes the result.
@@ -281,26 +293,26 @@ def train_mlp(
         mon_x, mon_labels = monitor[0], np.asarray(monitor[1], dtype=bool).astype(int)
 
     train_losses, monitor_losses = [cross_entropy(_as_dtype(model, np.float64), x, labels)], []
-    sgd_rows = _sgd_store(x)
-    for epoch in range(epochs + 1):
-        if epoch:
-            order = rng.permutation(len(x))
-            total = 0.0
-            for batch_start in range(0, len(x), batch_size):
-                batch = order[batch_start : batch_start + batch_size]
-                loss, grad_w, grad_b = loss_and_grads(model, sgd_rows.rows(batch), labels[batch])
-                if not np.isfinite(loss):
-                    raise MlpTrainingError(
-                        f"non-finite loss at epoch {epoch}, batch {batch_start // batch_size}"
-                    )
-                total += len(batch) * loss
-                # each step scaled in its gradient's own buffer, the bits of w -= rate * gw
-                for w, b, gw, gb in zip(model.weights, model.biases, grad_w, grad_b):
-                    w -= np.multiply(gw, rate, out=gw)
-                    b -= np.multiply(gb, rate, out=gb)
-            train_losses.append(total / len(x))
-        if monitor is not None:
-            monitor_losses.append(cross_entropy(_as_dtype(model, np.float64), mon_x, mon_labels))
+    with _sgd_store(x) if epochs else nullcontext() as sgd_rows:
+        for epoch in range(epochs + 1):
+            if epoch:
+                order = rng.permutation(len(x))
+                total = 0.0
+                for batch_start in range(0, len(x), batch_size):
+                    batch = order[batch_start : batch_start + batch_size]
+                    loss, grad_w, grad_b = loss_and_grads(model, sgd_rows.rows(batch), labels[batch])
+                    if not np.isfinite(loss):
+                        raise MlpTrainingError(
+                            f"non-finite loss at epoch {epoch}, batch {batch_start // batch_size}"
+                        )
+                    total += len(batch) * loss
+                    # each step scaled in its gradient's own buffer, the bits of w -= rate * gw
+                    for w, b, gw, gb in zip(model.weights, model.biases, grad_w, grad_b):
+                        w -= np.multiply(gw, rate, out=gw)
+                        b -= np.multiply(gb, rate, out=gb)
+                train_losses.append(total / len(x))
+            if monitor is not None:
+                monitor_losses.append(cross_entropy(_as_dtype(model, np.float64), mon_x, mon_labels))
     return MlpTrainResult(
         model=_as_dtype(model, np.float64), train_losses=train_losses, monitor_losses=monitor_losses
     )

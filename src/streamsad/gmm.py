@@ -16,10 +16,6 @@ in-memory array, whose blocks are slices, or frames spilled to disk. Each
 pass, k-means++ initialization included, reads the source in blocks of
 EM_BLOCK_FRAMES and sums counts and first- and second-order statistics
 over them in order, so a corpus of any length trains in the same memory.
-Its E-step and M-step write every block-sized temporary into buffers made
-once per call (`PosteriorWork`), block after block; detection's calls
-allocate theirs. Both run the same ufuncs in the same order through the
-one `posterior_matrix`, so the buffers change no bit.
 """
 
 from __future__ import annotations
@@ -97,110 +93,65 @@ class Gmm:
         return constant, np.ascontiguousarray((self.means * precision).T), np.ascontiguousarray(precision.T)
 
 
-class PosteriorWork:
-    """Buffers `posterior_matrix` writes into for (T, D) blocks of up to rows
-    frames under a C-component mixture, made once and reused block after
-    block: the (rows, C) log-likelihoods (then responsibilities) and
-    quadratic terms (then shifted exponentials), and the (rows, D) squared
-    frames and their halves. `squares` keeps the last block's x**2 for the
-    caller."""
-
-    def __init__(self, rows: int, dim: int, components: int):
-        self.ll = np.empty((rows, components))
-        self.terms = np.empty((rows, components))
-        self.squares = np.empty((rows, dim))
-        self.halves = np.empty((rows, dim))
-
-    def views(self, rows: int) -> tuple:
-        """(ll, terms, squares, halves) for a block of rows frames."""
-        return self.ll[:rows], self.terms[:rows], self.squares[:rows], self.halves[:rows]
-
-
-def log_likelihoods(frames: np.ndarray, gmm: Gmm, work: PosteriorWork | None = None) -> np.ndarray:
+def log_likelihoods(frames: np.ndarray, gmm: Gmm) -> np.ndarray:
     """log(w_c * N(x_t; m_c, v_c)) for every frame/component pair of (..., T, D)
-    frames, (..., T, C): one matrix product per (T, D) slice. With work, a
-    (T, D) block's result and temporaries are its buffers (`PosteriorWork`)."""
+    frames, (..., T, C): one matrix product per (T, D) slice."""
     x = np.asarray(frames, dtype=np.float64)
     if x.ndim < 2 or x.shape[-1] != gmm.dim:
         raise ValueError(f"expected (T, {gmm.dim}) frames, got shape {x.shape}")
     constant, scaled_means, precision = gmm.scoring_tables
-    ll, quad, squares, halves = (None,) * 4 if work is None else work.views(len(x))
-    # quadratic term expanded so the whole thing is two matrix products:
-    # constant + x @ scaled_means - 0.5 * (x**2) @ precision, one ufunc at a
-    # time in that order, into work's buffers or else into fresh arrays
-    ll = np.matmul(x, scaled_means, out=ll)
-    np.add(constant, ll, out=ll)
-    halves = np.multiply(0.5, np.square(x, out=squares), out=halves)
-    return np.subtract(ll, np.matmul(halves, precision, out=quad), out=ll)
+    # quadratic term expanded so the whole thing is two matrix products
+    return constant + x @ scaled_means - 0.5 * (x**2) @ precision
 
 
-def logsumexp(a: np.ndarray, axis: int = -1, keepdims: bool = False, terms=None) -> np.ndarray:
-    """log(sum(exp(a))) along axis, shifted by the maximum so exp never overflows.
-    terms, when given, is an array of a's shape that holds the shifted
-    exponentials in place of a temporary."""
+def logsumexp(a: np.ndarray, axis: int = -1, keepdims: bool = False) -> np.ndarray:
+    """log(sum(exp(a))) along axis, shifted by the maximum so exp never overflows."""
     peak = np.maximum.reduce(a, axis=axis, keepdims=True)
     finite = np.isfinite(peak)
     if np.logical_and.reduce(finite, axis=None):
         # the largest term is exp(0) = 1, so the sum is at least 1
-        return _shifted_logsumexp(a, peak, axis, keepdims, terms)
+        return _shifted_logsumexp(a, peak, axis, keepdims)
     peak[~finite] = 0.0  # all -inf stays -inf; +inf or nan propagate
     with np.errstate(divide="ignore"):
-        return _shifted_logsumexp(a, peak, axis, keepdims, terms)
+        return _shifted_logsumexp(a, peak, axis, keepdims)
 
 
-def _shifted_logsumexp(a, peak: np.ndarray, axis: int, keepdims: bool, terms) -> np.ndarray:
-    terms = np.subtract(a, peak, out=terms)
-    out = np.add.reduce(np.exp(terms, out=terms), axis=axis, keepdims=True)
-    np.add(np.log(out, out=out), peak, out=out)
+def _shifted_logsumexp(a: np.ndarray, peak: np.ndarray, axis: int, keepdims: bool) -> np.ndarray:
+    out = np.log(np.add.reduce(np.exp(a - peak), axis=axis, keepdims=True)) + peak
     return out if keepdims else np.squeeze(out, axis=axis)
 
 
-def posterior_matrix(frames: np.ndarray, gmm: Gmm, work: PosteriorWork | None = None) -> tuple:
+def posterior_matrix(frames: np.ndarray, gmm: Gmm) -> tuple:
     """Responsibilities of (..., T, D) frames, each frame's summing to 1, and
-    each frame's log-normalizer log p(x_t): (..., T, C) and (..., T, 1).
-
-    work, when given, is a `PosteriorWork` with room for a (T, D) block:
-    the responsibilities are then a view of its buffers, valid until its
-    next use, and every (T, C) and (T, D) temporary is written into it.
-    The bits are those of a call without it."""
-    ll = log_likelihoods(frames, gmm, work)
-    norm = logsumexp(ll, axis=-1, keepdims=True, terms=None if work is None else work.terms[: len(ll)])
+    each frame's log-normalizer log p(x_t): (..., T, C) and (..., T, 1)."""
+    ll = log_likelihoods(frames, gmm)
+    norm = logsumexp(ll, axis=-1, keepdims=True)
     return np.exp(np.subtract(ll, norm, out=ll), out=ll), norm
 
 
-def _squared_distances(source, center: np.ndarray, out: np.ndarray, diff: np.ndarray) -> np.ndarray:
-    """Squared distance of every row of source to center, written into out
-    (N,); diff is a (rows, D) buffer with room for one block's differences.
+def _squared_distances(source, center: np.ndarray) -> np.ndarray:
+    """Squared distance of every row of source to center, (N,).
 
     Each row is summed alone along its own axis, so its bits do not depend
     on the block it is read in.
     """
-    start = 0
-    for block in source.blocks(EM_BLOCK_FRAMES):
-        part = diff[: len(block)]
-        np.square(np.subtract(block, center, out=part), out=part)
-        np.add.reduce(part, axis=1, out=out[start : start + len(block)])
-        start += len(block)
-    return out
+    blocks = source.blocks(EM_BLOCK_FRAMES)
+    return np.concatenate([np.sum((block - center) ** 2, axis=1) for block in blocks])
 
 
 def _kmeans_plus_plus(source, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Spread-out initial means: each next center drawn ∝ squared distance.
-
-    The distances (each new center's, then the draw's probabilities) and
-    their running minimum live in two (N,) buffers made once."""
+    """Spread-out initial means: each next center drawn ∝ squared distance."""
     n = len(source)
     centers = np.empty((k, source.dim))
-    dist2, scratch, diff = np.empty(n), np.empty(n), np.empty((min(n, EM_BLOCK_FRAMES), source.dim))
     centers[0] = source.rows([rng.integers(n)])[0]
-    _squared_distances(source, centers[0], dist2, diff)
+    dist2 = _squared_distances(source, centers[0])
     for i in range(1, k):
         total = dist2.sum()
         if total <= 0.0:
             centers[i:] = source.rows(rng.integers(n, size=k - i))
             break
-        centers[i] = source.rows([rng.choice(n, p=np.divide(dist2, total, out=scratch))])[0]
-        np.minimum(dist2, _squared_distances(source, centers[i], scratch, diff), out=dist2)
+        centers[i] = source.rows([rng.choice(n, p=dist2 / total)])[0]
+        dist2 = np.minimum(dist2, _squared_distances(source, centers[i]))
     return centers
 
 
@@ -245,20 +196,17 @@ def train_gmm(
     variances = np.tile(np.maximum(global_variance, floor), (n_components, 1))
     gmm = Gmm(weights=weights, means=means, variances=variances)
 
-    work = PosteriorWork(min(len(source), EM_BLOCK_FRAMES), source.dim, n_components)
-    moments = np.empty((n_components, source.dim))
     for iteration in range(n_iters):
         total = 0.0
         counts = np.zeros(n_components)
         first = np.zeros((n_components, source.dim))
         second = np.zeros((n_components, source.dim))
         for block in source.blocks(EM_BLOCK_FRAMES):
-            resp, norm = posterior_matrix(block, gmm, work)
+            resp, norm = posterior_matrix(block, gmm)
             total += float(np.add.reduce(norm, axis=None))
             counts += np.add.reduce(resp, axis=0)
-            first += np.matmul(resp.T, block, out=moments)
-            # the E-step's x**2 of this block
-            second += np.matmul(resp.T, work.squares[: len(block)], out=moments)
+            first += resp.T @ block
+            second += resp.T @ block**2
         if callback is not None:
             callback(iteration, total)
 

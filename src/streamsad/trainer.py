@@ -22,10 +22,11 @@ blocks (`rowsource`): EM, the per-file passes (`_file_blocks`: acoustic
 labels, LDA scatter, PCA moments, the 24-d frames, the segments and the
 monitor set, each file through the detector's own cascade and chain
 helpers), the count vectors and the MLP, which writes the supervectors
-once more beside them as the flushed float32 rows its minibatches read
-(`embeddings.train_mlp`). That is about 1.6 KB per frame on disk. Only
-per-frame scalars (the speech mask, the acoustic class ids, k-means++
-distances), per-segment labels and the one file being read are held whole.
+once more beside them, while it trains, as the flushed float32 rows its
+minibatches read (`embeddings.train_mlp`). That is about 1.6 KB per frame
+on disk at the most. Only per-frame scalars (the speech mask, the acoustic
+class ids, k-means++ distances), per-segment labels and the one file being
+read are held whole.
 """
 
 from __future__ import annotations

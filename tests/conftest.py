@@ -1,4 +1,5 @@
 import os
+from contextlib import contextmanager
 
 # Pin BLAS threading before numpy loads so timing tests measure one core
 # and results do not depend on the host's thread count.
@@ -8,6 +9,8 @@ os.environ.setdefault("MKL_NUM_THREADS", "1")
 
 import pytest
 
+from streamsad import embeddings
+from streamsad.rowsource import SpilledRows
 from streamsad.synth import make_corpus, write_manifest
 from streamsad.trainer import TrainConfig, train
 
@@ -39,3 +42,23 @@ def tiny_corpus(tmp_path_factory):
 def tiny_model(tiny_corpus):
     cfg = TrainConfig(entries=tiny_corpus["entries"][:4], seed=99, **TINY)
     return train(cfg)
+
+
+@pytest.fixture
+def sgd_stores(monkeypatch):
+    """(path, bytes) of each float32 SGD store `embeddings.train_mlp` makes,
+    recorded once it is written; path is None for a store held in memory."""
+    seen = []
+    real = embeddings._sgd_store
+
+    @contextmanager
+    def spy(source):
+        with real(source) as store:
+            if isinstance(store, SpilledRows):
+                seen.append((store.path, store.path.read_bytes()))
+            else:
+                seen.append((None, store.data.tobytes()))
+            yield store
+
+    monkeypatch.setattr(embeddings, "_sgd_store", spy)
+    return seen

@@ -338,9 +338,10 @@ class TestTraining:
     @pytest.mark.parametrize("kind", [ArrayRows, SpilledRows], ids=["array", "spilled"])
     def test_training_rows_are_read_in_full_twice(self, kind, tmp_path):
         # the training rows are read in full twice, for the initial loss and
-        # for the one cast to float32 SGD rows; the epochs read their
-        # minibatches from the cast rows alone, and the monitor's full
-        # passes, one per checkpoint, read the monitor rows alone
+        # for the one cast to float32 SGD rows (an array's cast reads its
+        # data whole, not in blocks); the epochs read their minibatches from
+        # the cast rows alone, and the monitor's full passes, one per
+        # checkpoint, read the monitor rows alone
         class CountingRows(kind):
             def __init__(self, data, name):
                 if kind is SpilledRows:
@@ -364,7 +365,7 @@ class TestTraining:
         mon_x, mon_mask = blobs(rng, n_per_class=20, dim=6)
         source, mon_source = CountingRows(x, "x.f64"), CountingRows(mon_x, "m.f64")
         train_mlp(source, mask, epochs=4, seed=29, hidden_dims=(8,), monitor=(mon_source, mon_mask))
-        assert (source.block_rows, source.batch_rows) == (2 * 800, 0)
+        assert (source.block_rows, source.batch_rows) == ((2 if kind is SpilledRows else 1) * 800, 0)
         assert (mon_source.block_rows, mon_source.batch_rows) == (5 * 40, 0)
 
     def test_returned_network_is_the_float32_one_in_float64(self):
@@ -445,7 +446,7 @@ class TestTraining:
         for w1, w2 in zip(r1.model.weights, r2.model.weights):
             np.testing.assert_array_equal(w1, w2)
 
-    def test_spilled_rows_train_the_same_network(self, tmp_path):
+    def test_spilled_rows_train_the_same_network(self, tmp_path, sgd_stores):
         # minibatches read from the flushed float32 rows written beside a
         # file in the seeded order give the bits of the in-memory rows; more
         # rows than one CHUNK_ROWS chunk, and entries below float32's
@@ -465,8 +466,28 @@ class TestTraining:
             np.testing.assert_array_equal(w1, w2)
         flushed = x.astype(np.float32)
         flushed[[3, 400, 650], [0, 2, 5]] = 0.0
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.f64", "x.f64", "x.f64.f32"]
-        assert (tmp_path / "x.f64.f32").read_bytes() == flushed.tobytes()
+        (memory, in_memory), (path, on_disk) = sgd_stores
+        assert memory is None and in_memory == on_disk == flushed.tobytes()
+        assert path.parent == tmp_path and path.name.startswith("x.f64.") and path.suffix == ".f32"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.f64", "x.f64"]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_spilled_store_touches_no_other_file_and_is_removed(self, tmp_path, sgd_stores):
+        # the store takes a fresh name, so a file at the source's path plus
+        # ".f32" keeps its bytes; it is gone after a run that raises, and an
+        # epochs=0 run makes none
+        rng = np.random.default_rng(31)
+        x, mask = blobs(rng, n_per_class=30, dim=4, gap=1.0)
+        spilled = SpilledRows(tmp_path / "x.f64", 4)
+        spilled.append(x * 1e150)
+        (tmp_path / "x.f64.f32").write_bytes(b"kept")
+        train_mlp(spilled, mask, epochs=0, seed=31, hidden_dims=(8,))
+        assert sgd_stores == []
+        with pytest.raises(MlpTrainingError, match="non-finite loss at epoch"):
+            train_mlp(spilled, mask, epochs=3, seed=31, hidden_dims=(8,), learning_rate=1e160)
+        assert len(sgd_stores) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.f64", "x.f64.f32"]
+        assert (tmp_path / "x.f64.f32").read_bytes() == b"kept"
 
     def test_monitor_is_logged_but_inert(self):
         rng = np.random.default_rng(24)

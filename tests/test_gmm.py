@@ -7,7 +7,6 @@ from streamsad.gmm import (
     COUNT_FLOOR,
     EM_BLOCK_FRAMES,
     Gmm,
-    PosteriorWork,
     _check_counts,
     block_counts,
     block_supervectors,
@@ -210,8 +209,8 @@ class TestTraining:
     @pytest.mark.parametrize("n", [700, EM_BLOCK_FRAMES, 2 * EM_BLOCK_FRAMES + 301])
     def test_em_gives_the_per_op_loop_bits(self, tmp_path, n):
         # shorter than one block, exactly one, and several with a short last
-        # one: the buffers made for the call give the bits of a loop that
-        # makes every temporary anew, from an array and from a file alike
+        # one: block EM gives the bits of a plain loop of one numpy operation
+        # per step, from an array and from a file alike
         rng = np.random.default_rng(n)
         data = np.vstack([
             rng.standard_normal((n // 2, 5)) * 0.5 + 2.0,
@@ -227,20 +226,6 @@ class TestTraining:
             assert history == want_history
             for field, want in (("weights", weights), ("means", means), ("variances", variances)):
                 np.testing.assert_array_equal(getattr(got, field), want)
-
-    def test_posteriors_in_reused_buffers_are_the_allocating_bits(self):
-        # a longer block, then shorter ones, through one set of buffers
-        rng = np.random.default_rng(14)
-        gmm = random_gmm(rng, 7, 3)
-        work = PosteriorWork(50, 3, 7)
-        for n in (50, 13, 1, 50):
-            x = rng.standard_normal((n, 3)) * 4.0
-            want_resp, want_norm = posterior_matrix(x, gmm)
-            resp, norm = posterior_matrix(x, gmm, work)
-            assert np.shares_memory(resp, work.ll)
-            np.testing.assert_array_equal(resp, want_resp)
-            np.testing.assert_array_equal(norm, want_norm)
-            np.testing.assert_array_equal(work.squares[:n], x**2)
 
     def test_block_loglik_never_decreases(self, tmp_path):
         rng = np.random.default_rng(13)

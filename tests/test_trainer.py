@@ -351,21 +351,24 @@ class TestBoundedMemory:
 
         monkeypatch.setattr(trainer, "train_mlp", spy)
 
-    def test_scratch_removed_after_success(self, micro_corpus, scratch_root, monkeypatch):
+    def test_scratch_removed_after_success(self, micro_corpus, scratch_root, monkeypatch, sgd_stores):
         seen = {}
         self.spy_mlp(monkeypatch, scratch_root, seen)
         train(TrainConfig(entries=micro_corpus, seed=20, **MICRO))
-        # a store added back (a spilled intermediate, say), of any suffix, shows here
+        # a store added back (a spilled intermediate, say), of any suffix, or
+        # the MLP's float32 store left behind, shows here
         assert sorted(seen) == [
             "features.f64", "frames.f64", "nonspeech.f64", "speech.f64", "supervectors.f64",
-            "supervectors.f64.f32",
         ]
-        # the MLP's SGD rows: the supervectors cast to float32 once, entries
-        # below float32's smallest normal flushed to 0
+        # the MLP's SGD rows, beside the supervectors while it trains: the
+        # supervectors cast to float32 once, entries below float32's
+        # smallest normal flushed to 0
+        [(path, sgd_rows)] = sgd_stores
+        assert path.name.startswith("supervectors.f64.") and path.suffix == ".f32"
         supervectors = np.frombuffer(seen["supervectors.f64"])
-        sgd_rows = supervectors.astype(np.float32)
-        sgd_rows[np.abs(supervectors) < np.finfo(np.float32).tiny] = 0.0
-        assert seen["supervectors.f64.f32"] == sgd_rows.tobytes()
+        want = supervectors.astype(np.float32)
+        want[np.abs(supervectors) < np.finfo(np.float32).tiny] = 0.0
+        assert sgd_rows == want.tobytes()
         assert list(scratch_root.iterdir()) == []
 
     def test_stored_frames_are_the_detector_cascade_of_each_file(
