@@ -4,67 +4,14 @@ A GMM/embedding hybrid detector that labels audio speech or non-speech
 every 0.1 s at runtime, adapting its model vectors and decision threshold
 to the channel as it goes, plus the training pipeline that builds its
 model bundle and a collar-aware detection-cost scorer.
+
+The package itself exports nothing; import from its modules. Detection
+lives in `streamsad.engine` (`StreamingDetector`, `stream_detect`,
+`load_model`), training in `streamsad.trainer` (`TrainConfig`, `train`),
+scoring in `streamsad.evaluation` (`score`, `aggregate`), audio and label
+files in `streamsad.audio_io`, and the command line in `streamsad.cli`.
+Importing one module loads only what it needs, so a detector starts
+without the training and scoring code.
 """
 
-from .audio_io import (
-    AudioFormatError,
-    AudioStream,
-    LabelFileError,
-    NONSPEECH,
-    SPEECH,
-    SegmentLabel,
-    read_labels,
-    read_wav,
-    write_labels,
-    write_wav,
-)
-from .engine import (
-    AdaptationConfig,
-    Decision,
-    DetectionResult,
-    SadModel,
-    SmoothingConfig,
-    StreamingDetector,
-    load_model,
-    save_model,
-    stream_detect,
-)
-from .evaluation import EvalConfig, EvalReport, EvaluationError, aggregate, score
-from .features import FeatureConfig, FeatureExtractor, extract_features
-from .trainer import TrainConfig, TrainingError, load_manifest, train
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdaptationConfig",
-    "AudioFormatError",
-    "AudioStream",
-    "Decision",
-    "DetectionResult",
-    "EvalConfig",
-    "EvalReport",
-    "EvaluationError",
-    "FeatureConfig",
-    "FeatureExtractor",
-    "LabelFileError",
-    "NONSPEECH",
-    "SPEECH",
-    "SadModel",
-    "SegmentLabel",
-    "SmoothingConfig",
-    "StreamingDetector",
-    "TrainConfig",
-    "TrainingError",
-    "aggregate",
-    "extract_features",
-    "load_manifest",
-    "load_model",
-    "read_labels",
-    "read_wav",
-    "save_model",
-    "score",
-    "stream_detect",
-    "train",
-    "write_labels",
-    "write_wav",
-]

@@ -699,5 +699,5 @@ def load_model(path) -> SadModel:
         planes = _inflated(body[start:], sum(entry[3] for entry in entries))
         del raw, body  # the file's bytes go before the arrays are decoded beside the stream
         return _parse_bundle(header, entries, planes)
-    except (ValueError, KeyError, TypeError, OverflowError, zlib.error) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError, zlib.error) as exc:
         raise ValueError(f"{path}: malformed bundle: {type(exc).__name__}: {exc}") from exc

@@ -832,6 +832,35 @@ class TestStreamingDetector:
         )
         assert out.stdout.strip() == "[]"
 
+    def test_detector_does_not_load_training_or_scoring(self, tiny_bundle, tmp_path):
+        # a detector reads none of the training, scoring or command-line code,
+        # so a cold start must not pay for importing it
+        import streamsad
+
+        (tmp_path / "m.sadb").write_bytes(tiny_bundle)
+        loaded = "print(*(m for m in sys.modules if m.startswith('streamsad.')))\n"
+        code = (
+            "import sys\n"
+            "from streamsad.engine import StreamingDetector, load_model\n"
+            "StreamingDetector(load_model(sys.argv[1]))\n"
+            + loaded
+            + "import streamsad.trainer\n"
+            + loaded
+        )
+        src = str(Path(streamsad.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "m.sadb")],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        detector, trainer = (set(line.split()) for line in out.stdout.splitlines())
+        assert "streamsad.engine" in detector
+        assert not detector & {"streamsad.trainer", "streamsad.evaluation", "streamsad.cli", "streamsad.synth"}
+        assert "streamsad.trainer" in trainer
+        assert not trainer & {"streamsad.evaluation", "streamsad.cli"}
+
     def test_traces_equal_under_one_and_two_blas_threads(self, tiny_corpus, tmp_path):
         # each BLAS call computes a row or a segment whole, so splitting the
         # calls over threads must not move a bit; a default-size model makes
@@ -931,12 +960,17 @@ def same_bits(a, b) -> bool:
     return type(a) is type(b) and a == b
 
 
-def reframe(raw: bytes, edit) -> bytes:
-    """A bundle with its JSON header replaced by edit(header), under a valid CRC."""
+def with_header(raw: bytes, header: bytes) -> bytes:
+    """A bundle with its header bytes replaced by header, under a valid CRC."""
     version, header_len = struct.unpack_from("<II", raw, 4)
-    header = json.dumps(edit(json.loads(raw[12 : 12 + header_len]))).encode()
     body = raw[:4] + struct.pack("<II", version, len(header)) + header + raw[12 + header_len : -4]
     return body + struct.pack("<I", zlib.crc32(body))
+
+
+def reframe(raw: bytes, edit) -> bytes:
+    """A bundle with its JSON header replaced by edit(header), under a valid CRC."""
+    header_len, = struct.unpack_from("<I", raw, 8)
+    return with_header(raw, json.dumps(edit(json.loads(raw[12 : 12 + header_len]))).encode())
 
 
 def stream_of(raw: bytes) -> bytes:
@@ -1240,9 +1274,11 @@ class TestModelBundle:
              "lda_context offsets"),
             (lambda raw: reframe(raw, lambda h: {**h, "pca_context": list(range(-15, 4, 3))}),
              "pca_context offsets"),
+            # the JSON parser gives up on it with a RecursionError, not a ValueError
+            (lambda raw: with_header(raw, b"[" * 100_000 + b"]" * 100_000), "RecursionError"),
         ],
         ids=["unknown-tag", "integer-tag", "narrow-tag-overrun", "truncated-stream", "stream-without-its-end",
-             "stream-past-the-total", "bytes-after-the-stream", "lda-context", "pca-context"],
+             "stream-past-the-total", "bytes-after-the-stream", "lda-context", "pca-context", "deeply-nested-header"],
     )
     def test_hostile_bundle_exits_2(self, tiny_bundle, tiny_corpus, tmp_path, capsys, hostile, match):
         from streamsad.cli import main
