@@ -19,7 +19,10 @@ SPEECH = "speech"
 NONSPEECH = "non-speech"
 LABEL_NAMES = (SPEECH, NONSPEECH)
 
+# the rates a WAV file or a bundle may give; the rate sizes the front end's
+# window and FFT, and a header may claim up to 4.29 GHz
 MIN_SAMPLE_RATE = 8000
+MAX_SAMPLE_RATE = 192000
 
 # int16 full scale; decoded samples live in [-1, 1)
 _SCALE = 32768.0
@@ -85,7 +88,7 @@ def read_wav(path) -> AudioStream:
 
     Raises AudioFormatError naming the offending property for anything
     this engine does not accept: non-PCM encodings, multi-channel audio,
-    bit depths other than 16, sample rates below 8 kHz, or a data chunk
+    bit depths other than 16, sample rates outside 8-192 kHz, or a data chunk
     shorter than its declared size.
     """
     path = Path(path)
@@ -125,9 +128,9 @@ def read_wav(path) -> AudioStream:
         raise AudioFormatError(f"{path}: {channels} channels, want mono")
     if bits != 16:
         raise AudioFormatError(f"{path}: {bits}-bit samples, want 16-bit")
-    if sample_rate < MIN_SAMPLE_RATE:
+    if not MIN_SAMPLE_RATE <= sample_rate <= MAX_SAMPLE_RATE:
         raise AudioFormatError(
-            f"{path}: sample rate {sample_rate} Hz below minimum {MIN_SAMPLE_RATE} Hz"
+            f"{path}: sample rate {sample_rate} Hz outside [{MIN_SAMPLE_RATE}, {MAX_SAMPLE_RATE}] Hz"
         )
 
     declared, body = data

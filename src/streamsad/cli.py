@@ -26,7 +26,6 @@ from .engine import (
     write_trace,
 )
 from .evaluation import EvalConfig, EvaluationError, aggregate, format_keyvalues, format_table, score
-from .features import FeatureConfig
 from .trainer import TrainConfig, TrainingError, load_manifest, train
 
 EXIT_OK = 0
@@ -48,14 +47,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _float_or_none(text: str):
-    return None if text.lower() in ("none", "nyquist") else float(text)
-
-
-def _int_or_none(text: str):
-    return None if text.lower() == "none" else int(text)
-
-
 def _int_tuple(text: str):
     return tuple(int(part) for part in text.split(",") if part.strip())
 
@@ -68,20 +59,15 @@ def _positive_seconds(text: str) -> float:
 
 
 # the parser of each field type a config key may have; fields of other types
-# (the corpus lists, the nested feature_cfg, the adaptation `enabled`
-# switch that --no-adapt sets) get no key
-_PARSERS = {
-    "float": float,
-    "int": int,
-    "float | None": _float_or_none,
-    "int | None": _int_or_none,
-    "tuple": _int_tuple,
-}
+# (the corpus lists and the adaptation `enabled` switch that --no-adapt
+# sets) get no key
+_PARSERS = {"float": float, "int": int, "tuple": _int_tuple}
 
-# the dataclasses whose fields each command's config file may set
-_SECTIONS = {"train": (FeatureConfig, TrainConfig), "detect": (AdaptationConfig, SmoothingConfig)}
+# the dataclasses whose fields each command's config file may set; the
+# front end is the build's own and has no key
+_SECTIONS = {"train": (TrainConfig,), "detect": (AdaptationConfig, SmoothingConfig)}
 
-# the config file's keys, each with its parser: the fields of these four
+# the config file's keys, each with its parser: the fields of these three
 # dataclasses, in declaration order; a key the file leaves out keeps its
 # dataclass default
 CONFIG_KEYS = {
@@ -145,12 +131,7 @@ def cmd_train(args) -> int:
     config = parse_config_file(args.config, "train") if args.config else {}
     if args.seed is not None:
         config["seed"] = args.seed
-    train_cfg = TrainConfig(
-        entries=entries,
-        feature_cfg=FeatureConfig(**_section(FeatureConfig, config)),
-        monitor_entries=monitor_entries,
-        **_section(TrainConfig, config),
-    )
+    train_cfg = TrainConfig(entries=entries, monitor_entries=monitor_entries, **config)
 
     if args.log_file:
         handler = logging.FileHandler(args.log_file, encoding="utf-8")

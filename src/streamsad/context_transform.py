@@ -84,16 +84,6 @@ class LinearTransform:
         return self.matrix.shape[0]
 
 
-def apply_transform(x: np.ndarray, transform: LinearTransform) -> np.ndarray:
-    """Project a (T, in_dim) block, each row by `features.row_products`, so
-    its bits do not depend on how many rows share the call."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != transform.input_dim:
-        raise ValueError(f"expected a (T, {transform.input_dim}) block for a transform of input dim "
-                         f"{transform.input_dim}, got shape {x.shape}")
-    return row_products(x - transform.mean_offset, transform.matrix.T)
-
-
 def context_window(spec: ContextSpec, transform: LinearTransform | None = None) -> CausalWindow:
     """Stage stacking the frames at spec's offsets around each frame, edges
     replicated: (T, D) -> (T, |offsets|*D), projected by transform if given."""

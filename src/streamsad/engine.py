@@ -1,6 +1,6 @@
 """The online detector: segment scoring, runtime adaptation, streaming I/O.
 
-Every 10 feature frames (0.1 s at the default hop) the engine builds two
+Every 10 feature frames (0.1 s at the 10 ms hop) the engine builds two
 test vectors from the segment: L1-normalized posterior counts under the
 large merged UBM, and an MLP embedding of the supervector under the small
 UBM. Each is scored as cosine(test, speech model) − cosine(test, non-speech
@@ -35,15 +35,16 @@ import math
 import struct
 import zlib
 from collections import deque
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
-from .audio_io import NONSPEECH, SPEECH, AudioStream, SegmentLabel
+from .audio_io import MAX_SAMPLE_RATE, MIN_SAMPLE_RATE, NONSPEECH, SPEECH, AudioStream, SegmentLabel
 from .context_transform import LDA_CONTEXT, PCA_CONTEXT, LinearTransform, cascade
 from .embeddings import STORED_DTYPES, embed_batch, from_planes, narrowest, to_planes
-from .features import FeatureConfig, FeatureExtractor, StaticMfcc, chain_flush, chain_push, row_products
+from .features import FeatureConfig, FeatureExtractor, chain_flush, chain_push, row_products
 from .gmm import Gmm, block_counts, block_supervectors
 
 SEGMENT_FRAMES = 10
@@ -96,12 +97,12 @@ _VECTORS = ("speech_counts", "nonspeech_counts", "speech_embedding", "nonspeech_
 
 @dataclass(frozen=True)
 class SadModel:
-    """What detection reads and nothing else: front-end config, the LDA and
+    """What detection reads and nothing else: the sample rate, the LDA and
     PCA transforms, the counts and supervector UBMs, the MLP's first hidden
     (ReLU) layer that embeds a supervector, per-class model vectors, and the
-    threshold."""
+    threshold. The front end is the build's own, not a field."""
 
-    feature_cfg: FeatureConfig
+    feature_cfg: ClassVar[FeatureConfig] = FeatureConfig()
     sample_rate: int
     lda: LinearTransform
     pca: LinearTransform
@@ -145,9 +146,9 @@ class SadModel:
                 raise ValueError(f"{name} must be finite and nonzero")
         if np.array_equal(self.speech_counts, self.nonspeech_counts):
             raise ValueError("speech and non-speech count vectors are identical")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
-        StaticMfcc(self.feature_cfg, self.sample_rate)  # raises if the front end cannot run at this rate
+        if not (isinstance(self.sample_rate, int) and MIN_SAMPLE_RATE <= self.sample_rate <= MAX_SAMPLE_RATE):
+            raise ValueError(f"sample_rate must be an integer in [{MIN_SAMPLE_RATE}, {MAX_SAMPLE_RATE}] Hz, "
+                             f"got {self.sample_rate!r}")
         if not math.isfinite(self.base_threshold):
             raise ValueError("base_threshold must be finite")
 
@@ -335,9 +336,10 @@ def score_segments(
             nonspeech_dots[s], emb_norms[s], nonspeech_norm
         )
         fused = (zero_score + emb_score) / 2.0
-        for value in (zero_score, emb_score, fused):
-            if not (-2.0 <= value <= 2.0):
-                raise RuntimeError(f"score {value} escaped [-2, 2]")
+        # each view is a difference of clipped cosines, so only a NaN, which
+        # fused then carries, can leave [-2, 2]
+        if not (-2.0 <= fused <= 2.0):
+            raise RuntimeError(f"score {fused} escaped [-2, 2]")
 
         threshold = state.adapted_threshold
         label = SPEECH if fused > threshold else NONSPEECH
@@ -574,10 +576,12 @@ _CRC = struct.Struct("<I")
 _TRANSFORM_PARTS, _GMM_PARTS = ("matrix", "mean_offset"), ("weights", "means", "variances")
 _PARTS = {"lda": _TRANSFORM_PARTS, "pca": _TRANSFORM_PARTS,
           "counts_ubm": _GMM_PARTS, "supervector_ubm": _GMM_PARTS}
-# the header's integer fields, each with whether it may be null; JSON keeps
-# 12.0 a float, which would load and then fail inside the front end
-_INTEGER_FIELDS = {"sample_rate": False} | {
-    f.name: f.type == "int | None" for f in fields(FeatureConfig) if f.type in ("int", "int | None")
+# what this build fixes and a bundle records: a load compares each with the
+# header's as canonical JSON text, so 12.0 never stands in for 12
+_BUILD = {
+    "feature_cfg": asdict(FeatureConfig()),
+    "lda_context": list(LDA_CONTEXT.offsets),
+    "pca_context": list(PCA_CONTEXT.offsets),
 }
 
 
@@ -597,10 +601,8 @@ def save_model(model: SadModel, path) -> None:
     header = {
         "arrays": [[name, list(array.shape), array.dtype.str] for name, array in stored.items()],
         "base_threshold": float(model.base_threshold),
-        "feature_cfg": asdict(model.feature_cfg),
-        "lda_context": list(LDA_CONTEXT.offsets),
-        "pca_context": list(PCA_CONTEXT.offsets),
         "sample_rate": model.sample_rate,
+        **_BUILD,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     deflate = zlib.compressobj(_ZLIB_LEVEL)
@@ -629,14 +631,19 @@ def _inflated(stream: memoryview, total: int) -> bytes:
     return planes
 
 
+def _canonical(value) -> str:
+    return json.dumps(value, sort_keys=True)
+
+
 def _stored_arrays(header) -> list:
     """(name, shape, stored dtype, stored bytes) of each array the header
     lists, once the header is known to be one this build reads."""
     if not isinstance(header, dict):
         raise ValueError("header is not a JSON object")
-    for key, spec in (("lda_context", LDA_CONTEXT), ("pca_context", PCA_CONTEXT)):
-        if header[key] != list(spec.offsets):
-            raise ValueError(f"{key} offsets {header[key]!r} are not this build's {list(spec.offsets)}")
+    for key, value in _BUILD.items():
+        given, built = _canonical(header[key]), _canonical(value)
+        if given != built:
+            raise ValueError(f"{key} is {given}, not this build's {built}")
     entries = []
     for name, shape, tag in header["arrays"]:
         if type(name) is not str or not all(type(dim) is int and dim >= 0 for dim in shape):
@@ -653,15 +660,9 @@ def _parse_bundle(header, entries: list, planes: bytes) -> SadModel:
     for name, shape, dtype, size in entries:
         arrays[name] = from_planes(view[offset : offset + size], dtype, shape)
         offset += size
-    feature_cfg = FeatureConfig(**header["feature_cfg"])
-    given = {**asdict(feature_cfg), "sample_rate": header["sample_rate"]}
-    for name, nullable in _INTEGER_FIELDS.items():
-        if type(given[name]) is not int and not (nullable and given[name] is None):
-            raise ValueError(f"{name} must be a JSON integer, got {given[name]!r}")
     groups = {name: [arrays[f"{name}.{part}"] for part in parts] for name, parts in _PARTS.items()}
     model = SadModel(
-        feature_cfg=feature_cfg,
-        sample_rate=given["sample_rate"],
+        sample_rate=header["sample_rate"],
         lda=LinearTransform(*groups["lda"]),
         pca=LinearTransform(*groups["pca"]),
         counts_ubm=Gmm(*groups["counts_ubm"]),

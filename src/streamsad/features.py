@@ -1,7 +1,7 @@
 """Acoustic front end: 36-d mean-normalized MFCC+delta frames at a 10 ms stride.
 
 Per frame the static pipeline is pre-emphasis, Hamming window, magnitude
-spectrum, mel filterbank (triangles starting at 150 Hz by default), log with
+spectrum, mel filterbank (triangles starting at 150 Hz), log with
 a 1e-10 floor, then an orthonormal DCT-II keeping coefficients 1..12 (C0
 dropped). Statics get a causal sliding-window mean subtracted (1 s window),
 then regression deltas and delta-deltas are appended.
@@ -25,7 +25,6 @@ runs row by row along axis 1, and sums run elementwise in a fixed order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,12 +32,16 @@ import numpy as np
 LOG_FLOOR = 1e-10
 
 # Most frames a caller takes through a chain of windows at once: 5 s at the
-# default 10 ms hop. Bounds what a long push or file holds; the bits do not depend on it.
+# 10 ms hop. Bounds what a long push or file holds; the bits do not depend on it.
 BLOCK_FRAMES = 500
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class FeatureConfig:
+    """The front end's constants. One front end per build: FeatureConfig()
+    takes no arguments, and a bundle records these values (`asdict`) for
+    a load to check against the build's."""
+
     window_length: float = 0.025
     hop: float = 0.010
     n_mfcc: int = 12
@@ -49,22 +52,6 @@ class FeatureConfig:
     delta_window: int = 2
     pre_emphasis: float = 0.97
     n_fft: int | None = None  # None means next power of two >= window samples
-
-    def __post_init__(self):
-        if not all(math.isfinite(value) for value in (self.window_length, self.hop, self.cmn_window)):
-            raise ValueError("window_length, hop and cmn_window must be finite")
-        if not (0.0 < self.hop <= self.window_length):
-            raise ValueError("need 0 < hop <= window_length")
-        if not (1 <= self.n_mfcc <= self.n_mel_filters):
-            raise ValueError("need 1 <= n_mfcc <= n_mel_filters")
-        if self.mel_low < 0:
-            raise ValueError("mel_low must be non-negative")
-        if self.cmn_window < self.hop:
-            raise ValueError("cmn_window must cover at least one frame")
-        if self.delta_window < 1:
-            raise ValueError("delta_window must be >= 1")
-        if not (0.0 <= self.pre_emphasis < 1.0):
-            raise ValueError("pre_emphasis must be in [0, 1)")
 
     def window_samples(self, sample_rate: int) -> int:
         return int(round(self.window_length * sample_rate))
@@ -147,8 +134,6 @@ class StaticMfcc:
         self.n_fft = cfg.fft_size(sample_rate)
         if self.hop < 1:
             raise ValueError(f"hop of {cfg.hop} s is {self.hop} samples at {sample_rate} Hz; need at least 1")
-        if self.n_fft < self.win:
-            raise ValueError(f"n_fft {self.n_fft} smaller than window of {self.win} samples")
         f_high = cfg.mel_high if cfg.mel_high is not None else sample_rate / 2
         self.window = np.hamming(self.win)
         self.filterbank = mel_filterbank(sample_rate, self.n_fft, cfg.n_mel_filters, cfg.mel_low, f_high)

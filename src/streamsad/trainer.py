@@ -36,7 +36,7 @@ import logging
 import tempfile
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +50,8 @@ from .gmm import block_counts, block_supervectors, merge_gmms, train_gmm
 from .rowsource import ArrayRows, SpilledRows
 
 logger = logging.getLogger(__name__)
+
+_FRONT_END = FeatureConfig()
 
 # fraction of 10-frame segments dropped for straddling a label boundary
 # above which the corpus labeling looks suspect
@@ -69,7 +71,6 @@ class TrainConfig:
     """Corpus entries plus every tunable of the pipeline, shipped defaults."""
 
     entries: list
-    feature_cfg: FeatureConfig = field(default_factory=FeatureConfig)
     labeling_ubm_size: int = 32
     counts_ubm_per_class: int = 64
     supervector_ubm_size: int = 32
@@ -165,7 +166,7 @@ def _stage(name: str):
     logger.info("stage %-16s %6.2f s", name, time.perf_counter() - start)
 
 
-def _read_entry(audio_path, label_path, feat_cfg: FeatureConfig, sample_rate: int | None):
+def _read_entry(audio_path, label_path, sample_rate: int | None):
     """Features, frame speech mask and sample rate of one manifest entry.
 
     sample_rate, when given, is the corpus rate the file must have. Any
@@ -175,8 +176,8 @@ def _read_entry(audio_path, label_path, feat_cfg: FeatureConfig, sample_rate: in
         audio = read_wav(audio_path)
         if sample_rate is not None and audio.sample_rate != sample_rate:
             raise ValueError(f"sample rate {audio.sample_rate} differs from corpus rate {sample_rate}")
-        frames = extract_features(audio, feat_cfg)
-        mask = frame_labels(read_labels(label_path), len(frames), feat_cfg.hop, feat_cfg.window_length)
+        frames = extract_features(audio)
+        mask = frame_labels(read_labels(label_path), len(frames), _FRONT_END.hop, _FRONT_END.window_length)
     except AudioFormatError:
         raise  # its message starts with the path already
     except Exception as exc:
@@ -232,14 +233,12 @@ def train(cfg: TrainConfig, out_path=None) -> SadModel:
 
 
 def _train(cfg: TrainConfig, scratch: Path, out_path) -> SadModel:
-    feat_cfg = cfg.feature_cfg
-
-    features = SpilledRows(scratch / "features.f64", feat_cfg.output_dim)
+    features = SpilledRows(scratch / "features.f64", _FRONT_END.output_dim)
     masks: list[np.ndarray] = []
     sample_rate = None
     with _stage("features"):
         for audio_path, label_path in cfg.entries:
-            frames, mask, sample_rate = _read_entry(audio_path, label_path, feat_cfg, sample_rate)
+            frames, mask, sample_rate = _read_entry(audio_path, label_path, sample_rate)
             features.append(frames)
             masks.append(mask)
         # every later per-frame store keeps these per-file row ranges
@@ -263,7 +262,7 @@ def _train(cfg: TrainConfig, scratch: Path, out_path) -> SadModel:
         ])
 
     with _stage("lda"):
-        scatter = LdaScatter(LDA_CONTEXT.size * feat_cfg.output_dim)
+        scatter = LdaScatter(LDA_CONTEXT.size * _FRONT_END.output_dim)
         # the LDA stage of the cascade, stacking without a projection
         for first, stacked in _file_blocks(features, spans, lambda: cascade()[:1]):
             scatter.add(stacked, class_ids[first : first + len(stacked)])
@@ -336,7 +335,7 @@ def _train(cfg: TrainConfig, scratch: Path, out_path) -> SadModel:
             mon_svs = SpilledRows(scratch / "monitor.f64", supervector_ubm.means.size)
             mon_labels: list[np.ndarray] = []
             for audio_path, label_path in cfg.monitor_entries:
-                frames, mask, _ = _read_entry(audio_path, label_path, feat_cfg, sample_rate)
+                frames, mask, _ = _read_entry(audio_path, label_path, sample_rate)
                 # the file's whole cascade output, so segments start on its segment grid
                 blocks = _file_blocks(ArrayRows(frames), [(0, len(frames))], lambda: cascade(lda, pca))
                 frames = np.concatenate([block for _, block in blocks])
@@ -372,7 +371,6 @@ def _train(cfg: TrainConfig, scratch: Path, out_path) -> SadModel:
 
     with _stage("assemble"):
         model = SadModel(
-            feature_cfg=feat_cfg,
             sample_rate=sample_rate,
             lda=lda,
             pca=pca,

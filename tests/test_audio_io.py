@@ -24,7 +24,7 @@ def make_wav_bytes(path, *, format_code=1, channels=1, sample_rate=8000,
     block_align = channels * bits // 8
     fmt = struct.pack(
         "<HHIIHH", format_code, channels, sample_rate,
-        sample_rate * block_align, block_align, bits,
+        sample_rate * block_align % 2**32, block_align, bits,
     )
     body = b"WAVE"
     body += b"fmt " + struct.pack("<I", len(fmt)) + fmt
@@ -74,6 +74,27 @@ class TestWav:
         make_wav_bytes(path, sample_rate=4000)
         with pytest.raises(AudioFormatError, match="8000"):
             read_wav(path)
+
+    @pytest.mark.parametrize("sample_rate", [192001, 4_000_000_000])
+    def test_rejects_high_sample_rate_before_decoding(self, tmp_path, monkeypatch, sample_rate):
+        # the rate sizes the front end's window and FFT, so it is refused
+        # before a single sample is decoded
+        import streamsad.audio_io
+
+        def no_decoding(*args, **kwargs):
+            raise AssertionError("samples decoded before the rate was checked")
+
+        monkeypatch.setattr(streamsad.audio_io.np, "frombuffer", no_decoding)
+        path = tmp_path / "a.wav"
+        make_wav_bytes(path, sample_rate=sample_rate)
+        with pytest.raises(AudioFormatError, match=rf"sample rate {sample_rate} Hz outside \[8000, 192000\]"):
+            read_wav(path)
+
+    def test_accepts_the_bounding_rates(self, tmp_path):
+        for sample_rate in (8000, 192000):
+            path = tmp_path / "a.wav"
+            make_wav_bytes(path, sample_rate=sample_rate)
+            assert read_wav(path).sample_rate == sample_rate
 
     def test_rejects_truncated_data(self, tmp_path):
         path = tmp_path / "a.wav"

@@ -10,7 +10,6 @@ import pytest
 from streamsad.audio_io import NONSPEECH, SPEECH, SegmentLabel, read_labels, write_labels, write_wav
 from streamsad.cli import CONFIG_KEYS, main, parse_config_file
 from streamsad.engine import TRACE_HEADER, AdaptationConfig, SmoothingConfig, load_model
-from streamsad.features import FeatureConfig
 from streamsad.trainer import TrainConfig
 from streamsad.synth import make_corpus, write_manifest
 
@@ -52,18 +51,16 @@ class TestConfigFile:
     def test_parses_types(self, tmp_path):
         path = tmp_path / "a.cfg"
         path.write_text(
-            "hop = 0.01  # seconds\n"
+            "learning_rate = 0.01  # per step\n"
             "\n"
-            "n_mfcc = 12\n"
+            "seed = 12\n"
             "hidden_dims = 256,128,64\n"
-            "mel_high = none\n"
         )
         values = parse_config_file(path, "train")
         assert values == {
-            "hop": 0.01,
-            "n_mfcc": 12,
+            "learning_rate": 0.01,
+            "seed": 12,
             "hidden_dims": (256, 128, 64),
-            "mel_high": None,
         }
 
     def test_unknown_key(self, tmp_path):
@@ -74,35 +71,31 @@ class TestConfigFile:
 
     def test_bad_value(self, tmp_path):
         path = tmp_path / "a.cfg"
-        path.write_text("n_mfcc = twelve\n")
-        with pytest.raises(ValueError, match="bad value for n_mfcc"):
+        path.write_text("seed = twelve\n")
+        with pytest.raises(ValueError, match="bad value for seed"):
             parse_config_file(path, "train")
 
     def test_missing_equals(self, tmp_path):
         path = tmp_path / "a.cfg"
-        path.write_text("hop 0.01\n")
+        path.write_text("seed 1\n")
         with pytest.raises(ValueError, match="expected 'key = value'"):
             parse_config_file(path, "train")
 
     def test_keys_are_the_config_dataclass_fields(self):
         # a field that gains no key, or a key that sets no field, breaks this
-        defaults = {f.name: f.default for cls in (FeatureConfig, TrainConfig, AdaptationConfig, SmoothingConfig)
+        defaults = {f.name: f.default for cls in (TrainConfig, AdaptationConfig, SmoothingConfig)
                     for f in fields(cls)}
-        assert set(CONFIG_KEYS) == set(defaults) - {"entries", "feature_cfg", "monitor_entries", "enabled"}
+        assert set(CONFIG_KEYS) == set(defaults) - {"entries", "monitor_entries", "enabled"}
+        assert len(CONFIG_KEYS) == 18
         # and each key's parser reads the text form of its field's default back
         for key, parse in CONFIG_KEYS.items():
             default = defaults[key]
-            if default is None:
-                text = "none"
-            elif isinstance(default, tuple):
-                text = ",".join(map(str, default))
-            else:
-                text = str(default)
+            text = ",".join(map(str, default)) if isinstance(default, tuple) else str(default)
             value = parse(text)
             assert value == default and type(value) is type(default), key
 
     @pytest.mark.parametrize("command, key, other", [("train", "min_gap", "detect"),
-                                                     ("detect", "hop", "train")])
+                                                     ("detect", "learning_rate", "train")])
     def test_key_of_the_other_command_exit_2(self, cli_workspace, tmp_path, capsys, command, key, other):
         # each command used to ignore the other command's keys and exit 0
         cfg = tmp_path / "other.cfg"
@@ -119,11 +112,23 @@ class TestConfigFile:
         # the same file is the other command's to read
         assert parse_config_file(cfg, other) == {key: 0.5}
 
+    @pytest.mark.parametrize("line", ["hop = 0.01", "n_mfcc = 12", "mel_high = none"])
+    def test_front_end_key_exits_2(self, cli_workspace, tmp_path, capsys, line):
+        # the front end is the build's own: a config file cannot set it
+        cfg = tmp_path / "front.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "m.sadb"
+        rc = main(["train", "--manifest", str(cli_workspace["manifest"]), "--out", str(out), "--config", str(cfg)])
+        assert rc == 2
+        key = line.split(" = ")[0]
+        assert f"{cfg}:1: unknown config key '{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_readme_lists_every_config_key(self):
         # the README's bullet per config dataclass names its keys in field order
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
         listed = []
-        for cls in (FeatureConfig, TrainConfig, AdaptationConfig, SmoothingConfig):
+        for cls in (TrainConfig, AdaptationConfig, SmoothingConfig):
             bullet = re.search(rf"\(`{cls.__name__}`, read by `\w+`\):(.*?)[;.]\s", readme, re.S)
             assert bullet, cls.__name__
             keys = re.findall(r"`(\w+)`", bullet.group(1))

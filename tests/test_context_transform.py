@@ -12,9 +12,9 @@ from streamsad.context_transform import (
     LinearTransform,
     PcaMoments,
     acoustic_labels,
-    apply_transform,
     context_window,
 )
+from streamsad.features import row_products
 from streamsad.gmm import Gmm
 from oracles import lda_two_class_direction, naive_posteriors
 
@@ -154,8 +154,8 @@ class TestLda:
         vectors = np.vstack([a, b])
         ids = np.array([0] * len(a) + [1] * len(b))
         lda = fit_lda(vectors, ids, 1)
-        pa = apply_transform(a, lda).ravel()
-        pb = apply_transform(b, lda).ravel()
+        pa = row_products(a - lda.mean_offset, lda.matrix.T).ravel()
+        pb = row_products(b - lda.mean_offset, lda.matrix.T).ravel()
         gap = abs(pa.mean() - pb.mean())
         spread = np.sqrt((pa.var() + pb.var()) / 2)
         assert gap / spread > 2.0
@@ -281,7 +281,7 @@ class TestPca:
         data = rng.standard_normal((50, 4)) + 10.0
         pca = fit_pca(data, 2)
         np.testing.assert_allclose(
-            apply_transform(data.mean(axis=0, keepdims=True), pca), 0.0, atol=1e-9
+            row_products(data.mean(axis=0, keepdims=True) - pca.mean_offset, pca.matrix.T), 0.0, atol=1e-9
         )
 
     def test_rows_orthonormal(self):
@@ -293,7 +293,7 @@ class TestPca:
         rng = np.random.default_rng(15)
         data = rng.standard_normal((500, 5)) * np.array([5.0, 3.0, 2.0, 1.0, 0.5])
         pca = fit_pca(data, 5)
-        variances = apply_transform(data, pca).var(axis=0)
+        variances = row_products(data - pca.mean_offset, pca.matrix.T).var(axis=0)
         assert np.all(np.diff(variances) <= 1e-9)
 
     def test_chunked_accumulation_equals_one_shot(self):
@@ -313,7 +313,7 @@ class TestPca:
 
 class TestStreamingCascade:
     """The detector's LDA -> PCA stages, pushed in any chunking, equal the
-    stacking alone followed by apply_transform, one flush each, bit for bit."""
+    stacking alone followed by the projection, one flush each, bit for bit."""
 
     def test_chunked_stages_equal_batch_bits(self):
         rng = np.random.default_rng(40)
@@ -322,8 +322,8 @@ class TestStreamingCascade:
             matrix=rng.standard_normal((12, 396)), mean_offset=rng.standard_normal(396)
         )
         pca = fit_pca(rng.standard_normal((200, 84)), 24)
-        reduced = apply_transform(context_window(LDA_CONTEXT).flush(frames), lda)
-        want = apply_transform(context_window(PCA_CONTEXT).flush(reduced), pca)
+        reduced = row_products(context_window(LDA_CONTEXT).flush(frames) - lda.mean_offset, lda.matrix.T)
+        want = row_products(context_window(PCA_CONTEXT).flush(reduced) - pca.mean_offset, pca.matrix.T)
         for sizes in ([1300], [1] * 30 + [1270], list(rng.integers(1, 120, 40))):
             stages = (context_window(LDA_CONTEXT, lda), context_window(PCA_CONTEXT, pca))
             cuts = np.cumsum(sizes)[:-1]
@@ -347,6 +347,13 @@ class TestStreamingCascade:
 
 
 class TestApplyTransform:
+    """The projection a context stage applies, y = matrix @ (x - mean_offset),
+    seen through a stage that stacks the current frame alone."""
+
+    @staticmethod
+    def project(x, transform):
+        return context_window(ContextSpec((0,)), transform).flush(x)
+
     def test_matches_manual_projection(self):
         rng = np.random.default_rng(17)
         matrix = rng.standard_normal((3, 5))
@@ -354,28 +361,16 @@ class TestApplyTransform:
         transform = LinearTransform(matrix=matrix, mean_offset=mean)
         x = rng.standard_normal((4, 5))
         want = np.array([[row @ (xi - mean) for row in matrix] for xi in x])
-        np.testing.assert_allclose(apply_transform(x, transform), want, atol=1e-12)
+        np.testing.assert_allclose(self.project(x, transform), want, atol=1e-12)
 
     def test_single_vector_and_batch_agree(self):
         # one row as a (1, in_dim) block gets the bits it has in a larger block
         rng = np.random.default_rng(18)
         transform = fit_pca(rng.standard_normal((50, 4)), 2)
         x = rng.standard_normal((6, 4))
-        batch = apply_transform(x, transform)
+        batch = self.project(x, transform)
         for i in range(6):
-            np.testing.assert_array_equal(apply_transform(x[i : i + 1], transform), batch[i : i + 1])
-
-    def test_dim_mismatch(self):
-        transform = LinearTransform(
-            matrix=np.eye(2), mean_offset=np.zeros(2)
-        )
-        with pytest.raises(ValueError, match="dim"):
-            apply_transform(np.zeros(3), transform)
-        with pytest.raises(ValueError, match="dim"):
-            apply_transform(np.zeros((1, 3)), transform)
-        # a single vector is refused: the input is a (T, in_dim) block
-        with pytest.raises(ValueError, match=r"\(T, 2\) block"):
-            apply_transform(np.zeros(2), transform)
+            np.testing.assert_array_equal(self.project(x[i : i + 1], transform), batch[i : i + 1])
 
     def test_validation(self):
         with pytest.raises(ValueError, match="exceed input"):
@@ -387,7 +382,7 @@ class TestApplyTransform:
         rng = np.random.default_rng(seed)
         transform = fit_pca(rng.standard_normal((30, 3)), 2)
         x, y = rng.standard_normal((2, 1, 3))
-        lhs = apply_transform(x + y, transform)
-        rhs = apply_transform(x, transform) + apply_transform(y, transform) \
-            + apply_transform(np.zeros((1, 3)), transform) * -1.0
+        lhs = self.project(x + y, transform)
+        rhs = self.project(x, transform) + self.project(y, transform) \
+            + self.project(np.zeros((1, 3)), transform) * -1.0
         np.testing.assert_allclose(lhs, rhs, atol=1e-9)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from streamsad.audio_io import NONSPEECH, SPEECH, AudioStream, SegmentLabel, read_wav
@@ -67,7 +67,6 @@ def mini_model(base_threshold=0.0, seed=0):
     # positive biases keep every segment's embedding nonzero
     bias = np.abs(rng.standard_normal(3)) * 0.3 + 0.2
     return SadModel(
-        feature_cfg=FeatureConfig(),
         sample_rate=8000,
         lda=lda,
         pca=pca,
@@ -94,7 +93,6 @@ def default_size_model(seed=0):
 
     q, _ = np.linalg.qr(rng.standard_normal((84, 24)))
     return SadModel(
-        feature_cfg=FeatureConfig(),
         sample_rate=8000,
         lda=LinearTransform(rng.standard_normal((12, 396)) * 0.1, rng.standard_normal(396)),
         pca=LinearTransform(q.T, rng.standard_normal(84)),
@@ -379,6 +377,21 @@ class TestProcessSegment:
             assert -2.0 <= d.zero_score <= 2.0
             assert -2.0 <= d.emb_score <= 2.0
             assert -2.0 <= d.fused_score <= 2.0
+
+    def test_nan_score_raises_and_earlier_decisions_stand(self):
+        # a finite but hostile model: the embedding weight x 1e307 still
+        # embeds small supervectors, but a loud segment's pre-activations
+        # overflow to inf, its cosine is inf / inf and its scores NaN
+        base = mini_model()
+        model = dataclasses.replace(base, embedding_weight=base.embedding_weight * 1e307)
+        cfg = AdaptationConfig()
+        rng = np.random.default_rng(7)
+        segments = np.stack([rng.standard_normal((10, 2)) * scale for scale in (0.01, 1.0, 1e4)])
+        decisions = []
+        with np.errstate(all="ignore"), pytest.raises(RuntimeError, match=r"score nan escaped \[-2, 2\]"):
+            score_segments(segments, model, AdaptState(model, cfg), cfg, out=decisions)
+        assert [d.index for d in decisions] == [0, 1]
+        assert all(-2.0 <= d.fused_score <= 2.0 for d in decisions)
 
     def test_input_validation(self):
         model = mini_model()
@@ -1236,14 +1249,14 @@ class TestModelBundle:
             (_with_shape("speech_counts", [1]), "longer than its array shapes"),
             (_with_shape("pca.mean_offset", [-8]), "bad array entry"),
             (lambda h: {**h, "arrays": h["arrays"][1:] + h["arrays"][:1]}, "malformed bundle"),
-            # JSON keeps 12.0 a float: integer fields must be JSON integers
-            (_with_feature("n_mfcc", 12.0), "n_mfcc must be a JSON integer, got 12.0"),
-            (_with_feature("n_fft", 256.5), "n_fft must be a JSON integer, got 256.5"),
-            (_with_feature("delta_window", 2.0), "delta_window must be a JSON integer"),
-            (_with_feature("n_mel_filters", 23.0), "n_mel_filters must be a JSON integer"),
-            (_with_feature("n_mfcc", True), "n_mfcc must be a JSON integer, got True"),
-            (lambda h: {**h, "sample_rate": 8000.7}, "sample_rate must be a JSON integer, got 8000.7"),
-            (lambda h: {**h, "sample_rate": 8000.0}, "sample_rate must be a JSON integer"),
+            # the front end is compared as JSON text: 12.0 is not 12, nor true 1
+            (_with_feature("n_mfcc", 12.0), '"n_mfcc": 12.0'),
+            (_with_feature("n_fft", 256.5), '"n_fft": 256.5'),
+            (_with_feature("delta_window", 2.0), '"delta_window": 2.0'),
+            (_with_feature("n_mel_filters", 23.0), '"n_mel_filters": 23.0'),
+            (_with_feature("n_mfcc", True), '"n_mfcc": true'),
+            (lambda h: {**h, "sample_rate": 8000.7}, r"sample_rate must be an integer in \[8000, 192000\] Hz, got 8000.7"),
+            (lambda h: {**h, "sample_rate": 8000.0}, "sample_rate must be an integer in .* got 8000.0"),
         ],
         ids=["unknown-feature-key", "missing-key", "header-not-object", "nan-threshold", "shapes-overrun",
              "payload-too-long", "negative-dim", "arrays-out-of-order", "float-n_mfcc", "float-n_fft",
@@ -1271,14 +1284,19 @@ class TestModelBundle:
             (lambda raw: with_stream(raw, stream_of(raw) + zlib.compress(b"")), "bytes after the end of the stream"),
             # as many taps, so the same array shapes: only the header tells them apart
             (lambda raw: reframe(raw, lambda h: {**h, "lda_context": list(range(-16, 5, 2))}),
-             "lda_context offsets"),
+             "lda_context is "),
             (lambda raw: reframe(raw, lambda h: {**h, "pca_context": list(range(-15, 4, 3))}),
-             "pca_context offsets"),
+             "pca_context is "),
             # the JSON parser gives up on it with a RecursionError, not a ValueError
             (lambda raw: with_header(raw, b"[" * 100_000 + b"]" * 100_000), "RecursionError"),
+            # each used to size the front end's tables on load: MemoryError, exit 3
+            (lambda raw: reframe(raw, _with_feature("n_fft", 2**44)), '"n_fft": 17592186044416'),
+            (lambda raw: reframe(raw, lambda h: {**h, "sample_rate": 10**15}), "got 1000000000000000"),
+            (lambda raw: reframe(raw, lambda h: {**h, "sample_rate": 7999}), "got 7999"),
         ],
         ids=["unknown-tag", "integer-tag", "narrow-tag-overrun", "truncated-stream", "stream-without-its-end",
-             "stream-past-the-total", "bytes-after-the-stream", "lda-context", "pca-context", "deeply-nested-header"],
+             "stream-past-the-total", "bytes-after-the-stream", "lda-context", "pca-context", "deeply-nested-header",
+             "huge-n_fft", "huge-sample_rate", "low-sample_rate"],
     )
     def test_hostile_bundle_exits_2(self, tiny_bundle, tiny_corpus, tmp_path, capsys, hostile, match):
         from streamsad.cli import main
@@ -1325,7 +1343,7 @@ class TestModelBundle:
                    str(tiny_corpus["entries"][5][0])])
         assert rc == 2
         err = capsys.readouterr().err
-        assert f"{path}: malformed bundle" in err and "n_mfcc must be a JSON integer" in err
+        assert f"{path}: malformed bundle" in err and 'feature_cfg is {' in err and '"n_mfcc": 12.0' in err
 
     def test_unknown_feature_key_exits_2(self, tiny_bundle, tiny_corpus, tmp_path, capsys):
         from streamsad.cli import main
@@ -1354,33 +1372,65 @@ class TestModelBundle:
         assert "malformed bundle" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "key, value, message",
-        [("hop", 1e-5, "hop of 1e-05 s is 0 samples"),
-         ("cmn_window", math.inf, "window_length, hop and cmn_window must be finite"),
-         ("window_length", math.inf, "window_length, hop and cmn_window must be finite")],
+        "key, value, text",
+        [("hop", 1e-5, '"hop": 1e-05'),
+         ("cmn_window", math.inf, '"cmn_window": Infinity'),
+         ("window_length", math.inf, '"window_length": Infinity')],
         ids=["hop-of-0-samples", "infinite-cmn_window", "infinite-window_length"],
     )
     def test_front_end_that_cannot_run_exits_2(self, tiny_bundle, tiny_corpus, tmp_path, capsys,
-                                                key, value, message):
+                                                key, value, text):
         # each used to load, and detection then raised ZeroDivisionError or
-        # OverflowError (exit 3); training with it named no cause
+        # OverflowError (exit 3). A front end other than the build's is now
+        # refused on load, and training has no key to set one.
         from streamsad.cli import main
 
         path = tmp_path / "bad.sadb"
         path.write_bytes(reframe(tiny_bundle, _with_feature(key, value)))
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match="feature_cfg is ") as refused:
             load_model(path)
+        assert text in str(refused.value)
         rc = main(["detect", "--model", str(path), "--out-dir", str(tmp_path / "hyp"),
                    str(tiny_corpus["entries"][5][0])])
         assert rc == 2
-        assert message in capsys.readouterr().err
+        assert text in capsys.readouterr().err
         config = tmp_path / "bad.cfg"
         config.write_text(f"{key} = {value}\n")
         rc = main(["train", "--manifest", str(tiny_corpus["manifest"]), "--out", str(tmp_path / "m.sadb"),
                    "--config", str(config)])
         assert rc == 2
-        assert message in capsys.readouterr().err
+        assert f"{config}:1: unknown config key '{key}'" in capsys.readouterr().err
         assert not (tmp_path / "m.sadb").exists()
+
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(slot=st.sampled_from([("feature_cfg", name) for name in dataclasses.asdict(FeatureConfig())]
+                                + [("lda_context", i) for i in range(LDA_CONTEXT.size)]
+                                + [("pca_context", i) for i in range(PCA_CONTEXT.size)]
+                                + [("sample_rate", None)]),
+           value=st.one_of(st.integers(), st.floats(), st.booleans(), st.none(), st.text(max_size=8)))
+    @example(slot=("feature_cfg", "n_fft"), value=2**44)
+    @example(slot=("sample_rate", None), value=10**15)
+    def test_edited_header_loads_exact_or_raises_value_error(self, tiny_bundle, tiny_model, tmp_path,
+                                                             slot, value):
+        # one value of a valid header changed, under a valid CRC
+        key, entry = slot
+
+        def edit(header):
+            if entry is None:
+                header[key] = value
+            else:
+                header[key][entry] = value
+            return header
+
+        path = tmp_path / "edited.sadb"
+        path.write_bytes(reframe(tiny_bundle, edit))
+        try:
+            loaded = load_model(path)
+        except ValueError:
+            return
+        assert same_bits(list(_bundle_arrays(loaded).values()), list(_bundle_arrays(tiny_model).values()))
+        assert loaded.feature_cfg == FeatureConfig()
 
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -7,7 +7,7 @@ import pytest
 
 from streamsad.audio_io import NONSPEECH, SPEECH, SegmentLabel, read_labels, read_wav, write_labels, write_wav
 from streamsad.engine import StreamingDetector, load_model, save_model, stream_detect
-from streamsad.features import FeatureConfig, extract_features
+from streamsad.features import extract_features
 from streamsad.gmm import Gmm, block_supervectors
 from streamsad.synth import make_corpus
 from streamsad import trainer
