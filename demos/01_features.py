@@ -11,7 +11,7 @@ import numpy as np
 
 from streamsad.audio_io import AudioStream
 from streamsad.features import (
-    FeatureConfig,
+    FRONT_END,
     FeatureExtractor,
     cmn_window,
     delta_window,
@@ -27,11 +27,11 @@ def main():
     samples[burst] += 0.4 * np.sin(2 * np.pi * 700.0 * t[burst])
     audio = AudioStream(rate, samples)
 
-    cfg = FeatureConfig()
+    cfg = FRONT_END  # the build's one front end
     print(f"signal: {audio.duration:.1f} s at {rate} Hz, "
           f"{cfg.window_samples(rate)}-sample windows every {cfg.hop_samples(rate)}")
 
-    static = extract_mfcc(audio, cfg)
+    static = extract_mfcc(audio)
     print(f"\nstatic MFCC: {static.shape[0]} frames x {static.shape[1]} coefficients")
     print("c1 energy tracks the burst (frame means over thirds):")
     third = len(static) // 3
@@ -41,14 +41,14 @@ def main():
         print(f"  {name:6s} |c1..c3| = {np.abs(block[:, :3]).mean(axis=0).round(2)}")
 
     # each stage alone is one flush of the causal window the extractor streams through
-    normalized = cmn_window(cfg).flush(static)
+    normalized = cmn_window().flush(static)
     print(f"\nafter causal mean normalization (trailing {cfg.cmn_frames()}-frame window):")
     print(f"  global mean per coefficient shrinks from "
           f"{np.abs(static.mean(axis=0)).max():.2f} to "
           f"{np.abs(normalized.mean(axis=0)).max():.2f}")
 
-    with_deltas = delta_window(cfg.n_mfcc, cfg.delta_window).flush(normalized)
-    full = delta_window(cfg.n_mfcc, cfg.delta_window).flush(with_deltas)
+    with_deltas = delta_window(cfg.n_mfcc).flush(normalized)
+    full = delta_window(cfg.n_mfcc).flush(with_deltas)
     print(f"\nwith deltas appended: {full.shape[1]} dims "
           f"(12 static + 12 delta + 12 delta-delta)")
     print(f"  delta magnitudes peak near the burst edges: "
@@ -57,7 +57,7 @@ def main():
     # chunk boundaries must not matter: two random choppings and the batch
     # computation all agree bit for bit
     def run_chunked(seed):
-        extractor = FeatureExtractor(cfg, rate)
+        extractor = FeatureExtractor(rate)
         frames = []
         rng = np.random.default_rng(seed)
         pos = 0

@@ -1,8 +1,9 @@
 """Command line front door: train, detect, score, bench.
 
 Exit codes: 0 success, 1 usage problem, 2 data problem (unreadable or
-inconsistent inputs), 3 internal error. Hyperparameters live in a flat
-`key = value` config file; command-line flags override it.
+inconsistent inputs, or a model that faults at run time), 3 internal error.
+Hyperparameters live in a flat `key = value` config file; command-line
+flags override it.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from pathlib import Path
 from .audio_io import AudioFormatError, LabelFileError, read_labels, read_wav, write_labels
 from .engine import (
     AdaptationConfig,
+    ModelError,
     SmoothingConfig,
     StreamingDetector,
     load_model,
@@ -301,6 +303,9 @@ def main(argv=None) -> int:
         OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except ModelError as exc:  # only detect and bench run a model
+        print(f"error: {args.model}: model fault: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # noqa: BLE001 - last-resort boundary
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)

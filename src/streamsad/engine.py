@@ -44,8 +44,8 @@ import numpy as np
 from .audio_io import MAX_SAMPLE_RATE, MIN_SAMPLE_RATE, NONSPEECH, SPEECH, AudioStream, SegmentLabel
 from .context_transform import LDA_CONTEXT, PCA_CONTEXT, LinearTransform, cascade
 from .embeddings import STORED_DTYPES, embed_batch, from_planes, narrowest, to_planes
-from .features import FeatureConfig, FeatureExtractor, chain_flush, chain_push, row_products
-from .gmm import Gmm, block_counts, block_supervectors
+from .features import FRONT_END, FeatureConfig, FeatureExtractor, chain_flush, chain_push, row_products
+from .gmm import MIN_VARIANCE, Gmm, block_counts, block_supervectors
 
 SEGMENT_FRAMES = 10
 # a trailing partial segment is decided on its own if it has at least this
@@ -92,6 +92,10 @@ class SmoothingConfig:
             raise ValueError("smoothing durations must be non-negative")
 
 
+class ModelError(RuntimeError):
+    """Detection met a value that finite samples cannot cause: the model is at fault."""
+
+
 _VECTORS = ("speech_counts", "nonspeech_counts", "speech_embedding", "nonspeech_embedding")
 
 
@@ -100,9 +104,9 @@ class SadModel:
     """What detection reads and nothing else: the sample rate, the LDA and
     PCA transforms, the counts and supervector UBMs, the MLP's first hidden
     (ReLU) layer that embeds a supervector, per-class model vectors, and the
-    threshold. The front end is the build's own, not a field."""
+    threshold. The front end is the build's own (`features.FRONT_END`), not a field."""
 
-    feature_cfg: ClassVar[FeatureConfig] = FeatureConfig()
+    feature_cfg: ClassVar[FeatureConfig] = FRONT_END
     sample_rate: int
     lda: LinearTransform
     pca: LinearTransform
@@ -117,7 +121,7 @@ class SadModel:
     base_threshold: float = 0.0
 
     def __post_init__(self):
-        if self.lda.input_dim != LDA_CONTEXT.size * self.feature_cfg.output_dim:
+        if self.lda.input_dim != LDA_CONTEXT.size * FRONT_END.output_dim:
             raise ValueError("LDA input dim does not match stacked feature dim")
         if self.pca.input_dim != PCA_CONTEXT.size * self.lda.output_dim:
             raise ValueError("PCA input dim does not match stacked LDA dim")
@@ -127,6 +131,8 @@ class SadModel:
         for name in ("counts_ubm", "supervector_ubm"):
             if getattr(self, name).dim != self.pca.output_dim:
                 raise ValueError(f"{name} dim does not match transformed feature dim")
+            if np.min(getattr(self, name).variances) < MIN_VARIANCE:
+                raise ValueError(f"{name} has variances below {MIN_VARIANCE}, the floor training applies")
         width = self.supervector_ubm.n_components * self.supervector_ubm.dim
         w, b = self.embedding_weight, self.embedding_bias
         if w.ndim != 2 or w.shape[0] != width or b.shape != (w.shape[1],):
@@ -324,7 +330,7 @@ def score_segments(
 
     # times come straight off the integer frame grid so decision i's end is
     # bit-identical to decision i+1's start
-    hop = model.feature_cfg.hop
+    hop = FRONT_END.hop
     n_frames = segments.shape[1]
     for s, counts_vec in enumerate(counts_vecs):
         zero_score = _cosine(
@@ -337,9 +343,9 @@ def score_segments(
         )
         fused = (zero_score + emb_score) / 2.0
         # each view is a difference of clipped cosines, so only a NaN, which
-        # fused then carries, can leave [-2, 2]
+        # fused then carries, can leave [-2, 2]: finite samples never make one
         if not (-2.0 <= fused <= 2.0):
-            raise RuntimeError(f"score {fused} escaped [-2, 2]")
+            raise ModelError(f"score {fused} escaped [-2, 2]")
 
         threshold = state.adapted_threshold
         label = SPEECH if fused > threshold else NONSPEECH
@@ -389,7 +395,7 @@ class StreamingDetector:
         self.model = model
         self.adaptation = adaptation or AdaptationConfig()
         self.smoothing = smoothing or SmoothingConfig()
-        self.extractor = FeatureExtractor(model.feature_cfg, model.sample_rate)
+        self.extractor = FeatureExtractor(model.sample_rate)
         self.cascade = cascade(model.lda, model.pca)
         self.state = AdaptState(model, self.adaptation)
         self.decisions: list[Decision] = []
@@ -445,7 +451,7 @@ class StreamingDetector:
         if len(self.pending) >= MIN_TAIL_FRAMES:
             new += self._decide(self.pending[np.newaxis])
         elif len(self.pending):
-            self.tail_extra = len(self.pending) * self.model.feature_cfg.hop
+            self.tail_extra = len(self.pending) * FRONT_END.hop
             self.pending = self.pending[:0]
         return new
 
@@ -579,7 +585,7 @@ _PARTS = {"lda": _TRANSFORM_PARTS, "pca": _TRANSFORM_PARTS,
 # what this build fixes and a bundle records: a load compares each with the
 # header's as canonical JSON text, so 12.0 never stands in for 12
 _BUILD = {
-    "feature_cfg": asdict(FeatureConfig()),
+    "feature_cfg": asdict(FRONT_END),
     "lda_context": list(LDA_CONTEXT.offsets),
     "pca_context": list(PCA_CONTEXT.offsets),
 }

@@ -39,8 +39,8 @@ BLOCK_FRAMES = 500
 @dataclass(frozen=True, init=False)
 class FeatureConfig:
     """The front end's constants. One front end per build: FeatureConfig()
-    takes no arguments, and a bundle records these values (`asdict`) for
-    a load to check against the build's."""
+    takes no arguments, the program reads FRONT_END, and a bundle records
+    these values (`asdict`) for a load to check against the build's."""
 
     window_length: float = 0.025
     hop: float = 0.010
@@ -73,6 +73,9 @@ class FeatureConfig:
     @property
     def output_dim(self) -> int:
         return 3 * self.n_mfcc
+
+
+FRONT_END = FeatureConfig()
 
 
 def frame_count(n_samples: int, cfg: FeatureConfig, sample_rate: int) -> int:
@@ -124,16 +127,13 @@ def dct_matrix(n_mfcc: int, n_filters: int) -> np.ndarray:
 
 
 class StaticMfcc:
-    """Static MFCC computation with precomputed window/mel/DCT tables."""
+    """Static MFCCs of the front end at one sample rate, from precomputed window/mel/DCT tables."""
 
-    def __init__(self, cfg: FeatureConfig, sample_rate: int):
-        self.cfg = cfg
-        self.sample_rate = sample_rate
+    def __init__(self, sample_rate: int):
+        cfg = FRONT_END
         self.win = cfg.window_samples(sample_rate)
         self.hop = cfg.hop_samples(sample_rate)
         self.n_fft = cfg.fft_size(sample_rate)
-        if self.hop < 1:
-            raise ValueError(f"hop of {cfg.hop} s is {self.hop} samples at {sample_rate} Hz; need at least 1")
         f_high = cfg.mel_high if cfg.mel_high is not None else sample_rate / 2
         self.window = np.hamming(self.win)
         self.filterbank = mel_filterbank(sample_rate, self.n_fft, cfg.n_mel_filters, cfg.mel_low, f_high)
@@ -165,8 +165,8 @@ class StaticMfcc:
         emphasized = padded[:, : self.win]
         # pre-emphasis stays inside the window so a frame never depends on
         # samples outside its own analysis window
-        np.multiply(frames[:, 0], 1.0 - self.cfg.pre_emphasis, out=emphasized[:, 0])
-        np.multiply(frames[:, :-1], self.cfg.pre_emphasis, out=emphasized[:, 1:])
+        np.multiply(frames[:, 0], 1.0 - FRONT_END.pre_emphasis, out=emphasized[:, 0])
+        np.multiply(frames[:, :-1], FRONT_END.pre_emphasis, out=emphasized[:, 1:])
         np.subtract(frames[:, 1:], emphasized[:, 1:], out=emphasized[:, 1:])
         emphasized *= self.window
         spectrum = np.abs(np.fft.rfft(padded, axis=1))
@@ -242,14 +242,14 @@ def chain_flush(windows, frames: np.ndarray):
         frames = frames[:0]
 
 
-def cmn_window(cfg: FeatureConfig) -> CausalWindow:
+def cmn_window() -> CausalWindow:
     """Causal sliding-window mean removal (the window includes the current frame).
 
     Each window is summed exactly, oldest frame first, so a long stream
     never drifts the way a running sum would. Near the stream start the
     window holds only the frames seen so far.
     """
-    width = cfg.cmn_frames()
+    width = FRONT_END.cmn_frames()
 
     def kernel(context: np.ndarray, start: int) -> np.ndarray:
         n, dim = len(context) - (width - 1), context.shape[1]
@@ -274,8 +274,9 @@ def cmn_window(cfg: FeatureConfig) -> CausalWindow:
     return CausalWindow(width - 1, 0, kernel)
 
 
-def delta_window(dim: int, window: int) -> CausalWindow:
+def delta_window(dim: int) -> CausalWindow:
     """Appends regression deltas of the last dim columns: (T, D) -> (T, D + dim)."""
+    window = FRONT_END.delta_window
     denom = 2.0 * sum(k * k for k in range(1, window + 1))
 
     def kernel(context: np.ndarray, start: int) -> np.ndarray:
@@ -292,31 +293,24 @@ def delta_window(dim: int, window: int) -> CausalWindow:
     return CausalWindow(window, window, kernel)
 
 
-def extract_mfcc(audio, cfg: FeatureConfig | None = None) -> np.ndarray:
-    """Static 12-d MFCCs for a whole AudioStream, (T, n_mfcc)."""
-    cfg = cfg or FeatureConfig()
-    static = StaticMfcc(cfg, audio.sample_rate)
-    n = frame_count(len(audio.samples), cfg, audio.sample_rate)
-    if n == 0:
-        raise ValueError(
-            f"audio shorter than one analysis window ({cfg.window_length * 1000:.0f} ms)"
-        )
+def extract_mfcc(audio, cfg: FeatureConfig = FRONT_END) -> np.ndarray:
+    """Static 12-d MFCCs for a whole AudioStream, (T, n_mfcc); cfg can only be FRONT_END."""
+    if frame_count(len(audio.samples), cfg, audio.sample_rate) == 0:
+        raise ValueError(f"audio shorter than one analysis window ({cfg.window_length * 1000:.0f} ms)")
+    static = StaticMfcc(audio.sample_rate)
     return static.compute_block(static.windows(audio.samples))
 
 
-def extract_features(audio, cfg: FeatureConfig | None = None) -> np.ndarray:
+def extract_features(audio) -> np.ndarray:
     """Full front end for a whole file: statics -> CMN -> +deltas, (T, 36).
 
     The whole file is one push and a flush of a FeatureExtractor, the path
     detection streams through.
     """
-    cfg = cfg or FeatureConfig()
-    extractor = FeatureExtractor(cfg, audio.sample_rate)
+    extractor = FeatureExtractor(audio.sample_rate)
     frames = np.concatenate([extractor.push(audio.samples), extractor.flush()])
     if len(frames) == 0:
-        raise ValueError(
-            f"audio shorter than one analysis window ({cfg.window_length * 1000:.0f} ms)"
-        )
+        raise ValueError(f"audio shorter than one analysis window ({FRONT_END.window_length * 1000:.0f} ms)")
     return frames
 
 
@@ -329,14 +323,9 @@ class FeatureExtractor:
     them with the last frame replicated.
     """
 
-    def __init__(self, cfg: FeatureConfig, sample_rate: int):
-        self.cfg = cfg
-        self.static = StaticMfcc(cfg, sample_rate)
-        self.stages = (
-            cmn_window(cfg),
-            delta_window(cfg.n_mfcc, cfg.delta_window),
-            delta_window(cfg.n_mfcc, cfg.delta_window),
-        )
+    def __init__(self, sample_rate: int):
+        self.static = StaticMfcc(sample_rate)
+        self.stages = (cmn_window(), delta_window(FRONT_END.n_mfcc), delta_window(FRONT_END.n_mfcc))
         self.pending = np.empty(0, dtype=np.float64)  # samples not yet in a frame
         self.n_frames = 0  # static frames computed so far
         self.finished = False
@@ -394,11 +383,11 @@ class FeatureExtractor:
     def push(self, samples) -> np.ndarray:
         """Feed samples; returns the newly completed (n, 36) frames: the
         blocks push_blocks yields, joined."""
-        return np.concatenate([np.empty((0, self.cfg.output_dim)), *self.push_blocks(samples)])
+        return np.concatenate([np.empty((0, FRONT_END.output_dim)), *self.push_blocks(samples)])
 
     def flush(self) -> np.ndarray:
         """Finish the stream; returns the remaining frames."""
         if self.finished:
-            return np.empty((0, self.cfg.output_dim))
+            return np.empty((0, FRONT_END.output_dim))
         self.finished = True
-        return np.concatenate([*chain_flush(self.stages, np.empty((0, self.cfg.n_mfcc)))])
+        return np.concatenate([*chain_flush(self.stages, np.empty((0, FRONT_END.n_mfcc)))])

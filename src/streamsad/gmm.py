@@ -28,6 +28,7 @@ import numpy as np
 from .rowsource import as_rows
 
 VARIANCE_FLOOR_FRACTION = 1e-3
+MIN_VARIANCE = 1e-10  # train_gmm floors each variance at VARIANCE_FLOOR_FRACTION of the data's, never below this
 _LOG_2PI = np.log(2.0 * np.pi)
 
 # components whose summed responsibility falls below this keep their old
@@ -188,7 +189,7 @@ def train_gmm(
     global_variance = _variance(source)
     if np.all(global_variance <= 0.0):
         raise ValueError("zero global variance: all samples identical")
-    floor = np.maximum(VARIANCE_FLOOR_FRACTION * global_variance, 1e-10)
+    floor = np.maximum(VARIANCE_FLOOR_FRACTION * global_variance, MIN_VARIANCE)
 
     rng = np.random.default_rng(seed)
     means = _kmeans_plus_plus(source, n_components, rng)

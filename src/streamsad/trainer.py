@@ -45,13 +45,11 @@ from .audio_io import SPEECH, AudioFormatError, SegmentLabel, read_labels, read_
 from .context_transform import LDA_CONTEXT, PCA_CONTEXT, LdaScatter, PcaMoments, acoustic_labels, cascade
 from .embeddings import class_embeddings, train_mlp
 from .engine import SEGMENT_FRAMES, SadModel, save_model
-from .features import BLOCK_FRAMES, FeatureConfig, chain_flush, chain_push, extract_features
+from .features import BLOCK_FRAMES, FRONT_END, chain_flush, chain_push, extract_features
 from .gmm import block_counts, block_supervectors, merge_gmms, train_gmm
 from .rowsource import ArrayRows, SpilledRows
 
 logger = logging.getLogger(__name__)
-
-_FRONT_END = FeatureConfig()
 
 # fraction of 10-frame segments dropped for straddling a label boundary
 # above which the corpus labeling looks suspect
@@ -177,7 +175,7 @@ def _read_entry(audio_path, label_path, sample_rate: int | None):
         if sample_rate is not None and audio.sample_rate != sample_rate:
             raise ValueError(f"sample rate {audio.sample_rate} differs from corpus rate {sample_rate}")
         frames = extract_features(audio)
-        mask = frame_labels(read_labels(label_path), len(frames), _FRONT_END.hop, _FRONT_END.window_length)
+        mask = frame_labels(read_labels(label_path), len(frames), FRONT_END.hop, FRONT_END.window_length)
     except AudioFormatError:
         raise  # its message starts with the path already
     except Exception as exc:
@@ -233,7 +231,7 @@ def train(cfg: TrainConfig, out_path=None) -> SadModel:
 
 
 def _train(cfg: TrainConfig, scratch: Path, out_path) -> SadModel:
-    features = SpilledRows(scratch / "features.f64", _FRONT_END.output_dim)
+    features = SpilledRows(scratch / "features.f64", FRONT_END.output_dim)
     masks: list[np.ndarray] = []
     sample_rate = None
     with _stage("features"):
@@ -262,7 +260,7 @@ def _train(cfg: TrainConfig, scratch: Path, out_path) -> SadModel:
         ])
 
     with _stage("lda"):
-        scatter = LdaScatter(LDA_CONTEXT.size * _FRONT_END.output_dim)
+        scatter = LdaScatter(LDA_CONTEXT.size * FRONT_END.output_dim)
         # the LDA stage of the cascade, stacking without a projection
         for first, stacked in _file_blocks(features, spans, lambda: cascade()[:1]):
             scatter.add(stacked, class_ids[first : first + len(stacked)])

@@ -669,11 +669,12 @@ class TestStreamingDetector:
             assert format_trace(det.decisions) == format_trace(ref.decisions)
 
     def test_steady_push_call_budget(self, tiny_corpus, tiny_model):
-        """At most 300 Python-level and C calls per steady-state 0.1 s push.
+        """At most 220 Python-level and C calls per steady-state 0.1 s push.
 
         Counts sys.setprofile "call" and "c_call" events over 100 pushes after
-        5 s of audio. Measured with numpy 2.4.6: 176 per push, with this
-        model. The count does not depend on timing, so it guards the live
+        5 s of audio. Measured with numpy 2.4.6 on Python 3.11: 176 per push,
+        with this model; the margin is for other numpy releases and Python
+        3.10. The count does not depend on timing, so it guards the live
         path's fixed cost (scoring tables built once per model, a
         counts-only pass for the counts UBM, one kernel call per stage) where
         timings are noise.
@@ -694,7 +695,7 @@ class TestStreamingDetector:
         finally:
             sys.setprofile(None)
         assert len(det.decisions) == 147
-        assert (events["call"] + events["c_call"]) / 100 <= 300, events
+        assert (events["call"] + events["c_call"]) / 100 <= 220, events
 
     @staticmethod
     def fail_at(monkeypatch, bad_index):
@@ -1017,14 +1018,22 @@ def patch(raw: bytes, at: int, data: bytes) -> bytes:
     return body + struct.pack("<I", zlib.crc32(body))
 
 
-def patch_first_entry(raw: bytes, name: str, value: float) -> bytes:
-    """A v4 bundle with the first entry of array name set to value, in its
-    stored dtype: the stream is inflated, patched in each byte plane,
-    deflated again and put under a new CRC."""
+def with_values(raw: bytes, name: str, edit) -> bytes:
+    """A v4 bundle with the values of array name replaced by edit(values),
+    in its stored dtype: the stream is inflated, the array's byte planes
+    rewritten, the stream deflated again and put under a new CRC."""
     start, count, dtype = array_spans(raw)[name]
     planes = bytearray(zlib.decompress(stream_of(raw)))
-    planes[start : start + count * dtype.itemsize : count] = np.array([value], dtype).tobytes()
+    size = count * dtype.itemsize
+    values = np.frombuffer(planes, np.uint8, size, start).reshape(-1, count).T.copy().view(dtype)[:, 0]
+    edited = np.asarray(edit(values), dtype)
+    planes[start : start + size] = edited.view(np.uint8).reshape(count, -1).T.tobytes()
     return with_stream(raw, zlib.compress(bytes(planes)))
+
+
+def patch_first_entry(raw: bytes, name: str, value: float) -> bytes:
+    """A v4 bundle with the first entry of array name set to value, in its stored dtype."""
+    return with_values(raw, name, lambda values: np.concatenate([[value], values[1:]]))
 
 
 def as_version_3(raw: bytes) -> bytes:
@@ -1293,10 +1302,13 @@ class TestModelBundle:
             (lambda raw: reframe(raw, _with_feature("n_fft", 2**44)), '"n_fft": 17592186044416'),
             (lambda raw: reframe(raw, lambda h: {**h, "sample_rate": 10**15}), "got 1000000000000000"),
             (lambda raw: reframe(raw, lambda h: {**h, "sample_rate": 7999}), "got 7999"),
+            # positive and finite, but below any floor training applies: it used to load and detect (exit 0)
+            (lambda raw: with_values(raw, "counts_ubm.variances", lambda v: np.full_like(v, 1e-300)),
+             "counts_ubm has variances below 1e-10"),
         ],
         ids=["unknown-tag", "integer-tag", "narrow-tag-overrun", "truncated-stream", "stream-without-its-end",
              "stream-past-the-total", "bytes-after-the-stream", "lda-context", "pca-context", "deeply-nested-header",
-             "huge-n_fft", "huge-sample_rate", "low-sample_rate"],
+             "huge-n_fft", "huge-sample_rate", "low-sample_rate", "tiny-counts-variances"],
     )
     def test_hostile_bundle_exits_2(self, tiny_bundle, tiny_corpus, tmp_path, capsys, hostile, match):
         from streamsad.cli import main
@@ -1310,6 +1322,20 @@ class TestModelBundle:
         assert rc == 2
         err = capsys.readouterr().err
         assert f"{path}: malformed bundle" in err and match in err
+
+    @pytest.mark.parametrize("command", ["detect", "bench"])
+    def test_model_fault_exits_2(self, tiny_bundle, tiny_corpus, tmp_path, capsys, command):
+        # finite values load, but the LDA matrix x 1e300 overflows the cascade and
+        # the scores come out NaN: it used to exit 3 as an internal RuntimeError
+        from streamsad.cli import main
+
+        path = tmp_path / "lda.sadb"
+        path.write_bytes(with_values(tiny_bundle, "lda.matrix", lambda v: v * 1e300))
+        out = ["--out-dir", str(tmp_path / "hyp")] if command == "detect" else []
+        with np.errstate(all="ignore"):
+            rc = main([command, "--model", str(path), *out, str(tiny_corpus["entries"][5][0])])
+        assert rc == 2
+        assert f"error: {path}: model fault: score nan escaped [-2, 2]" in capsys.readouterr().err
 
     def test_version_2_bundle_exits_2(self, tiny_bundle, tiny_corpus, tmp_path, capsys):
         from streamsad.cli import main

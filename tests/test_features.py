@@ -20,6 +20,7 @@ from streamsad.engine import (
 )
 from streamsad.features import (
     BLOCK_FRAMES,
+    FRONT_END,
     FeatureConfig,
     FeatureExtractor,
     StaticMfcc,
@@ -38,18 +39,18 @@ from streamsad.gmm import COUNT_FLOOR, Gmm, block_counts, block_supervectors, lo
 from oracles import delta_oracle, mfcc_oracle, trailing_mean_oracle
 
 
-CFG = FeatureConfig()
+CFG = FRONT_END
 
 
 def cmn(frames):
     """The CMN stage alone over a whole frame sequence: one flush."""
-    return cmn_window(CFG).flush(frames)
+    return cmn_window().flush(frames)
 
 
 def with_deltas(frames):
     """Deltas, then delta-deltas, appended as the front end does: (T, D) -> (T, 3D)."""
     dim = frames.shape[1]
-    return delta_window(dim, CFG.delta_window).flush(delta_window(dim, CFG.delta_window).flush(frames))
+    return delta_window(dim).flush(delta_window(dim).flush(frames))
 
 
 # pushes that are not 1-D real samples, each with the text its error names
@@ -102,7 +103,7 @@ class TestStaticMfcc:
         target = 11
         center_hz = bins[np.argmax(bank[target])]
         samples = tone(center_hz, 0.5, sample_rate)
-        static = StaticMfcc(CFG, sample_rate)
+        static = StaticMfcc(sample_rate)
         frames = samples[: static.win].reshape(1, -1)
         emphasized = np.empty_like(frames)
         emphasized[:, 0] = frames[:, 0] * (1 - CFG.pre_emphasis)
@@ -177,7 +178,7 @@ class TestCmn:
     def test_streaming_state_equals_batch(self):
         rng = np.random.default_rng(11)
         frames = rng.standard_normal((130, 12))
-        stage = cmn_window(CFG)
+        stage = cmn_window()
         streamed = [stage.push(frame[np.newaxis]) for frame in frames]
         streamed.append(stage.flush(np.empty((0, 12))))
         np.testing.assert_array_equal(np.concatenate(streamed), cmn(frames))
@@ -230,41 +231,41 @@ class TestStreamingExtractor:
     def test_chunking_never_changes_output(self):
         rng = np.random.default_rng(21)
         samples = rng.uniform(-0.5, 0.5, 16000)
-        ref = self.collect(FeatureExtractor(CFG, 8000), [samples])
+        ref = self.collect(FeatureExtractor(8000), [samples])
         for trial in range(6):
             got = self.collect(
-                FeatureExtractor(CFG, 8000), self.random_chunks(samples, rng, 8)
+                FeatureExtractor(8000), self.random_chunks(samples, rng, 8)
             )
             np.testing.assert_array_equal(got, ref)
 
     def test_streaming_matches_batch_pipeline(self):
         rng = np.random.default_rng(22)
         samples = rng.uniform(-0.5, 0.5, 12345)
-        streamed = self.collect(FeatureExtractor(CFG, 8000), [samples])
+        streamed = self.collect(FeatureExtractor(8000), [samples])
         batch = extract_features(stream(samples))
         np.testing.assert_array_equal(streamed, batch)
 
     def test_frame_total_matches_formula(self):
-        ext = FeatureExtractor(CFG, 8000)
+        ext = FeatureExtractor(8000)
         total = len(ext.push(np.zeros(9999))) + len(ext.flush())
         assert total == frame_count(9999, CFG, 8000)
 
     def test_push_withholds_lookahead_frames(self):
         # delta-deltas need statics through t+4, so push alone holds 4 back
-        ext = FeatureExtractor(CFG, 8000)
+        ext = FeatureExtractor(8000)
         emitted = len(ext.push(np.zeros(8000)))
         assert frame_count(8000, CFG, 8000) - emitted == 4
 
     def test_tiny_pushes(self):
         rng = np.random.default_rng(23)
         samples = rng.uniform(-0.5, 0.5, 4000)
-        ext = FeatureExtractor(CFG, 8000)
+        ext = FeatureExtractor(8000)
         chunks = [samples[i : i + 17] for i in range(0, 4000, 17)]
         got = self.collect(ext, chunks)
         np.testing.assert_array_equal(got, extract_features(stream(samples)))
 
     def test_buffers_stay_bounded(self):
-        ext = FeatureExtractor(CFG, 8000)
+        ext = FeatureExtractor(8000)
         rng = np.random.default_rng(24)
         for _ in range(40):
             ext.push(rng.uniform(-0.5, 0.5, 800))
@@ -277,7 +278,7 @@ class TestStreamingExtractor:
         # push_blocks moves the state past each block before yielding it, and
         # what it keeps is its own copy, never a view of the caller's samples
         samples = np.random.default_rng(27).uniform(-0.5, 0.5, 60000)  # 748 frames, 2 blocks
-        ext = FeatureExtractor(CFG, 8000)
+        ext = FeatureExtractor(8000)
         blocks = ext.push_blocks(samples)
         got = [next(blocks)]
         assert ext.n_frames == 500 and not np.shares_memory(ext.pending, samples)
@@ -290,7 +291,7 @@ class TestStreamingExtractor:
         # the next push cuts the rest waiting in pending into blocks of at
         # most BLOCK_FRAMES windows before its own samples, with the same bits
         samples = np.random.default_rng(28).uniform(-0.5, 0.5, 160000)  # 1998 frames, 4 blocks
-        ext, sizes = FeatureExtractor(CFG, 8000), []
+        ext, sizes = FeatureExtractor(8000), []
         compute_block = ext.static.compute_block
         ext.static.compute_block = lambda windows: sizes.append(len(windows)) or compute_block(windows)
         blocks = ext.push_blocks(samples[:150000])
@@ -302,14 +303,14 @@ class TestStreamingExtractor:
         assert len(ext.pending) < ext.static.win
 
     def test_push_after_flush_raises(self):
-        ext = FeatureExtractor(CFG, 8000)
+        ext = FeatureExtractor(8000)
         ext.push(np.zeros(4000))
         ext.flush()
         with pytest.raises(RuntimeError, match="push after flush"):
             ext.push(np.zeros(10))
 
     def test_short_stream_flush_is_empty(self):
-        ext = FeatureExtractor(CFG, 8000)
+        ext = FeatureExtractor(8000)
         assert ext.push(np.zeros(100)).shape == (0, 36)
         assert ext.flush().shape == (0, 36)
 
@@ -319,7 +320,7 @@ class TestStreamingExtractor:
         samples = rng.uniform(-0.5, 0.5, 6000)
         chunk = rng.uniform(-0.5, 0.5, 800)
         chunk[123] = bad
-        ext = FeatureExtractor(CFG, 8000)
+        ext = FeatureExtractor(8000)
         got = [ext.push(samples[:3000])]
         with pytest.raises(ValueError, match="NaN or Inf"):
             ext.push(chunk)
@@ -330,19 +331,19 @@ class TestStreamingExtractor:
     def test_largest_accepted_samples_give_finite_frames(self, sample_rate):
         # a full-scale alternating signal at the bound puts its whole energy
         # in the top bin; a hair above the bound is refused
-        ext = FeatureExtractor(CFG, sample_rate)
+        ext = FeatureExtractor(sample_rate)
         bound = ext.static.max_sample
         alternating = bound * np.where(np.arange(sample_rate) % 2, 1.0, -1.0)
         frames = np.concatenate([ext.push(alternating), ext.push(np.full(4000, bound)), ext.flush()])
         assert len(frames) > 100 and np.isfinite(frames).all()
         with pytest.raises(ValueError, match="NaN or Inf"):
-            FeatureExtractor(CFG, sample_rate).push([0.0, np.nextafter(bound, np.inf)])
+            FeatureExtractor(sample_rate).push([0.0, np.nextafter(bound, np.inf)])
 
     @pytest.mark.parametrize("bad,named", BAD_PUSHES, ids=[named for _, named in BAD_PUSHES])
     @pytest.mark.parametrize("fed", [0, 3000], ids=["fresh", "fed"])
     def test_bad_push_rejected_before_any_change(self, bad, named, fed):
         samples = np.random.default_rng(26).uniform(-0.5, 0.5, 6000)
-        ext = FeatureExtractor(CFG, 8000)
+        ext = FeatureExtractor(8000)
         got = [ext.push(samples[:fed])]
         before = (ext.pending.copy(), ext.n_frames, [(s.start, s.context) for s in ext.stages])
         with pytest.raises(ValueError, match=named):
@@ -371,9 +372,9 @@ def _transform(out_dim, in_dim, seed):
 
 # every kind of CausalWindow the detector runs: (factory, input dim)
 CAUSAL_WINDOWS = {
-    "cmn": (lambda: cmn_window(CFG), 12),
-    "deltas": (lambda: delta_window(12, CFG.delta_window), 12),
-    "delta-deltas": (lambda: delta_window(12, CFG.delta_window), 24),
+    "cmn": (lambda: cmn_window(), 12),
+    "deltas": (lambda: delta_window(12), 12),
+    "delta-deltas": (lambda: delta_window(12), 24),
     "lda-stack": (lambda: context_window(LDA_CONTEXT), 36),
     "lda": (lambda: context_window(LDA_CONTEXT, _transform(12, 396, 1)), 36),
     "pca": (lambda: context_window(PCA_CONTEXT, _transform(24, 84, 2)), 12),
@@ -457,14 +458,14 @@ class TestBatchInvariance:
     @pytest.mark.parametrize("size", BLOCK_SIZES)
     @pytest.mark.parametrize("sample_rate", [8000, 16000])
     def test_static_mfcc_block(self, size, sample_rate):
-        static = StaticMfcc(CFG, sample_rate)
+        static = StaticMfcc(sample_rate)
         x = np.random.default_rng(size).uniform(-0.5, 0.5, (1500, static.win))
         np.testing.assert_array_equal(in_blocks(static.compute_block, x, size), static.compute_block(x))
 
     @pytest.mark.parametrize("size", BLOCK_SIZES)
     def test_cmn_window_sum(self, size):
         x = np.random.default_rng(30).standard_normal((1500, 12))
-        np.testing.assert_array_equal(streamed(cmn_window(CFG), x, size), cmn(x))
+        np.testing.assert_array_equal(streamed(cmn_window(), x, size), cmn(x))
 
     @pytest.mark.parametrize("size", BLOCK_SIZES)
     @pytest.mark.parametrize("dim", [1, 12])
@@ -478,7 +479,7 @@ class TestBatchInvariance:
         for j in range(1, width):
             total += padded[j : j + len(x)]
         want = x - total / np.minimum(np.arange(1, len(x) + 1), width)[:, None]
-        np.testing.assert_array_equal(streamed(cmn_window(CFG), x, size), want)
+        np.testing.assert_array_equal(streamed(cmn_window(), x, size), want)
 
     @pytest.mark.parametrize("kind", list(CAUSAL_WINDOWS))
     @pytest.mark.parametrize("piece", PIECES + ["mixed"])
@@ -506,8 +507,8 @@ class TestBatchInvariance:
     @pytest.mark.parametrize("size", BLOCK_SIZES)
     def test_delta_formula(self, size):
         x = np.random.default_rng(31).standard_normal((1500, 24))
-        whole = delta_window(12, CFG.delta_window).flush(x)
-        np.testing.assert_array_equal(streamed(delta_window(12, CFG.delta_window), x, size), whole)
+        whole = delta_window(12).flush(x)
+        np.testing.assert_array_equal(streamed(delta_window(12), x, size), whole)
 
 
 def stats_reference(segment, ubm):
@@ -714,7 +715,7 @@ class TestConfig:
                 FeatureConfig(**kwargs)
         with pytest.raises(TypeError):
             FeatureConfig(0.025)
-        assert FeatureConfig() == FeatureConfig()
+        assert FeatureConfig() == FeatureConfig() == FRONT_END
 
     def test_derived_values(self):
         assert CFG.window_samples(8000) == 200

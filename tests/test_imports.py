@@ -1,5 +1,6 @@
 """Every module of the package uses each name it imports, none imports scipy,
-none calls einsum, and only embeddings names float32.
+none calls einsum, only embeddings names float32, and only features calls
+FeatureConfig().
 
 The repository runs no linter, so an import left behind when the code that
 used it goes is caught here. scipy is a test-only dependency (the tests'
@@ -8,6 +9,8 @@ Projections of rows go through `features.row_products`, the one
 batch-invariant product; einsum would be a second way to write it. float32
 belongs to the MLP's training SGD alone: everything else, detection included,
 runs in float64, and a float32 anywhere else would reach it unnoticed.
+The front end is made in one place: features builds the one FeatureConfig,
+FRONT_END, and every other module reads that instance.
 """
 
 import ast
@@ -108,3 +111,29 @@ def test_guard_finds_float32():
 @pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "embeddings.py"))
 def test_only_embeddings_names_float32(module):
     assert name_uses((PACKAGE / module).read_text(encoding="utf-8"), "float32") == []
+
+
+def calls_of(source: str, wanted: str) -> list:
+    """Line numbers where the source calls wanted, by its bare name or as an
+    attribute."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == wanted:
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_guard_finds_a_feature_config_call():
+    source = "from .features import FRONT_END, FeatureConfig\nfrom . import features\n\n" \
+             "def f(cfg: FeatureConfig = FRONT_END):\n    return FeatureConfig() == features.FeatureConfig()\n" \
+             "g = FeatureConfig\n# FeatureConfig() in a comment is fine\nh = 'FeatureConfig() in a string is fine'\n"
+    assert calls_of(source, "FeatureConfig") == [5, 5]
+    assert calls_of((PACKAGE / "features.py").read_text(encoding="utf-8"), "FeatureConfig")
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "features.py"))
+def test_only_features_calls_feature_config(module):
+    assert calls_of((PACKAGE / module).read_text(encoding="utf-8"), "FeatureConfig") == []

@@ -385,7 +385,7 @@ class TestBoundedMemory:
         model = train(TrainConfig(entries=micro_corpus, seed=23, monitor_entries=monitor, **MICRO))
 
         def cascade_output(wav):
-            frames = extract_features(read_wav(wav), model.feature_cfg)
+            frames = extract_features(read_wav(wav))
             for stage in StreamingDetector(model).cascade:
                 frames = stage.flush(frames)
             return frames
